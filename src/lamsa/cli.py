@@ -246,7 +246,7 @@ def phase_portrait(cfg: RunConfig) -> int:
             n = write_trajectory(out / name, traj)
             outputs[name] = n
             status, detail = "ok", ""
-            n_samples, n_events = len(traj.samples), len(traj.events)
+            n_samples, n_events = len(traj), len(traj.events)
         except LamsaError as exc:
             status, detail = "error", str(exc)
             n_samples = n_events = 0

@@ -200,12 +200,14 @@ def equilibrium_field_residual(
 ) -> np.ndarray:
     """Full 4-state field evaluated at the candidate rest state."""
     latched = fp.mode is Mode.LATCHED
-    return _field_arr(
-        params,
-        fp.rest_state().as_array(),
-        fp.F_L_star,
-        latched,
-        params.variant_or(variant),
+    return np.array(
+        _field_arr(
+            params,
+            fp.rest_state().as_array(),
+            fp.F_L_star,
+            latched,
+            params.variant_or(variant),
+        )
     )
 
 

@@ -13,7 +13,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import Mode
 from .simulate import Trajectory
 
 __all__ = [
@@ -36,30 +35,18 @@ def fmt(x: float) -> str:
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> int:
     """Write a CSV file with a fixed newline convention; returns the row count."""
-    count = 0
+    lines = [",".join(header), *map(",".join, rows), ""]  # "" ends the last row
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-            count += 1
-    return count
+        fh.write("\n".join(lines))
+    return len(lines) - 2
 
 
-def trajectory_rows(traj: Trajectory) -> list[list[str]]:
-    rows = []
-    for s in traj.samples:
-        rows.append(
-            [
-                fmt(s.t),
-                fmt(s.state.p),
-                fmt(s.state.p_dot),
-                fmt(s.state.l),
-                fmt(s.state.l_dot),
-                s.mode.value,
-                fmt(s.tau),
-            ]
-        )
-    return rows
+def trajectory_rows(traj: Trajectory) -> list[tuple[str, ...]]:
+    """One row of strings per sample, formatted straight from the columns."""
+    return [
+        (fmt(t), fmt(p), fmt(p_dot), fmt(l), fmt(l_dot), mode.value, fmt(tau))
+        for t, (p, p_dot, l, l_dot), mode, tau in zip(traj.t, traj.x, traj.mode, traj.tau)
+    ]
 
 
 def write_trajectory(path: Path, traj: Trajectory) -> int:
@@ -111,7 +98,3 @@ def write_manifest(
 def flag(b: bool) -> str:
     """Boolean CSV cell: 1/0 keeps every declared column numeric."""
     return "1" if b else "0"
-
-
-def mode_code(mode: Mode) -> str:
-    return mode.value

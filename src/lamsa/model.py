@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,9 +96,12 @@ class SystemParams:
         return self.variant if variant is None else variant
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """One point (p, p_dot, l, l_dot) of the 4-dimensional state space."""
+class SystemState(NamedTuple):
+    """One point (p, p_dot, l, l_dot) of the 4-dimensional state space.
+
+    A state is the 4-tuple itself: it unpacks, indexes and converts to an
+    array directly.
+    """
 
     p: float
     p_dot: float
@@ -105,16 +109,14 @@ class SystemState:
     l_dot: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.p_dot, self.l, self.l_dot], dtype=float)
+        return np.array(self, dtype=float)
 
     @classmethod
     def from_array(cls, x: np.ndarray) -> "SystemState":
         return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
     def is_finite(self) -> bool:
-        return all(
-            math.isfinite(v) for v in (self.p, self.p_dot, self.l, self.l_dot)
-        )
+        return all(math.isfinite(v) for v in self)
 
 
 def spring_force(params: SystemParams, p: float) -> float:
@@ -209,23 +211,29 @@ def mode_of(
 
 def _field_arr(
     params: SystemParams,
-    x: np.ndarray,
+    x: Sequence[float],
     F_L: float,
     latched: bool,
     variant: ModelVariant,
-) -> np.ndarray:
-    """Vector field on raw arrays; hot path shared by the integrator."""
+) -> tuple[float, float, float, float]:
+    """Vector field of any 4-sequence as a plain 4-tuple; the integrator's hot path.
+
+    The contact force is computed inline with the arithmetic of ``_tau``.
+    """
     p, p_dot, l, l_dot = x
-    lam = _tau(params, p, p_dot, l, l_dot, F_L, variant) if latched else 0.0
-    fs = spring_force(params, p)
-    return np.array(
-        [
-            p_dot,
-            (fs + (p - params.R) * lam) / params.m,
-            l_dot,
-            (F_L + l * lam) / params.M,
-        ]
-    )
+    m, M, R = params.m, params.M, params.R
+    fs = -params.k * (p - params.p0)
+    if latched:
+        w = (R - p) ** 2 / m + l * l / M
+        if w <= 0.0:
+            raise SingularConfigurationError(
+                f"contact-force denominator W={w} is not positive at p={p}, l={l}"
+            )
+        d = m if variant is ModelVariant.AS_PRINTED else M
+        lam = (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
+    else:
+        lam = 0.0
+    return (p_dot, (fs + (p - R) * lam) / m, l_dot, (F_L + l * lam) / M)
 
 
 def vector_field(
@@ -241,12 +249,14 @@ def vector_field(
     zero, decoupling projectile (harmonic oscillator) and latch (constant
     force F_L).
     """
-    return _field_arr(
-        params,
-        state.as_array(),
-        F_L,
-        mode is Mode.LATCHED,
-        params.variant_or(variant),
+    return np.array(
+        _field_arr(
+            params,
+            state.as_array(),
+            F_L,
+            mode is Mode.LATCHED,
+            params.variant_or(variant),
+        )
     )
 
 

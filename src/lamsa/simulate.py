@@ -19,9 +19,10 @@ outward, where the model stops describing the physics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,65 +85,161 @@ class Event:
     kind: EventKind
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     t: float
     state: SystemState
     mode: Mode
     tau: float
 
 
-@dataclass
 class Trajectory:
-    """Time-ordered samples plus the mode-switch events that occurred.
+    """Time-ordered samples, stored as columns, plus the mode-switch events.
 
-    Samples carry the contact force while latched and tau = 0 once
-    unlatched; the sample recorded at a switch event is already unlatched.
+    ``t``, ``x`` (the states), ``mode`` and ``tau`` are parallel lists with
+    one entry per sample; ``samples`` and ``final`` build TrajectorySample
+    views of them on demand.  Samples carry the contact force while
+    latched and tau = 0 once unlatched; the sample recorded at a switch
+    event is already unlatched.
     """
 
-    samples: list[TrajectorySample] = field(default_factory=list)
-    events: list[Event] = field(default_factory=list)
+    __slots__ = ("t", "x", "mode", "tau", "events")
+
+    def __init__(self) -> None:
+        self.t: list[float] = []
+        self.x: list[SystemState] = []
+        self.mode: list[Mode] = []
+        self.tau: list[float] = []
+        self.events: list[Event] = []
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def append(self, t: float, state: SystemState, mode: Mode, tau: float) -> None:
+        self.t.append(t)
+        self.x.append(state)
+        self.mode.append(mode)
+        self.tau.append(tau)
+
+    @property
+    def samples(self) -> list[TrajectorySample]:
+        return list(map(TrajectorySample, self.t, self.x, self.mode, self.tau))
 
     @property
     def final(self) -> TrajectorySample:
-        return self.samples[-1]
+        return TrajectorySample(self.t[-1], self.x[-1], self.mode[-1], self.tau[-1])
 
     def states(self) -> np.ndarray:
-        return np.array([s.state.as_array() for s in self.samples])
+        return np.array(self.x, dtype=float)
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return np.array(self.t)
 
 
-# Dormand-Prince 5(4) embedded pair (the fields are autonomous, so the
-# stage nodes are not needed).  The fifth-order solution is propagated;
-# the E row is b5 - b4 and yields the local error estimate.
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+def _norm(y: Sequence[float]) -> float:
+    p, p_dot, l, l_dot = y
+    return math.sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
 
 
 def _step_raw(
-    rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """One trial step: returns (y_new, error_norm, f_at_y, f_at_y_new)."""
-    k = np.empty((7, y.size))
-    k[0] = rhs(y)
-    for i in range(1, 7):
-        k[i] = rhs(y + dt * (_A[i] @ k[:i]))
-    y_new = y + dt * (_B @ k)
-    err = dt * (_E @ k)
-    return y_new, float(np.linalg.norm(err)), k[0], k[6]
+    params: SystemParams,
+    F_L: float,
+    latched: bool,
+    variant: ModelVariant,
+    y: Sequence[float],
+    dt: float,
+) -> tuple[SystemState, float]:
+    """One Dormand-Prince 5(4) trial step from ``y``: returns (y_new, error_norm).
+
+    The tableau is unrolled over the four state components in float
+    arithmetic; ``kSC`` is stage S's derivative of component C.  The fields
+    are autonomous, so the stage nodes are not needed.  The fifth-order
+    solution is propagated; it is also where the seventh stage is
+    evaluated (b equals the last row of A), and the b5 - b4 weights give
+    the local error estimate.  All seven stages are evaluated on every
+    trial.
+    """
+    f = _field_arr
+    h = dt
+    y0, y1, y2, y3 = y
+    k10, k11, k12, k13 = f(params, y, F_L, latched, variant)
+    k20, k21, k22, k23 = f(
+        params,
+        (
+            y0 + h * (1 / 5 * k10),
+            y1 + h * (1 / 5 * k11),
+            y2 + h * (1 / 5 * k12),
+            y3 + h * (1 / 5 * k13),
+        ),
+        F_L, latched, variant,
+    )
+    k30, k31, k32, k33 = f(
+        params,
+        (
+            y0 + h * (3 / 40 * k10 + 9 / 40 * k20),
+            y1 + h * (3 / 40 * k11 + 9 / 40 * k21),
+            y2 + h * (3 / 40 * k12 + 9 / 40 * k22),
+            y3 + h * (3 / 40 * k13 + 9 / 40 * k23),
+        ),
+        F_L, latched, variant,
+    )
+    k40, k41, k42, k43 = f(
+        params,
+        (
+            y0 + h * (44 / 45 * k10 - 56 / 15 * k20 + 32 / 9 * k30),
+            y1 + h * (44 / 45 * k11 - 56 / 15 * k21 + 32 / 9 * k31),
+            y2 + h * (44 / 45 * k12 - 56 / 15 * k22 + 32 / 9 * k32),
+            y3 + h * (44 / 45 * k13 - 56 / 15 * k23 + 32 / 9 * k33),
+        ),
+        F_L, latched, variant,
+    )
+    k50, k51, k52, k53 = f(
+        params,
+        (
+            y0 + h * (19372 / 6561 * k10 - 25360 / 2187 * k20
+                      + 64448 / 6561 * k30 - 212 / 729 * k40),
+            y1 + h * (19372 / 6561 * k11 - 25360 / 2187 * k21
+                      + 64448 / 6561 * k31 - 212 / 729 * k41),
+            y2 + h * (19372 / 6561 * k12 - 25360 / 2187 * k22
+                      + 64448 / 6561 * k32 - 212 / 729 * k42),
+            y3 + h * (19372 / 6561 * k13 - 25360 / 2187 * k23
+                      + 64448 / 6561 * k33 - 212 / 729 * k43),
+        ),
+        F_L, latched, variant,
+    )
+    k60, k61, k62, k63 = f(
+        params,
+        (
+            y0 + h * (9017 / 3168 * k10 - 355 / 33 * k20 + 46732 / 5247 * k30
+                      + 49 / 176 * k40 - 5103 / 18656 * k50),
+            y1 + h * (9017 / 3168 * k11 - 355 / 33 * k21 + 46732 / 5247 * k31
+                      + 49 / 176 * k41 - 5103 / 18656 * k51),
+            y2 + h * (9017 / 3168 * k12 - 355 / 33 * k22 + 46732 / 5247 * k32
+                      + 49 / 176 * k42 - 5103 / 18656 * k52),
+            y3 + h * (9017 / 3168 * k13 - 355 / 33 * k23 + 46732 / 5247 * k33
+                      + 49 / 176 * k43 - 5103 / 18656 * k53),
+        ),
+        F_L, latched, variant,
+    )
+    y_new = SystemState(
+        y0 + h * (35 / 384 * k10 + 500 / 1113 * k30 + 125 / 192 * k40
+                  - 2187 / 6784 * k50 + 11 / 84 * k60),
+        y1 + h * (35 / 384 * k11 + 500 / 1113 * k31 + 125 / 192 * k41
+                  - 2187 / 6784 * k51 + 11 / 84 * k61),
+        y2 + h * (35 / 384 * k12 + 500 / 1113 * k32 + 125 / 192 * k42
+                  - 2187 / 6784 * k52 + 11 / 84 * k62),
+        y3 + h * (35 / 384 * k13 + 500 / 1113 * k33 + 125 / 192 * k43
+                  - 2187 / 6784 * k53 + 11 / 84 * k63),
+    )
+    k70, k71, k72, k73 = f(params, y_new, F_L, latched, variant)
+    e0 = h * (71 / 57600 * k10 - 71 / 16695 * k30 + 71 / 1920 * k40
+              - 17253 / 339200 * k50 + 22 / 525 * k60 - 1 / 40 * k70)
+    e1 = h * (71 / 57600 * k11 - 71 / 16695 * k31 + 71 / 1920 * k41
+              - 17253 / 339200 * k51 + 22 / 525 * k61 - 1 / 40 * k71)
+    e2 = h * (71 / 57600 * k12 - 71 / 16695 * k32 + 71 / 1920 * k42
+              - 17253 / 339200 * k52 + 22 / 525 * k62 - 1 / 40 * k72)
+    e3 = h * (71 / 57600 * k13 - 71 / 16695 * k33 + 71 / 1920 * k43
+              - 17253 / 339200 * k53 + 22 / 525 * k63 - 1 / 40 * k73)
+    return y_new, math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
 
 
 def integrate_step(
@@ -164,42 +261,39 @@ def integrate_step(
     cfg = config or IntegratorConfig()
     var = params.variant_or(variant)
     latched = mode is Mode.LATCHED
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return _field_arr(params, y, F_L, latched, var)
-
-    y = state.as_array()
-    tol = max(cfg.rel_tol * float(np.linalg.norm(y)), cfg.abs_tol)
+    tol = max(cfg.rel_tol * _norm(state), cfg.abs_tol)
     dt = min(dt_suggestion, cfg.max_step)
     while True:
         if dt < _MIN_STEP:
             raise StepSizeUnderflowError(
                 f"step size {dt:.3e} below floor {_MIN_STEP:.0e} without meeting tolerance"
             )
-        y_new, err, _, _ = _step_raw(rhs, y, dt)
+        y_new, err = _step_raw(params, F_L, latched, var, state, dt)
         if err <= tol:
-            return SystemState.from_array(y_new), dt, err
+            return y_new, dt, err
         dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
 
 
 def _hermite(
     t0: float,
-    y0: np.ndarray,
-    f0: np.ndarray,
+    y0: Sequence[float],
+    f0: Sequence[float],
     t1: float,
-    y1: np.ndarray,
-    f1: np.ndarray,
+    y1: Sequence[float],
+    f1: Sequence[float],
     t: float,
-) -> np.ndarray:
+) -> SystemState:
     """Cubic Hermite dense output over one step."""
     h = t1 - t0
     s = (t - t0) / h
     s2, s3 = s * s, s * s * s
-    return (
-        (1 - 3 * s2 + 2 * s3) * y0
-        + (3 * s2 - 2 * s3) * y1
-        + h * ((s - 2 * s2 + s3) * f0 + (s3 - s2) * f1)
-    )
+    a = 1 - 3 * s2 + 2 * s3
+    b = 3 * s2 - 2 * s3
+    c = s - 2 * s2 + s3
+    d = s3 - s2
+    return SystemState(*(
+        a * y0[i] + b * y1[i] + h * (c * f0[i] + d * f1[i]) for i in range(4)
+    ))
 
 
 def locate_event(
@@ -221,25 +315,23 @@ def locate_event(
     cfg = config or IntegratorConfig()
     t_lo, s_lo, t_hi, s_hi = bracket
     t, state = _locate_zero(
-        params, F_L, t_lo, s_lo.as_array(), t_hi, s_hi.as_array(),
-        lambda y: event_fn(SystemState.from_array(y)),
-        cfg, mode, params.variant_or(variant),
+        params, F_L, t_lo, s_lo, t_hi, s_hi, event_fn, cfg, mode, params.variant_or(variant)
     )
-    return Event(t=t, state=SystemState.from_array(state), kind=kind)
+    return Event(t=t, state=state, kind=kind)
 
 
 def _locate_zero(
     params: SystemParams,
     F_L: float,
     t_lo: float,
-    y_lo: np.ndarray,
+    y_lo: SystemState,
     t_hi: float,
-    y_hi: np.ndarray,
-    g: Callable[[np.ndarray], float],
+    y_hi: SystemState,
+    g: Callable[[SystemState], float],
     cfg: IntegratorConfig,
     mode: Mode,
     variant: ModelVariant,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, SystemState]:
     latched = mode is Mode.LATCHED
     f_lo = _field_arr(params, y_lo, F_L, latched, variant)
     f_hi = _field_arr(params, y_hi, F_L, latched, variant)
@@ -255,7 +347,7 @@ def _locate_zero(
             f"guard has the same sign at both bracket ends: g({t_lo})={g_lo}, g({t_hi})={g_hi}"
         )
 
-    def interp(t: float) -> np.ndarray:
+    def interp(t: float) -> SystemState:
         return _hermite(t_lo, y_lo, f_lo, t_hi, y_hi, f_hi, t)
 
     a, b, ga = t_lo, t_hi, g_lo
@@ -283,7 +375,7 @@ def project_to_constraint(params: SystemParams, state: SystemState) -> SystemSta
     configuration keeps p_dot and slaves l_dot = (R-p) p_dot / l.
     """
     R = params.R
-    p, l = state.p, state.l
+    p, p_dot, l, l_dot = state
     tol = 1e-12 * max(1.0, R * R)
     for _ in range(25):
         h = holonomic_h(params, p, l)
@@ -301,7 +393,6 @@ def project_to_constraint(params: SystemParams, state: SystemState) -> SystemSta
             f"projection did not converge in 25 iterations (|h|={abs(holonomic_h(params, p, l))})"
         )
 
-    p_dot, l_dot = state.p_dot, state.l_dot
     if abs(l) >= abs(R - p):
         l_dot = (R - p) * p_dot / l if l != 0.0 else 0.0
     else:
@@ -317,6 +408,39 @@ def _suggest(dt_used: float, err: float, tol: float, max_step: float) -> float:
     return min(max_step, dt_used * factor)
 
 
+def _release_event(
+    params: SystemParams,
+    F_L: float,
+    bracket: tuple[float, SystemState, float, SystemState],
+    unlatch: bool,
+    takeoff: bool,
+    tau_of: Callable[[SystemState], float],
+    cfg: IntegratorConfig,
+    variant: ModelVariant,
+) -> Event:
+    """Locate the release inside a latched step whose end fired a guard.
+
+    When both guards fire the earlier wins, and a tie within the event
+    tolerance means tangency: at p = R no contact force can hold the
+    projectile regardless of tau.
+    """
+    R = params.R
+    events = []
+    if unlatch:
+        events.append(locate_event(
+            params, F_L, bracket, tau_of, cfg, Mode.LATCHED, EventKind.UNLATCH_TAU_ZERO, variant
+        ))
+    if takeoff:
+        events.append(locate_event(
+            params, F_L, bracket, lambda s: s[0] - R, cfg, Mode.LATCHED,
+            EventKind.TAKEOFF_TANGENCY, variant,
+        ))
+    if len(events) == 2:
+        tau_ev, take_ev = events
+        return take_ev if take_ev.t <= tau_ev.t + cfg.event_time_tol else tau_ev
+    return events[0]
+
+
 def simulate(
     params: SystemParams,
     x0: SystemState,
@@ -330,11 +454,17 @@ def simulate(
     The starting mode is inferred from the state (on the circle with
     positive contact force -> latched).  At most one latched->unlatched
     switch can occur; its event is recorded with the interpolated state.
-    When both guards fire inside one step the earlier one wins and a tie
-    within the event tolerance resolves to tangency takeoff.
+    While latched, the release guards are read on each step's integrated
+    end state and then on its projection onto the constraint, the state
+    the next step starts from; the first end that fires a guard closes the
+    event's bracket.  When both guards fire inside one step the earlier
+    one wins and a tie within the event tolerance resolves to tangency
+    takeoff.  ``F_L`` and ``t_end`` are taken as floats, so every sample
+    holds plain floats.
     """
     cfg = config or IntegratorConfig()
     var = params.variant_or(variant)
+    F_L, t_end = float(F_L), float(t_end)
     if not x0.is_finite():
         raise ValueError(f"initial state has non-finite components: {x0}")
     if t_end < 0.0:
@@ -343,126 +473,82 @@ def simulate(
     traj = Trajectory()
     mode = mode_of(params, x0, F_L, variant=var)
     t = 0.0
-    y = x0.as_array()
+    t_last = t_end - 1e-14 * max(1.0, t_end)
+    y = SystemState(*map(float, x0))
+    project = cfg.constraint_projection
 
-    def tau_of(arr: np.ndarray) -> float:
-        return _tau(params, arr[0], arr[1], arr[2], arr[3], F_L, var)
+    def tau_of(s: SystemState) -> float:
+        return _tau(params, s[0], s[1], s[2], s[3], F_L, var)
 
-    if mode is Mode.LATCHED and cfg.constraint_projection:
-        y = project_to_constraint(params, SystemState.from_array(y)).as_array()
+    def tolerance(s: SystemState) -> float:
+        return max(cfg.rel_tol * _norm(s), cfg.abs_tol)
+
+    if mode is Mode.LATCHED and project:
+        y = project_to_constraint(params, y)
         if tau_of(y) <= 0.0:
             mode = Mode.UNLATCHED  # projection nudged a borderline tau past 0
-    traj.samples.append(
-        TrajectorySample(
-            t,
-            SystemState.from_array(y),
-            mode,
-            tau_of(y) if mode is Mode.LATCHED else 0.0,
-        )
-    )
+    traj.append(t, y, mode, tau_of(y) if mode is Mode.LATCHED else 0.0)
 
     dt = 0.01 * cfg.max_step
 
     # --- latched phase -------------------------------------------------
     if mode is Mode.LATCHED:
-        while t < t_end - 1e-14 * max(1.0, t_end):
-            dt_try = min(dt, t_end - t, cfg.max_step)
-            state = SystemState.from_array(y)
-            new_state, dt_used, err = integrate_step(
-                params, state, F_L, Mode.LATCHED, dt_try, cfg, var
+        while t < t_last:
+            y_end, dt_used, err = integrate_step(
+                params, y, F_L, Mode.LATCHED, min(dt, t_end - t, cfg.max_step), cfg, var
             )
-            y_new = new_state.as_array()
             t_new = t + dt_used
+            y_new = project_to_constraint(params, y_end) if project else y_end
+            tau_new = tau_of(y_new)
 
-            tau_hi = tau_of(y_new)
-            p_hi = y_new[0] - params.R
-            event: Event | None = None
-            candidates: list[Event] = []
-            if tau_hi <= 0.0:
-                candidates.append(
-                    locate_event(
-                        params, F_L, (t, state, t_new, new_state),
-                        lambda s: _tau(params, s.p, s.p_dot, s.l, s.l_dot, F_L, var),
-                        cfg, Mode.LATCHED, EventKind.UNLATCH_TAU_ZERO, var,
+            # a guard fires on the integrated end state, bracketed by the
+            # step itself, or else on the projected end state, the state the
+            # next step would start from
+            ends = ((y_end, tau_of(y_end)),) if project else ()
+            event = None
+            for y_hi, tau_hi in (*ends, (y_new, tau_new)):
+                unlatch = tau_hi <= 0.0
+                takeoff = y_hi[0] - params.R >= 0.0 and y[0] - params.R < 0.0
+                if unlatch or takeoff:
+                    event = _release_event(
+                        params, F_L, (t, y, t_new, y_hi), unlatch, takeoff, tau_of, cfg, var
                     )
-                )
-            if p_hi >= 0.0 and y[0] - params.R < 0.0:
-                candidates.append(
-                    locate_event(
-                        params, F_L, (t, state, t_new, new_state),
-                        lambda s: s.p - params.R,
-                        cfg, Mode.LATCHED, EventKind.TAKEOFF_TANGENCY, var,
-                    )
-                )
-            if len(candidates) == 2:
-                # tie inside the event tolerance means tangency: at p = R no
-                # contact force can hold the projectile regardless of tau
-                tau_ev, take_ev = candidates
-                if take_ev.t <= tau_ev.t + cfg.event_time_tol:
-                    event = take_ev
-                else:
-                    event = tau_ev
-            elif candidates:
-                event = candidates[0]
-
+                    break
             if event is not None:
-                ev_state = event.state
-                if cfg.constraint_projection:
-                    ev_state = project_to_constraint(params, ev_state)
-                    event = Event(event.t, ev_state, event.kind)
+                if project:
+                    event = Event(event.t, project_to_constraint(params, event.state), event.kind)
                 traj.events.append(event)
-                traj.samples.append(
-                    TrajectorySample(event.t, ev_state, Mode.UNLATCHED, 0.0)
-                )
-                t = event.t
-                y = ev_state.as_array()
-                mode = Mode.UNLATCHED
+                t, y, mode = event.t, event.state, Mode.UNLATCHED
+                traj.append(t, y, mode, 0.0)
                 break
 
-            if cfg.constraint_projection:
-                y_new = project_to_constraint(
-                    params, SystemState.from_array(y_new)
-                ).as_array()
             t, y = t_new, y_new
-            traj.samples.append(
-                TrajectorySample(t, SystemState.from_array(y), Mode.LATCHED, tau_of(y))
-            )
-            tol = max(cfg.rel_tol * float(np.linalg.norm(y)), cfg.abs_tol)
-            dt = _suggest(dt_used, err, tol, cfg.max_step)
+            traj.append(t, y, Mode.LATCHED, tau_new)
+            dt = _suggest(dt_used, err, tolerance(y), cfg.max_step)
 
     # --- unlatched phase (permanent: no re-latching) ---------------------
     if mode is Mode.UNLATCHED:
+        p0 = params.p0
         # outward crossing of the natural length ends the run immediately
-        if y[0] >= params.p0 and y[1] > 0.0:
+        if y[0] >= p0 and y[1] > 0.0:
             return traj
-        while t < t_end - 1e-14 * max(1.0, t_end):
-            dt_try = min(dt, t_end - t, cfg.max_step)
-            state = SystemState.from_array(y)
-            new_state, dt_used, err = integrate_step(
-                params, state, F_L, Mode.UNLATCHED, dt_try, cfg, var
+        while t < t_last:
+            y_new, dt_used, err = integrate_step(
+                params, y, F_L, Mode.UNLATCHED, min(dt, t_end - t, cfg.max_step), cfg, var
             )
-            y_new = new_state.as_array()
             t_new = t + dt_used
 
-            if y_new[0] >= params.p0 and y[0] < params.p0:
+            if y_new[0] >= p0 and y[0] < p0:
                 t_stop, y_stop = _locate_zero(
-                    params, F_L, t, y, t_new, y_new,
-                    lambda arr: arr[0] - params.p0,
+                    params, F_L, t, y, t_new, y_new, lambda s: s[0] - p0,
                     cfg, Mode.UNLATCHED, var,
                 )
                 if y_stop[1] > 0.0:
-                    traj.samples.append(
-                        TrajectorySample(
-                            t_stop, SystemState.from_array(y_stop), Mode.UNLATCHED, 0.0
-                        )
-                    )
+                    traj.append(t_stop, y_stop, Mode.UNLATCHED, 0.0)
                     return traj
 
             t, y = t_new, y_new
-            traj.samples.append(
-                TrajectorySample(t, SystemState.from_array(y), Mode.UNLATCHED, 0.0)
-            )
-            tol = max(cfg.rel_tol * float(np.linalg.norm(y)), cfg.abs_tol)
-            dt = _suggest(dt_used, err, tol, cfg.max_step)
+            traj.append(t, y, Mode.UNLATCHED, 0.0)
+            dt = _suggest(dt_used, err, tolerance(y), cfg.max_step)
 
     return traj

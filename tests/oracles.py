@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: the root
 oracle is a brute-force numpy grid scan, the trajectory oracle is a
-fixed-stride classical RK4 loop, and the projection oracle uses the
+fixed-stride classical RK4 loop, the step oracle is the Dormand-Prince
+pair in tableau (matrix) form, and the projection oracle uses the
 closed-form radial projection onto the circle.
 """
 
@@ -71,6 +72,42 @@ def rk4_fixed(
         k4 = f(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+# Dormand-Prince 5(4) embedded pair in tableau form (Hairer, Norsett &
+# Wanner, Solving ODEs I, table II.5.2); E is b5 - b4.
+DOPRI5_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+DOPRI5_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+DOPRI5_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+
+
+def dopri5_step(
+    f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float
+) -> tuple[np.ndarray, float, float]:
+    """One DOPRI5 trial step by matrix products over the stage matrix.
+
+    Returns (y_new, error_norm, error_scale).  The error estimate is a sum
+    of terms that nearly cancel; ``error_scale`` is the norm of the summed
+    terms' magnitudes, the scale its rounding error is relative to.
+    """
+    y = np.asarray(y, dtype=float)
+    k = np.empty((7, y.size))
+    k[0] = f(y)
+    for i in range(1, 7):
+        k[i] = f(y + dt * (DOPRI5_A[i] @ k[:i]))
+    err = dt * (DOPRI5_E @ k)
+    scale = dt * (np.abs(DOPRI5_E) @ np.abs(k))
+    return y + dt * (DOPRI5_B @ k), float(np.linalg.norm(err)), float(np.linalg.norm(scale))
 
 
 def radial_projection(R: float, p: float, l: float) -> tuple[float, float]:

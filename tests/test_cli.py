@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lamsa import FLRange, ModelVariant, parse_config, sweep_values
+from lamsa import FLRange, ModelVariant, SystemParams, SystemState, parse_config, simulate, sweep_values
 from lamsa.cli import (
     cmd_classify,
     cmd_design_check,
@@ -23,6 +24,7 @@ from lamsa.cli import (
 )
 from lamsa.config import RunConfig, apply_overrides, build_config
 from lamsa.errors import ConfigError
+from lamsa.io import fmt, write_trajectory
 
 from conftest import REF_SADDLE_P
 
@@ -173,6 +175,33 @@ def test_cmd_simulate_outputs(tmp_path):
     assert events[0]["kind"] == "UnlatchTauZero"
     assert events[0]["t"] == pytest.approx(2.934182, abs=1e-4)
     assert set(events[0]["state"]) == {"p", "p_dot", "l", "l_dot"}
+
+
+def test_write_trajectory_rows_are_fmt_of_samples(tmp_path):
+    params = SystemParams(variant=ModelVariant.CONSTRAINT_CONSISTENT)
+    traj = simulate(params, SystemState(1, 0, 3, 0), -5.0, 4.0)
+    n = write_trajectory(tmp_path / "t.csv", traj)
+    expected = ["t,p,p_dot,l,l_dot,mode,tau"] + [
+        ",".join([fmt(s.t), *map(fmt, s.state), s.mode.value, fmt(s.tau)]) for s in traj.samples
+    ]
+    assert n == len(traj)
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_write_trajectory_numpy_scalar_inputs(tmp_path):
+    # numpy scalars for F_L and t_end must not leak into the samples: their
+    # repr is not a plain number under numpy >= 2
+    params = SystemParams(variant=ModelVariant.CONSTRAINT_CONSISTENT)
+    x0 = SystemState(1, 0, 3, 0)
+    traj = simulate(params, x0, np.float64(-5.0), np.float64(4.0))
+    assert traj.samples == simulate(params, x0, -5.0, 4.0).samples
+    assert all(type(v) is float for s in traj.samples for v in (s.t, *s.state, s.tau))
+    write_trajectory(tmp_path / "t.csv", traj)
+    header, rows = _read_csv(tmp_path / "t.csv")
+    assert len(rows) == len(traj)
+    for r in rows:
+        for cell in (*r[:5], r[6]):
+            float(cell)
 
 
 def test_cmd_classify_schema(tmp_path):

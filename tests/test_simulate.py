@@ -22,8 +22,9 @@ from lamsa import (
 )
 from lamsa.errors import NoSignChangeError, StepSizeUnderflowError
 from lamsa.model import _field_arr
+from lamsa.simulate import _step_raw
 
-from oracles import harmonic_position, radial_projection, rk4_fixed
+from oracles import dopri5_step, harmonic_position, radial_projection, rk4_fixed
 
 
 def _latched_start(params: SystemParams, p: float, p_dot: float = 0.0) -> SystemState:
@@ -75,6 +76,27 @@ def test_step_error_estimate_meets_contract(params):
     new, dt, err = integrate_step(params, st, -5.0, Mode.LATCHED, 1e-2, cfg)
     assert err <= max(cfg.rel_tol * np.linalg.norm(st.as_array()), cfg.abs_tol)
     assert 0 < dt <= cfg.max_step
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+@pytest.mark.parametrize("latched", [True, False])
+def test_step_raw_matches_tableau_oracle(variant, latched):
+    params = SystemParams(variant=variant)
+    if latched:
+        st, F_L = _latched_start(params, 2.0, 1.5), -5.0
+    else:
+        st, F_L = SystemState(9.0, 0.5, 2.0, 0.3), -2.0
+    dt = 0.05
+    y_new, err = _step_raw(params, F_L, latched, variant, st, dt)
+
+    def f(y: np.ndarray) -> np.ndarray:
+        return np.array(_field_arr(params, y, F_L, latched, variant))
+
+    ref_y, ref_err, err_scale = dopri5_step(f, st.as_array(), dt)
+    assert err > 0.0
+    assert np.max(np.abs(np.array(y_new) - ref_y)) <= 1e-13 * np.linalg.norm(ref_y)
+    # the estimate is a cancelling sum: compare relative to its terms' size
+    assert abs(err - ref_err) <= 1e-13 * err_scale
 
 
 def test_step_size_underflow_reported(params):
@@ -202,7 +224,7 @@ def test_simulate_latched_segment_matches_fixed_stride_oracle(cc_params):
     assert not traj.events
 
     def f(y: np.ndarray) -> np.ndarray:
-        return _field_arr(cc_params, y, -5.0, True, ModelVariant.CONSTRAINT_CONSISTENT)
+        return np.array(_field_arr(cc_params, y, -5.0, True, ModelVariant.CONSTRAINT_CONSISTENT))
 
     ref = rk4_fixed(f, x0.as_array(), t_probe, 60000)
     assert np.max(np.abs(traj.final.state.as_array() - ref)) <= 1e-7
@@ -241,6 +263,35 @@ def test_simulate_takeoff_by_tangency(cc_params):
     assert ev.state.p == pytest.approx(cc_params.R, abs=1e-6)
     assert ev.state.l == pytest.approx(cc_params.R, abs=1e-6)
     assert traj.final.state.p == pytest.approx(cc_params.p0, abs=1e-6)
+
+
+def test_simulate_printed_guard_reads_projected_state(params):
+    # row 42 of the unjittered 20x20 portrait at F_L = -15: the projection
+    # moves tau from +0.066 to -0.040 near t = 0.173, so guards read on the
+    # unprojected state missed the release there and the next step's
+    # bracket (0.1731, 0.1831) had no sign change
+    x0 = SystemState(2.8571428571428568, -7.894736842105264, 4.5175395145262565, -3.74480249230466)
+    traj = simulate(params, x0, -15.0, 10.0)
+    assert [e.kind for e in traj.events] == [EventKind.UNLATCH_TAU_ZERO]
+    assert traj.events[0].t < 0.1731
+    assert all(tau > 0.0 for mode, tau in zip(traj.mode, traj.tau) if mode is Mode.LATCHED)
+
+
+def test_trajectory_columns_and_views(params):
+    traj = simulate(params, SystemState(1, 0, 3, 0), -5.0, 3.0)
+    n = len(traj)
+    assert n > 2 and len(traj.t) == len(traj.x) == len(traj.mode) == len(traj.tau) == n
+    samples = traj.samples
+    assert len(samples) == n
+    assert [s.t for s in samples] == traj.t
+    assert [s.state for s in samples] == traj.x
+    assert traj.final == samples[-1]
+    assert traj.times().shape == (n,)
+    assert traj.states().shape == (n, 4)
+    assert np.array_equal(traj.states()[-1], traj.final.state.as_array())
+    # integer inputs come out as plain floats in every column
+    assert all(type(v) is float for v in traj.t + traj.tau)
+    assert all(type(c) is float for s in traj.x for c in s)
 
 
 def test_simulate_conserves_energy_and_constraint(cc_params):
