@@ -40,6 +40,7 @@ from .equilibria import (
 )
 from .stability import (
     Classification,
+    _fd_abgd,
     characteristic_invariants,
     classify,
     extract_ABGD,
@@ -208,9 +209,7 @@ def in_region_U(params: SystemParams, p: float, F_L: float) -> UMembership:
 
 
 def _in_S_at(params: SystemParams, p: float, F_L: float, var: ModelVariant) -> tuple[float, float, bool]:
-    state = SystemState(p, 0.0, latch_from_projectile(params, p), 0.0)
-    J = jacobian_fd_at(params, state, F_L, var)
-    A, B, G, D = extract_ABGD(J)
+    A, B, G, D = _fd_abgd(params, (p, 0.0, latch_from_projectile(params, p), 0.0), F_L, var)
     h1, h2 = characteristic_invariants(A, B, G, D)
     return h1, h2, classify(h1, h2) is Classification.SADDLE
 

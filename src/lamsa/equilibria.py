@@ -1,32 +1,56 @@
 """Latched-mode equilibria as a function of the latch force.
 
-Setting the projectile acceleration to zero with the contact force
-substituted, and squaring away the square root of the constraint, turns
-the equilibrium condition into a quartic D(p) whose coefficients depend
-on F_L.  Squaring introduces spurious roots, so every quartic root is
-re-validated against the unsquared force balance
+A latched rest state lies on the constraint circle, parametrized by the
+angle theta as p = R (1 - cos theta), l = R sin theta.  Zeroing the
+projectile acceleration with the contact force substituted gives the
+force balance
 
     F_s(p) * l(p) * c1 = (p - R) * F_L * c2
 
 (c1 = 1/M, c2 = 1/m for AS_PRINTED; c1 = c2 = 1 for the
-constraint-consistent variant), which in particular rejects the root the
-quartic always has between R and 2R.
+constraint-consistent variant).  With c = c1/c2 and a = p0 - R > 0 it
+reads F_L = -c k (a + R cos theta) tan theta on the circle, and it splits
+into two arcs:
 
-For F_L < 0 there are exactly two latched equilibria: the stationary one
-at p = 0 and one interior point in (0, R).  For F_L = 0 only the origin
-remains, and for F_L > 0 there is none: a pulling force cannot balance
-the spring.  Note that the origin (and, under AS_PRINTED, the interior
-point) zeroes the projectile row of the vector field but leaves a latch
-acceleration F_L/M (resp. F_L (m - M)/(m M)); ``vanishing_rows`` records
-which components actually vanish.
+* Near arc, p in (0, R).  With t = tan theta and s = sqrt(1 + t^2),
+  G(t) = c k (a + R/s) t + F_L = 0.  G is increasing
+  (G' = c k (a + R/s^3) > 0) and concave, so every F_L < 0 has exactly one
+  near-arc point, with t in [-F_L/(c k p0), -F_L/(c k a)]; Newton's
+  iteration from the lower end climbs to it monotonically.
+  l = R t/s and p = l t/(1 + s) carry no cancellation, so the point is
+  resolved as F_L -> 0-, where p* ~ F_L^2 and l* ~ -F_L.
+* Far pair, p in (p0, 2R), only when p0 < 2R.  With phi = pi - theta and
+  t = tan phi, F_L = c k (a - R/s) t.  This vanishes at phi = 0 (p = 2R)
+  and at cos phi = a/R (p = p0) and has one minimum F_min, where
+  cos^3 phi = a/R.  For F_min < F_L < 0 there is one point on each of the
+  two monotone pieces; the function is convex, so Newton's iteration from
+  each piece's outer end reaches it monotonically.  F_L = F_min is the
+  fold where the two merge; below F_min there is no far point.
+
+Points with p in (R, min(p0, 2R)) would need F_L > 0.  ``fixed_points``
+reports nothing for F_L > 0 and only the origin for F_L = 0: the branch
+that holds the saddle ends there.
+
+Squaring the balance gives the quartic D(p) of ``quartic_coefficients``,
+which also has the spurious roots of the squared sign.  ``fixed_points``
+no longer uses it: the quartic and its root scan ``roots_in_interval``
+stay as an independent oracle and as the equation the continuation's
+corrector solves.
+
+Note that the origin (and, under AS_PRINTED, every other point) zeroes
+the projectile row of the vector field but leaves a latch acceleration
+F_L/M (resp. F_L (m - M)/(m M)); ``vanishing_rows`` records which
+components actually vanish.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EquilibriumBalanceError
 from .model import (
     Mode,
     ModelVariant,
@@ -51,6 +75,7 @@ __all__ = [
 ]
 
 _BALANCE_RTOL = 1e-9
+_NEWTON_MAX_ITER = 100
 _VANISH_TOL = 1e-8
 
 
@@ -184,17 +209,6 @@ def balance_residual(
     return spring_force(params, p) * l * c1 - (p - params.R) * F_L * c2
 
 
-def _balance_ok(params: SystemParams, p: float, F_L: float, var: ModelVariant) -> bool:
-    l = latch_from_projectile(params, p)
-    if var is ModelVariant.AS_PRINTED:
-        c1, c2 = 1.0 / params.M, 1.0 / params.m
-    else:
-        c1 = c2 = 1.0
-    lhs = spring_force(params, p) * l * c1
-    rhs = (p - params.R) * F_L * c2
-    return abs(lhs - rhs) <= _BALANCE_RTOL * max(1.0, abs(lhs), abs(rhs))
-
-
 def equilibrium_field_residual(
     params: SystemParams, fp: FixedPoint, variant: ModelVariant | None = None
 ) -> np.ndarray:
@@ -214,18 +228,12 @@ def equilibrium_field_residual(
 def _make_fp(
     params: SystemParams,
     p_star: float,
+    l_star: float,
     F_L: float,
     var: ModelVariant,
-    origin: bool,
+    origin: bool = False,
 ) -> FixedPoint:
-    l_star = latch_from_projectile(params, p_star)
-    res = _field_arr(
-        params,
-        np.array([p_star, 0.0, l_star, 0.0]),
-        F_L,
-        True,
-        var,
-    )
+    res = _field_arr(params, (p_star, 0.0, l_star, 0.0), F_L, True, var)
     scale = max(1.0, abs(F_L), params.k * params.p0)
     vanishing = tuple(i for i in range(4) if abs(res[i]) <= _VANISH_TOL * scale)
     return FixedPoint(
@@ -238,34 +246,93 @@ def _make_fp(
     )
 
 
+def _arc_point(
+    params: SystemParams, ck: float, F_L: float, sigma: float, u: float, stop: float
+) -> tuple[float, float]:
+    """(p, l) of the balance's root on one monotone piece of an arc.
+
+    ``sigma`` is +1 on the near arc (cos theta = 1/s) and -1 on the far arc
+    (cos theta = -1/s), with u = |tan theta| and s = sqrt(1 + u^2); there
+    the balance reads -c k (sigma a + R/s) u = F_L.  Newton's iteration
+    starts at ``u`` and, the balance being convex in u, moves monotonically
+    towards the root, which lies between ``u`` and ``stop``; it ends when an
+    iterate stops moving on (the rounding floor).  Raises
+    EquilibriumBalanceError when the balance residual at the result is not
+    small against its terms.
+    """
+    R, sa = params.R, sigma * (params.p0 - params.R)
+    up = stop > u
+    for _ in range(_NEWTON_MAX_ITER):
+        s = math.hypot(1.0, u)
+        slope = -ck * (sa + R / s**3)
+        if slope == 0.0:
+            break
+        u_new = u + (ck * (sa + R / s) * u + F_L) / slope
+        u_new = min(u_new, stop) if up else max(u_new, stop)
+        if (u_new - u) * (stop - u) <= 0.0:
+            break
+        u = u_new
+    s = math.hypot(1.0, u)
+    residual = ck * (sa + R / s) * u + F_L
+    if not abs(residual) <= _BALANCE_RTOL * max(abs(F_L), ck * u * (abs(sa) + R / s)):
+        raise EquilibriumBalanceError(
+            f"balance residual {residual:.3e} at tan(theta)={u!r}, F_L={F_L!r}"
+        )
+    l = R * (u / s)
+    return (l * u / (1.0 + s) if sigma > 0.0 else R + R / s), l
+
+
+def _far_fold(params: SystemParams, ck: float) -> tuple[float, float] | None:
+    """(u*, F_min) at the far arc's fold, or None when p0 >= 2R (no far arc).
+
+    u* = tan phi* with cos^3 phi* = (p0 - R)/R, and F_min is the balance's
+    least F_L on the far arc, reached there.
+    """
+    R, a = params.R, params.p0 - params.R
+    if a >= R:
+        return None
+    s = (R / a) ** (1.0 / 3.0)
+    u = math.sqrt(s * s - 1.0)
+    return u, ck * (a - R / s) * u
+
+
 def fixed_points(
     params: SystemParams,
     F_L: float,
     variant: ModelVariant | None = None,
-    root_tol: float = 1e-12,
 ) -> list[FixedPoint]:
-    """Latched-mode equilibrium set for one latch force.
+    """Latched-mode equilibrium set for one latch force, in ascending p.
 
-    * F_L > 0: empty (no pushing balance exists; a positive force also
-      accelerates the latch at the origin).
+    * F_L > 0: empty.
     * F_L = 0: exactly the origin.
-    * F_L < 0: the origin (flagged; its latch row does not vanish) plus
-      exactly one sign-validated interior point in (0, R).  The quartic
-      root in (R, 2R) always fails the sign check for F_L < 0 and is
-      dropped.
+    * F_L < 0: the origin (flagged; its latch row does not vanish), exactly
+      one near-arc point in (0, R), and, when p0 < 2R and F_L > F_min, the
+      far pair in (p0, 2R) (a single point at the fold F_L = F_min).
+
+    Each point is a Newton solve of the balance in the circle's angle (see
+    the module docstring); a residual that fails the postcondition raises
+    EquilibriumBalanceError.
     """
     var = params.variant_or(variant)
     if F_L > 0.0:
         return []
-    origin = _make_fp(params, 0.0, F_L, var, origin=True)
+    origin = _make_fp(params, 0.0, 0.0, F_L, var, origin=True)
     if F_L == 0.0:
         return [origin]
 
-    q = quartic_coefficients(params, F_L, var)
+    ck = params.k * (params.m / params.M if var is ModelVariant.AS_PRINTED else 1.0)
+    a = params.p0 - params.R
+    arcs = [(1.0, -F_L / (ck * params.p0), -F_L / (ck * a))]
+    fold = _far_fold(params, ck)
+    if fold is not None and F_L == fold[1]:
+        arcs.append((-1.0, fold[0], fold[0]))
+    elif fold is not None and F_L > fold[1]:
+        u_p0 = math.sqrt((params.R / a) ** 2 - 1.0)
+        arcs += [(-1.0, u_p0, fold[0]), (-1.0, 0.0, fold[0])]
     out = [origin]
-    for root in roots_in_interval(q, 0.0, 2.0 * params.R, tol=root_tol):
-        if _balance_ok(params, root, F_L, var):
-            out.append(_make_fp(params, root, F_L, var, origin=False))
+    for sigma, u, stop in arcs:
+        p, l = _arc_point(params, ck, F_L, sigma, u, stop)
+        out.append(_make_fp(params, p, l, F_L, var))
     return out
 
 

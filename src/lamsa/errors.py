@@ -53,3 +53,7 @@ class InvalidStartError(NumericalError):
 
 class SingularBoundError(NumericalError):
     """Design-feasibility bound is singular (M * R^2 == 1)."""
+
+
+class EquilibriumBalanceError(NumericalError):
+    """A solved equilibrium does not satisfy the force balance."""

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _FD_BASE = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_STRUCTURE_TOL = 1e-6
 
 
 class Classification(Enum):
@@ -74,6 +76,46 @@ class StabilityReport:
     classification: Classification
 
 
+def _fd_abgd(
+    params: SystemParams,
+    x: Sequence[float],
+    F_L: float,
+    var: ModelVariant,
+    fd_step: float | None = None,
+) -> tuple[float, float, float, float]:
+    """(A, B, Gamma, Delta) of the latched closed-loop field at a rest state x.
+
+    Central differences of the acceleration rows in all four coordinates,
+    with step ``fd_step * max(1, |x_j|)`` (default eps^(1/3)).  Raises
+    StructureViolationError when a velocity column of those rows does not
+    vanish within ``extract_ABGD``'s default tolerance, as at a moving
+    state.
+    """
+    base = _FD_BASE if fd_step is None else fd_step
+    if not base > 0.0:
+        raise ValueError("fd_step must be positive")
+    p, v, l, w = x
+    hp, hv, hl, hw = (base * max(1.0, abs(c)) for c in x)
+    cols = []
+    for h, xp, xm in (
+        (hp, (p + hp, v, l, w), (p - hp, v, l, w)),
+        (hv, (p, v + hv, l, w), (p, v - hv, l, w)),
+        (hl, (p, v, l + hl, w), (p, v, l - hl, w)),
+        (hw, (p, v, l, w + hw), (p, v, l, w - hw)),
+    ):
+        fp = _field_arr(params, xp, F_L, True, var)
+        fm = _field_arr(params, xm, F_L, True, var)
+        cols.append(((fp[1] - fm[1]) / (2.0 * h), (fp[3] - fm[3]) / (2.0 * h)))
+    (a, g), vel_p, (b, d), vel_l = cols
+    scale = max(1.0, abs(a), abs(b), abs(g), abs(d))
+    if max(map(abs, (*vel_p, *vel_l))) > _STRUCTURE_TOL * scale:
+        raise StructureViolationError(
+            f"velocity columns (J[2,2], J[4,2]) = {vel_p}, (J[2,4], J[4,4]) = {vel_l} "
+            "exceed tolerance"
+        )
+    return a, b, g, d
+
+
 def jacobian_fd_at(
     params: SystemParams,
     state: SystemState,
@@ -81,32 +123,17 @@ def jacobian_fd_at(
     variant: ModelVariant | None = None,
     fd_step: float | None = None,
 ) -> np.ndarray:
-    """Central-difference Jacobian of the latched closed-loop field.
+    """Central-difference Jacobian of the latched closed-loop field at a rest state.
 
-    Rows 1 and 3 (indices 0 and 2) are (0,1,0,0) and (0,0,0,1) by
-    construction; only the acceleration rows are differenced.  The step
-    for coordinate j is ``fd_step * max(1, |x_j|)`` with the classic
-    central-difference default eps^(1/3).
+    Rows 1 and 3 are (0,1,0,0) and (0,0,0,1) by construction; the
+    acceleration rows carry ``_fd_abgd``'s entries, and their velocity
+    columns are zero (a state where they are not raises
+    StructureViolationError).
     """
-    var = params.variant_or(variant)
-    base = _FD_BASE if fd_step is None else fd_step
-    if not base > 0.0:
-        raise ValueError("fd_step must be positive")
-    x = state.as_array()
-    J = np.zeros((4, 4))
-    J[0, 1] = 1.0
-    J[2, 3] = 1.0
-    for j in range(4):
-        h = base * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = _field_arr(params, xp, F_L, True, var)
-        fm = _field_arr(params, xm, F_L, True, var)
-        J[1, j] = (fp[1] - fm[1]) / (2.0 * h)
-        J[3, j] = (fp[3] - fm[3]) / (2.0 * h)
-    return J
+    A, B, G, D = _fd_abgd(params, state, F_L, params.variant_or(variant), fd_step)
+    return np.array(
+        [[0.0, 1.0, 0.0, 0.0], [A, 0.0, B, 0.0], [0.0, 0.0, 0.0, 1.0], [G, 0.0, D, 0.0]]
+    )
 
 
 def jacobian_fd(
@@ -119,7 +146,7 @@ def jacobian_fd(
     return jacobian_fd_at(params, fp.rest_state(), fp.F_L_star, variant, fd_step)
 
 
-def extract_ABGD(J: np.ndarray, tol: float = 1e-6) -> tuple[float, float, float, float]:
+def extract_ABGD(J: np.ndarray, tol: float = _STRUCTURE_TOL) -> tuple[float, float, float, float]:
     """Read (A, B, Gamma, Delta) out of a latched-mode Jacobian.
 
     Raises StructureViolationError when the matrix does not have the
@@ -256,8 +283,9 @@ def stability_report(
 ) -> StabilityReport:
     """Full linearization record at a fixed point: entries, invariants,
     spectrum and classification."""
-    J = jacobian_fd(params, fp, variant, fd_step)
-    A, B, G, D = extract_ABGD(J)
+    A, B, G, D = _fd_abgd(
+        params, fp.rest_state(), fp.F_L_star, params.variant_or(variant), fd_step
+    )
     h1, h2 = characteristic_invariants(A, B, G, D)
     eigs = eigenvalues_biquadratic(h1, h2)
     return StabilityReport(

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: the root
 oracle is a brute-force numpy grid scan, the trajectory oracle is a
 fixed-stride classical RK4 loop, the step oracle is the Dormand-Prince
-pair in tableau (matrix) form, and the projection oracle uses the
-closed-form radial projection onto the circle.
+pair in tableau (matrix) form, the Jacobian oracle differences the field
+on numpy arrays, and the projection oracle uses the closed-form radial
+projection onto the circle.
 """
 
 from __future__ import annotations
@@ -115,3 +116,28 @@ def radial_projection(R: float, p: float, l: float) -> tuple[float, float]:
     vx, vy = p - R, l
     norm = math.hypot(vx, vy)
     return R + R * vx / norm, R * vy / norm
+
+
+def jacobian_central_fd(
+    f: Callable[[np.ndarray], tuple[float, ...]], x: np.ndarray, base: float
+) -> np.ndarray:
+    """Central-difference Jacobian of a latched 4-state field, on numpy arrays.
+
+    Rows 1 and 3 are the unit-velocity template; the acceleration rows are
+    differenced in every coordinate with step ``base * max(1, |x_j|)``.
+    """
+    x = np.asarray(x, dtype=float)
+    J = np.zeros((4, 4))
+    J[0, 1] = 1.0
+    J[2, 3] = 1.0
+    for j in range(4):
+        h = base * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        fp = f(xp)
+        fm = f(xm)
+        J[1, j] = (fp[1] - fm[1]) / (2.0 * h)
+        J[3, j] = (fp[3] - fm[3]) / (2.0 * h)
+    return J

@@ -132,6 +132,18 @@ def test_cmd_equilibria_row_layout(tmp_path, params):
     assert manifest["tool"] == "lamsa"
 
 
+def test_cmd_equilibria_keeps_the_saddle_near_zero_force(tmp_path):
+    out = tmp_path / "eq"
+    rc = main(["equilibria", "--variant", "derived", "--out", str(out), "--fl-range=-0.005:0:0.001"])
+    assert rc == 0
+    _, rows = _read_csv(out / "fixedpoints.csv")
+    assert [float(r[0]) for r in rows] == pytest.approx([-0.005, -0.004, -0.003, -0.002, -0.001, 0.0])
+    for fl, p, l, origin, valid in rows[:-1]:
+        assert origin == "0" and valid == "1", fl
+        assert 0.0 < float(p) < float(l) < 1e-2
+    assert rows[-1][3] == "1"
+
+
 def test_cmd_equilibria_deterministic(tmp_path):
     cfg_a = _cfg(tmp_path / "a")
     cfg_b = _cfg(tmp_path / "b")

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamsa import (
     Mode,
@@ -12,12 +16,13 @@ from lamsa import (
     eval_quartic,
     eval_quartic_derivative,
     fixed_points,
+    latch_from_projectile,
     quartic_coefficients,
     roots_in_interval,
     unlatched_fixed_point,
     vector_field,
 )
-from lamsa.equilibria import equilibrium_field_residual
+from lamsa.equilibria import _far_fold, equilibrium_field_residual
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
 from oracles import fine_grid_roots
@@ -240,3 +245,109 @@ def test_unlatched_fixed_point(params):
     from lamsa import spring_force
 
     assert spring_force(params, fp.p_star) == 0.0
+
+
+# --- the balance solved in the circle's angle ----------------------------------
+
+
+def _ck(params):
+    c = params.m / params.M if params.variant is ModelVariant.AS_PRINTED else 1.0
+    return c * params.k
+
+
+def _theta_residual(params, fp):
+    """Residual of F_L = -c k (p0 - R + R cos theta) tan theta at a point,
+    relative to its larger side (the sides' own scale on the near arc)."""
+    r_cos = params.R - fp.p_star
+    tan = fp.l_star / r_cos
+    a = params.p0 - params.R
+    res = _ck(params) * (a + r_cos) * tan + fp.F_L_star
+    return abs(res) / max(abs(fp.F_L_star), _ck(params) * abs(tan) * (a + abs(r_cos)))
+
+
+def _validated_quartic_roots(params, fl, lo, hi):
+    """Quartic roots in (lo, hi) that pass the unsquared balance to 1e-9,
+    the quartic-based solver's acceptance rule."""
+    printed = params.variant is ModelVariant.AS_PRINTED
+    c1, c2 = (1.0 / params.M, 1.0 / params.m) if printed else (1.0, 1.0)
+    out = []
+    for root in roots_in_interval(quartic_coefficients(params, fl), lo, hi, tol=1e-12):
+        lhs = params.k * (params.p0 - root) * latch_from_projectile(params, root) * c1
+        rhs = (root - params.R) * fl * c2
+        if abs(balance_residual(params, root, fl)) <= 1e-9 * max(1.0, abs(lhs), abs(rhs)):
+            out.append(root)
+    return out
+
+
+def _check_near_arc(params, fl):
+    near = [f for f in fixed_points(params, fl) if not f.origin_flag and f.p_star < params.R]
+    assert len(near) == 1, (params, fl)
+    fp = near[0]
+    assert 0.0 < fp.p_star < params.R and 0.0 < fp.l_star
+    assert _theta_residual(params, fp) <= 1e-12, (params, fl)
+    for root in _validated_quartic_roots(params, fl, 0.0, params.R):
+        assert abs(root - fp.p_star) <= 1e-10, (params, fl)
+    return fp
+
+
+def test_near_arc_point_survives_as_force_vanishes():
+    # p* ~ F_L^2 as F_L -> 0-, where l(p) = sqrt(2Rp - p^2) has infinite
+    # slope: a root in p accurate to 1e-12 fails the balance there (below
+    # |F_L| ~ 0.02 derived, ~ 9e-4 printed), so a solve in p loses the point
+    for var in ModelVariant:
+        params = SystemParams(variant=var)
+        for fl in -np.logspace(np.log10(15.0), -12.0, 150):
+            _check_near_arc(params, float(fl))
+        tiny = _check_near_arc(params, -1e-12)
+        assert tiny.l_star == pytest.approx(1e-12 * params.R / (_ck(params) * params.p0), rel=1e-9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    R=st.floats(1.0, 8.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    log_fl=st.floats(-12.0, math.log10(20.0)),
+    var=st.sampled_from(list(ModelVariant)),
+)
+def test_exactly_one_near_arc_point(R, m, M, k, p0_ratio, log_fl, var):
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    _check_near_arc(params, -(10.0**log_fl))
+
+
+@pytest.mark.parametrize("p0", [6.0, 8.0])
+@pytest.mark.parametrize("var", list(ModelVariant))
+def test_far_pair_and_its_fold(p0, var):
+    params = SystemParams(p0=p0, variant=var)
+    R, a = params.R, p0 - params.R
+    _, f_min = _far_fold(params, _ck(params))
+    phi = np.linspace(0.0, math.acos(a / R), 1_000_001)
+    assert f_min == pytest.approx(np.min(_ck(params) * (a - R * np.cos(phi)) * np.tan(phi)), rel=1e-10)
+
+    both = 0
+    for fl in f_min * np.linspace(0.999, 1e-6, 80):
+        pts = fixed_points(params, float(fl))
+        far = [f.p_star for f in pts if f.p_star > R]
+        assert len(far) == 2 and p0 < far[0] < far[1] < 2.0 * R, fl
+        assert [f.p_star for f in pts] == sorted(f.p_star for f in pts)
+        for fp in pts[1:]:
+            assert _theta_residual(params, fp) <= 1e-12, fl
+        parent = _validated_quartic_roots(params, float(fl), R, 2.0 * R)
+        if len(parent) == 2:
+            both += 1
+            assert far == pytest.approx(parent, abs=1e-10, rel=0.0)
+    assert both >= 60
+
+    fold = [f.p_star for f in fixed_points(params, f_min) if f.p_star > R]
+    assert fold == pytest.approx([R * (1.0 + (a / R) ** (1.0 / 3.0))], rel=1e-12)
+    for fl in (f_min * (1.0 + 1e-9), f_min * 2.0, -15.0):
+        assert [f for f in fixed_points(params, fl) if f.p_star > R] == []
+
+
+def test_no_far_pair_from_twice_the_radius(params):
+    assert _far_fold(params, 1.0) is None
+    assert _far_fold(SystemParams(p0=12.0), 1.0) is None
+    for fl in (-15.0, -1.0, -1e-8):
+        assert all(f.p_star < params.R for f in fixed_points(params, fl))

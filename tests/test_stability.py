@@ -23,8 +23,11 @@ from lamsa import (
 )
 from lamsa.equilibria import FixedPoint
 from lamsa.errors import StructureViolationError
+from lamsa.model import ModelVariant, SystemParams, _field_arr, latch_from_projectile
+from lamsa.stability import _FD_BASE, _fd_abgd
 
 from conftest import REF_SADDLE_FL
+from oracles import jacobian_central_fd
 
 
 def _interior(params, fl):
@@ -69,6 +72,28 @@ def test_jacobian_fd_step_validation(params):
     fp = _interior(params, -7.0)
     with pytest.raises(ValueError):
         jacobian_fd(params, fp, fd_step=0.0)
+
+
+def test_fd_kernel_bit_equal_to_numpy_oracle():
+    for var in ModelVariant:
+        params = SystemParams(variant=var)
+        for p in np.linspace(0.0, 2.0 * params.R, 23)[:-1]:
+            x = SystemState(float(p), 0.0, latch_from_projectile(params, float(p)), 0.0)
+            for fl in (-15.0, -3.25, -1e-6, 0.0):
+                J = jacobian_central_fd(
+                    lambda y: _field_arr(params, y, fl, True, var), x.as_array(), _FD_BASE
+                )
+                assert _fd_abgd(params, x, fl, var) == extract_ABGD(J), (var, p, fl)
+                assert np.array_equal(jacobian_fd_at(params, x, fl), J)
+
+
+def test_fd_kernel_rejects_moving_state(params):
+    l = latch_from_projectile(params, 2.0)
+    for x in (SystemState(2.0, 0.5, l, 0.0), SystemState(2.0, 0.0, l, -0.3)):
+        with pytest.raises(StructureViolationError):
+            _fd_abgd(params, x, -3.0, params.variant)
+        with pytest.raises(StructureViolationError):
+            jacobian_fd_at(params, x, -3.0)
 
 
 # --- extract_ABGD -----------------------------------------------------------
