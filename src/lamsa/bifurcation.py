@@ -40,7 +40,9 @@ from .equilibria import (
 )
 from .stability import (
     Classification,
-    _fd_abgd,
+    _is_saddle,
+    _latched_abgd,
+    _saddle_eps,
     characteristic_invariants,
     classify,
     extract_ABGD,
@@ -80,9 +82,12 @@ class PathTerminal(Enum):
 
 @dataclass(frozen=True)
 class PathSample:
+    """One continuation sample; h2 = A + Delta there (the saddle's eigenvalues are +/- sqrt(h2))."""
+
     F_L: float
     p_star: float
     in_S: bool
+    h2: float
 
 
 @dataclass(frozen=True)
@@ -139,14 +144,34 @@ def _dD_dFL(params: SystemParams, p: float, F_L: float, var: ModelVariant) -> fl
     return (-2.0 * F_L * im2) * p * p + (4.0 * R * F_L * im2) * p - 2.0 * F_L * R * R * im2
 
 
-def _dp_scale(q: QuarticD, p: float) -> float:
-    return max(
-        1.0,
-        abs(4.0 * q.E * p**3),
-        abs(3.0 * q.Z * p * p),
-        abs(2.0 * q.H * p),
-        abs(q.Theta),
-    )
+def _dp_singular(q: QuarticD, p, den):
+    """|dD/dp| < _DENOM_TOL * max(1, |terms of dD/dp|), for floats or arrays.
+
+    Written as one comparison per term, which is the same test and keeps
+    numpy out of the scalar path.
+    """
+    a = abs(den)
+    out = a < _DENOM_TOL
+    for term in (4.0 * q.E * p**3, 3.0 * q.Z * p * p, 2.0 * q.H * p, q.Theta):
+        out = out | (a < _DENOM_TOL * abs(term))
+    return out
+
+
+def _implicit_slope(params: SystemParams, p, F_L, var: ModelVariant):
+    """(slope, singular): dp*/dF_L = -(dD/dF_L)/(dD/dp) of the quartic at (p, F_L).
+
+    p and F_L may be floats or numpy arrays that broadcast together.
+    ``singular`` flags where dD/dp is numerically zero (a fold of the
+    branch would look like this); the slope there is nan.
+    """
+    q = quartic_coefficients(params, F_L, var)
+    den = eval_quartic_derivative(q, p)
+    singular = _dp_singular(q, p, den)
+    if isinstance(singular, np.ndarray):
+        den = np.where(singular, np.nan, den)
+    elif singular:
+        return float("nan"), True
+    return -_dD_dFL(params, p, F_L, var) / den, singular
 
 
 def nominal_rhs(
@@ -166,11 +191,10 @@ def nominal_rhs(
     """
     var = params.variant_or(variant)
     if formula is NominalFormula.IMPLICIT_DIFF:
-        q = quartic_coefficients(params, F_L, var)
-        den = eval_quartic_derivative(q, p)
-        if abs(den) < _DENOM_TOL * _dp_scale(q, p):
+        slope, singular = _implicit_slope(params, p, F_L, var)
+        if singular:
             raise SingularDenominatorError(f"dD/dp ~ 0 at p={p}, F_L={F_L}")
-        return -_dD_dFL(params, p, F_L, var) / den
+        return slope
     M, R = params.M, params.R
     lam = -(M * M) * (p - R) ** 2 * F_L
     sig_pi = _sigma_plus_pi(params, p, F_L)
@@ -197,7 +221,9 @@ def in_region_U(params: SystemParams, p: float, F_L: float) -> UMembership:
     The published claim that this set contains (0, 0) for p0 in (R, 4R)
     conflicts with the printed expression's sign; both the printed value
     and the implicit-diff denominator dD/dp are reported so callers can
-    see the discrepancy rather than having it resolved silently.
+    see the discrepancy rather than having it resolved silently.  p and
+    F_L may be numpy arrays that broadcast together; the fields are then
+    arrays over the grid.
     """
     sig_pi = _sigma_plus_pi(params, p, F_L)
     q = quartic_coefficients(params, F_L)
@@ -209,7 +235,7 @@ def in_region_U(params: SystemParams, p: float, F_L: float) -> UMembership:
 
 
 def _in_S_at(params: SystemParams, p: float, F_L: float, var: ModelVariant) -> tuple[float, float, bool]:
-    A, B, G, D = _fd_abgd(params, (p, 0.0, latch_from_projectile(params, p), 0.0), F_L, var)
+    A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), F_L, var)
     h1, h2 = characteristic_invariants(A, B, G, D)
     return h1, h2, classify(h1, h2) is Classification.SADDLE
 
@@ -247,7 +273,7 @@ def trace_path(
         )
 
     h1, h2, in_s = _in_S_at(params, p_start, fl_start, var)
-    samples = [PathSample(fl_start, p_start, in_s)]
+    samples = [PathSample(fl_start, p_start, in_s, h2)]
     p, fl = p_start, fl_start
     dfl = _DEFAULT_FL_STEP
 
@@ -280,13 +306,13 @@ def trace_path(
             return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
 
         q = quartic_coefficients(params, fl_new, var)
-        if abs(eval_quartic_derivative(q, p_new)) < _DENOM_TOL * _dp_scale(q, p_new):
+        if _dp_singular(q, p_new, eval_quartic_derivative(q, p_new)):
             h1, h2, in_s = _in_S_at(params, p_new, fl_new, var)
-            samples.append(PathSample(fl_new, p_new, in_s))
+            samples.append(PathSample(fl_new, p_new, in_s, h2))
             return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
 
         h1, h2, in_s = _in_S_at(params, p_new, fl_new, var)
-        samples.append(PathSample(fl_new, p_new, in_s))
+        samples.append(PathSample(fl_new, p_new, in_s, h2))
         p, fl = p_new, fl_new
         if iters <= 3:
             dfl = min(_DEFAULT_FL_STEP, dfl * 1.5)
@@ -326,8 +352,10 @@ def saddle_region_map(
 
     Grid nodes are zero-velocity on-circle states, not equilibria: the
     raster colours the whole (p, F_L) plane the way the saddle-region
-    figure does.  Requires p in [0, R) (p = 0 is the preloaded rest
-    state) and F_L <= 0.
+    figure does.  The closed-form entries and the saddle test of
+    ``stability`` run once over the whole broadcast grid, so every node
+    equals what ``stability_report`` and ``classify`` give for it.
+    Requires p in [0, R) (p = 0 is the preloaded rest state) and F_L <= 0.
     """
     var = params.variant_or(variant)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -339,13 +367,12 @@ def saddle_region_map(
     if np.any(F_L_grid > 0.0):
         raise ValueError("F_L grid must be non-positive")
 
-    n_p, n_f = p_grid.size, F_L_grid.size
-    h1 = np.empty((n_p, n_f))
-    h2 = np.empty((n_p, n_f))
-    in_s = np.empty((n_p, n_f), dtype=bool)
-    for i, p in enumerate(p_grid):
-        for j, fl in enumerate(F_L_grid):
-            h1[i, j], h2[i, j], in_s[i, j] = _in_S_at(params, float(p), float(fl), var)
+    p = p_grid[:, None]
+    rp = params.R - p
+    l = np.sqrt(params.R * params.R - rp * rp)  # latch_from_projectile, node by node
+    A, B, G, D = _latched_abgd(params, p, l, F_L_grid[None, :], var)
+    h1, h2 = characteristic_invariants(A, B, G, D)
+    in_s = _is_saddle(h1, h2, _saddle_eps(h1, h2))
     return RegionMap(p_grid=p_grid, F_L_grid=F_L_grid, h1=h1, h2=h2, in_S=in_s)
 
 

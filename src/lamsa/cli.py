@@ -11,23 +11,26 @@ configuration/validation problem, 2 on a numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .bifurcation import (
-    NominalFormula,
+    _implicit_slope,
     design_feasibility,
     in_region_U,
-    nominal_rhs,
+    nominal_rhs,  # not called here; kept importable because perfbench/tracer.py wraps lamsa.cli.nominal_rhs
     saddle_region_map,
     trace_path,
 )
 from .config import RunConfig, apply_overrides, build_config, parse_config, parse_fl_range, parse_grid, sweep_values
 from .equilibria import fixed_points, unlatched_fixed_point
-from .errors import ConfigError, LamsaError, SingularDenominatorError
+from .errors import ConfigError, LamsaError
 from .io import flag, fmt, write_csv, write_events, write_manifest, write_trajectory
 from .model import ModelVariant, SystemState, latch_from_projectile
 from .simulate import simulate
@@ -61,6 +64,27 @@ def _ensure_out(cfg: RunConfig) -> Path:
 def _interior_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """n points strictly inside (lo, hi), evenly spaced."""
     return np.linspace(lo, hi, n + 2)[1:-1]
+
+
+def _raster(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (p, F_L) raster of region-map and quiver.
+
+    ``grid`` = n_p x n_f: n_p points inside (0, R), and n_f forces from the
+    sweep's start to its stop, clipped at 0.
+    """
+    n_p, n_f = cfg.grid
+    fl_stop = min(0.0, cfg.F_L_range.stop)
+    return _interior_grid(0.0, cfg.params.R, n_p), np.linspace(cfg.F_L_range.start, fl_stop, n_f)
+
+
+def _raster_rows(p_grid: np.ndarray, fl_grid: np.ndarray, *cells: Iterable[str]) -> list[list[str]]:
+    """One CSV row (p, F_L, *cells) per raster node, p-major.
+
+    Each cell column yields one formatted string per node in the same
+    order; each grid value is formatted once.
+    """
+    nodes = itertools.product([fmt(p) for p in p_grid], [fmt(fl) for fl in fl_grid])
+    return [[p, fl, *row] for (p, fl), *row in zip(nodes, *cells)]
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -131,54 +155,38 @@ def cmd_trace(cfg: RunConfig) -> int:
     path = trace_path(cfg.params, (pts[0].p_star, cfg.F_L), F_L_end=0.0)
     rows = [[fmt(s.F_L), fmt(s.p_star), flag(s.in_S)] for s in path.samples]
     n = write_csv(out / "path.csv", PATH_HEADER, rows)
-    write_manifest(
-        out, cfg.echo(), {"path.csv": n}, results={"terminal": path.terminal.value}
-    )
+    # +/- sqrt(h2) is the saddle's real pair at the last sample; as F_L -> 0-
+    # it tends to sqrt(k p0/(M R)), not to zero (no eigenvalue vanishes there)
+    h2 = path.final.h2
+    results = {"terminal": path.terminal.value, "terminal_lambda": math.sqrt(h2) if h2 > 0.0 else None}
+    write_manifest(out, cfg.echo(), {"path.csv": n}, results=results)
     return 0
 
 
 def cmd_region_map(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
-    n_p, n_f = cfg.grid
-    p_grid = _interior_grid(0.0, cfg.params.R, n_p)
-    fl_stop = min(0.0, cfg.F_L_range.stop)
-    fl_grid = np.linspace(cfg.F_L_range.start, fl_stop, n_f)
+    p_grid, fl_grid = _raster(cfg)
     rmap = saddle_region_map(cfg.params, p_grid, fl_grid)
-    rows = []
-    for i, p in enumerate(p_grid):
-        for j, fl in enumerate(fl_grid):
-            u = in_region_U(cfg.params, float(p), float(fl))
-            rows.append(
-                [
-                    fmt(p),
-                    fmt(fl),
-                    fmt(rmap.h1[i, j]),
-                    fmt(rmap.h2[i, j]),
-                    flag(bool(rmap.in_S[i, j])),
-                    flag(u.in_u),
-                ]
-            )
+    u = in_region_U(cfg.params, p_grid[:, None], fl_grid[None, :])
+    rows = _raster_rows(
+        p_grid,
+        fl_grid,
+        map(fmt, rmap.h1.ravel().tolist()),
+        map(fmt, rmap.h2.ravel().tolist()),
+        map(flag, rmap.in_S.ravel().tolist()),
+        map(flag, u.in_u.ravel().tolist()),
+    )
     n = write_csv(out / "region.csv", REGION_HEADER, rows)
     write_manifest(out, cfg.echo(), {"region.csv": n})
     return 0
 
 
 def cmd_quiver(cfg: RunConfig) -> int:
+    """Implicit-diff slope dp*/dF_L over the raster; nan where dD/dp is numerically zero."""
     out = _ensure_out(cfg)
-    n_p, n_f = cfg.grid
-    p_grid = _interior_grid(0.0, cfg.params.R, n_p)
-    fl_stop = min(0.0, cfg.F_L_range.stop)
-    fl_grid = np.linspace(cfg.F_L_range.start, fl_stop, n_f)
-    rows = []
-    for p in p_grid:
-        for fl in fl_grid:
-            try:
-                slope = nominal_rhs(
-                    cfg.params, float(p), float(fl), formula=NominalFormula.IMPLICIT_DIFF
-                )
-            except SingularDenominatorError:
-                slope = float("nan")
-            rows.append([fmt(p), fmt(fl), fmt(slope)])
+    p_grid, fl_grid = _raster(cfg)
+    slope, _ = _implicit_slope(cfg.params, p_grid[:, None], fl_grid[None, :], cfg.params.variant)
+    rows = _raster_rows(p_grid, fl_grid, map(fmt, slope.ravel().tolist()))
     n = write_csv(out / "quiver.csv", QUIVER_HEADER, rows)
     write_manifest(out, cfg.echo(), {"quiver.csv": n})
     return 0

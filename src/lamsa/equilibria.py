@@ -57,7 +57,6 @@ from .model import (
     SystemParams,
     SystemState,
     _field_arr,
-    latch_from_projectile,
     spring_force,
 )
 
@@ -198,10 +197,14 @@ def balance_residual(
     """Signed residual of the unsquared equilibrium balance at p.
 
     Zero (to round-off) exactly at genuine equilibria; the squared quartic
-    cannot distinguish the sign of the two sides, this can.
+    cannot distinguish the sign of the two sides, this can.  The latch
+    position is l = sqrt(p (2R - p)), which, unlike sqrt(R^2 - (R - p)^2),
+    keeps its digits as p -> 0.  Raises ValueError for p outside [0, 2R].
     """
     var = params.variant_or(variant)
-    l = latch_from_projectile(params, p)
+    if p < 0.0 or p > 2.0 * params.R:
+        raise ValueError(f"p={p} outside the contact window [0, {2.0 * params.R}]")
+    l = math.sqrt(p * (2.0 * params.R - p))
     if var is ModelVariant.AS_PRINTED:
         c1, c2 = 1.0 / params.M, 1.0 / params.m
     else:

@@ -15,10 +15,23 @@ characteristic polynomial is therefore biquadratic,
     lam^4 - h2 lam^2 + h1 = 0,   h1 = A*D - B*G,  h2 = A + D,
 
 and saddle-ness depends only on (h1, h2): h1 < 0, or h1 >= 0 with
-h2 > 0.  The numerically authoritative Jacobian here is central finite
-differences of the closed-loop field; the published closed-form entries
-are kept verbatim in ``closed_form_ABGD`` purely as a cross-check (they
-carry transcription artifacts and are not trusted).
+h2 > 0.
+
+At a rest state (p, 0, l, 0) the contact force is tau = N/W with
+N = (R - p) F_s/m - l F_L/d and W = (R - p)^2/m + l^2/M (d = m printed,
+d = M derived), so the entries follow in closed form:
+
+    A = (-k + tau - (R - p) tau_p)/m,   B = -(R - p) tau_l/m,
+    G = l tau_p/M,                      D = (tau + l tau_l)/M,
+
+with tau_p, tau_l the partials of N/W by the quotient rule.
+``_latched_abgd`` evaluates them with plain arithmetic, for floats or for
+whole broadcast arrays of rest states; ``stability_report`` and the
+bifurcation module's raster and path use it.  Central finite
+differences of the field (``_fd_abgd``, ``jacobian_fd_at``) remain as
+its oracle and for the published design check.  The published
+closed-form entries are kept verbatim in ``closed_form_ABGD`` purely as a
+cross-check (they carry transcription artifacts and are not trusted).
 
 A structural note that matters for tests: h1 vanishes identically at
 every equilibrium of either variant (the determinant of the position
@@ -74,6 +87,25 @@ class StabilityReport:
     h2: float
     eigenvalues: tuple[complex, complex, complex, complex]
     classification: Classification
+
+
+def _latched_abgd(params: SystemParams, p, l, F_L, var: ModelVariant):
+    """(A, B, Gamma, Delta) of the latched closed-loop field at rest states (p, 0, l, 0).
+
+    The closed form of the module docstring in plain arithmetic, so p, l
+    and F_L may be floats or numpy arrays that broadcast together.  The
+    contact-force denominator W must be positive, as on every on-circle
+    state with p < R.
+    """
+    m, M, k = params.m, params.M, params.k
+    d = m if var is ModelVariant.AS_PRINTED else M
+    rp = params.R - p
+    fs = -k * (p - params.p0)
+    w = rp * rp / m + l * l / M
+    tau = (rp * fs / m - l * F_L / d) / w
+    tau_p = ((-fs - k * rp) / m + 2.0 * rp * tau / m) / w
+    tau_l = (-F_L / d - 2.0 * l * tau / M) / w
+    return (-k + tau - rp * tau_p) / m, -rp * tau_l / m, l * tau_p / M, (tau + l * tau_l) / M
 
 
 def _fd_abgd(
@@ -185,14 +217,33 @@ def eigenvalues_biquadratic(h1: float, h2: float) -> tuple[complex, complex, com
     """All four roots of lam^4 - h2 lam^2 + h1 = 0.
 
     Solves mu^2 - h2 mu + h1 = 0 and takes lam = +/- sqrt(mu) for each
-    root, so the spectrum is closed under negation and conjugation.
+    root, so the spectrum is closed under negation and conjugation.  The
+    larger-magnitude root comes first, mu1 = (h2 +/- disc)/2 with the sign
+    that avoids cancellation, and mu2 = h1/mu1 (Vieta), so a tiny h1 keeps
+    its small pair +/- sqrt(h1/h2) instead of rounding it to zero.
     """
     disc = cmath.sqrt(complex(h2 * h2 - 4.0 * h1))
+    if h2 * disc.real < 0.0:
+        disc = -disc
     mu1 = 0.5 * (h2 + disc)
-    mu2 = 0.5 * (h2 - disc)
+    mu2 = h1 / mu1 if mu1 else 0j
     r1 = cmath.sqrt(mu1)
     r2 = cmath.sqrt(mu2)
     return (r1, -r1, r2, -r2)
+
+
+def _saddle_eps(h1, h2):
+    """Default tolerance band of the saddle test, for floats or arrays.
+
+    It scales with the invariants (1e-9 of the larger, at least 1e-9) to
+    absorb round-off.
+    """
+    return 1e-9 * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
+
+
+def _is_saddle(h1, h2, eps):
+    """The saddle set h1 < -eps or h2 > eps, for floats or arrays."""
+    return (h1 < -eps) | (h2 > eps)
 
 
 def classify(h1: float, h2: float, eps: float | None = None) -> Classification:
@@ -201,15 +252,13 @@ def classify(h1: float, h2: float, eps: float | None = None) -> Classification:
     Saddle iff h1 < -eps, or h1 >= -eps with h2 > eps; Marginal when both
     invariants sit inside the tolerance band (the boundary case is
     numerically undecidable); NonSaddle otherwise.  The default tolerance
-    scales with the invariants to absorb finite-difference noise.
+    is ``_saddle_eps``.
     """
     if eps is None:
-        eps = 1e-9 * max(1.0, abs(h1), abs(h2))
+        eps = _saddle_eps(h1, h2)
     elif eps < 0.0:
         raise ValueError("eps must be non-negative")
-    if h1 < -eps:
-        return Classification.SADDLE
-    if h2 > eps:
+    if _is_saddle(h1, h2, eps):
         return Classification.SADDLE
     if abs(h1) <= eps and abs(h2) <= eps:
         return Classification.MARGINAL
@@ -278,14 +327,12 @@ def stability_report(
     params: SystemParams,
     fp: FixedPoint,
     variant: ModelVariant | None = None,
-    fd_step: float | None = None,
     eps: float | None = None,
 ) -> StabilityReport:
-    """Full linearization record at a fixed point: entries, invariants,
-    spectrum and classification."""
-    A, B, G, D = _fd_abgd(
-        params, fp.rest_state(), fp.F_L_star, params.variant_or(variant), fd_step
-    )
+    """Full linearization record at a fixed point: closed-form entries,
+    invariants, spectrum and classification."""
+    p, _, l, _ = fp.rest_state()
+    A, B, G, D = _latched_abgd(params, p, l, fp.F_L_star, params.variant_or(variant))
     h1, h2 = characteristic_invariants(A, B, G, D)
     eigs = eigenvalues_biquadratic(h1, h2)
     return StabilityReport(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lamsa import (
+    Classification,
+    ModelVariant,
     NominalFormula,
     PathTerminal,
     SystemParams,
@@ -17,6 +19,8 @@ from lamsa import (
     trace_path,
 )
 from lamsa.errors import InvalidStartError, SingularBoundError
+from lamsa.model import latch_from_projectile
+from lamsa.stability import _latched_abgd, characteristic_invariants, classify
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
 
@@ -153,6 +157,21 @@ def test_saddle_region_map_shape_and_members(params):
     assert rmap.in_S[0, 2]
     assert rmap.h2[0, 2] == pytest.approx(0.4, abs=1e-6)
     assert abs(rmap.h1[0, 2]) <= 1e-8
+
+
+@pytest.mark.parametrize("var", list(ModelVariant))
+def test_saddle_region_map_nodes_equal_the_scalar_closed_form(var):
+    params = SystemParams(variant=var)
+    p_grid = np.linspace(0.0, 4.95, 12)
+    fl_grid = np.linspace(-15.0, 0.0, 16)
+    rmap = saddle_region_map(params, p_grid, fl_grid)
+    assert rmap.in_S.any() and not rmap.in_S.all()  # both labels occur
+    for i, p in enumerate(p_grid.tolist()):
+        for j, fl in enumerate(fl_grid.tolist()):
+            abgd = _latched_abgd(params, p, latch_from_projectile(params, p), fl, var)
+            h1, h2 = characteristic_invariants(*abgd)
+            assert (rmap.h1[i, j], rmap.h2[i, j]) == (h1, h2), (p, fl)
+            assert rmap.in_S[i, j] == (classify(h1, h2) is Classification.SADDLE), (p, fl)
 
 
 def test_saddle_region_map_validates_grids(params):

@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lamsa import FLRange, ModelVariant, SystemParams, SystemState, parse_config, simulate, sweep_values
+from lamsa import (
+    FLRange,
+    ModelVariant,
+    SystemParams,
+    SystemState,
+    nominal_rhs,
+    parse_config,
+    simulate,
+    sweep_values,
+)
 from lamsa.cli import (
     cmd_classify,
     cmd_design_check,
@@ -23,7 +32,7 @@ from lamsa.cli import (
     phase_portrait,
 )
 from lamsa.config import RunConfig, apply_overrides, build_config
-from lamsa.errors import ConfigError
+from lamsa.errors import ConfigError, SingularDenominatorError
 from lamsa.io import fmt, write_trajectory
 
 from conftest import REF_SADDLE_P
@@ -165,6 +174,16 @@ def test_cmd_trace_final_row(tmp_path):
     assert manifest["results"]["terminal"] == "ReachedZeroForce"
 
 
+@pytest.mark.parametrize("variant", ["printed", "derived"])
+def test_cmd_trace_reports_terminal_lambda(tmp_path, variant):
+    # as F_L -> 0- the saddle's real pair tends to +/- sqrt(k p0/(M R)) in
+    # both variants: the (0, 0) event is not an eigenvalue passing zero
+    assert main(["trace", "--variant", variant, "--fl", "-15", "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    p = SystemParams()
+    assert abs(results["terminal_lambda"] - math.sqrt(p.k * p.p0 / (p.M * p.R))) <= 1e-9
+
+
 def test_cmd_design_check_manifest(tmp_path):
     cfg = _cfg(tmp_path)
     assert cmd_design_check(cfg) == 0
@@ -246,6 +265,23 @@ def test_cmd_region_map_and_quiver_schema(tmp_path):
     cells = {(float(r[0]), float(r[1])): float(r[2]) for r in rows}
     nans = [k for k, v in cells.items() if math.isnan(v)]
     assert nans == [(2.5, 0.0)]
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_quiver_rows_are_per_node_nominal_rhs(tmp_path, variant):
+    cfg = _cfg(tmp_path, variant=variant, grid=(7, 5), F_L_range=FLRange(-15.0, 0.0, 1.0))
+    assert cmd_quiver(cfg) == 0
+    _, rows = _read_csv(tmp_path / "quiver.csv")
+    assert len(rows) == 35
+    nans = 0
+    for p, fl, slope in rows:
+        try:
+            want = fmt(nominal_rhs(cfg.params, float(p), float(fl)))
+        except SingularDenominatorError:
+            want = "nan"
+            nans += 1
+        assert slope == want, (p, fl)
+    assert nans == 1  # p = 2.5, F_L = 0, where dD/dp = 0 exactly
 
 
 def test_phase_portrait_bundle(tmp_path):

@@ -169,7 +169,7 @@ def test_constraint_consistent_interior_is_true_equilibrium(cc_params):
 
 
 def test_unique_interior_point_and_balance_over_sweep(params):
-    for fl in -np.logspace(np.log10(15.0), np.log10(1e-3), 40):
+    for fl in -np.logspace(np.log10(15.0), np.log10(1e-12), 80):
         pts = fixed_points(params, float(fl))
         interior = [p for p in pts if not p.origin_flag]
         assert len(interior) == 1

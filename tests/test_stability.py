@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamsa import (
     Classification,
@@ -24,7 +27,7 @@ from lamsa import (
 from lamsa.equilibria import FixedPoint
 from lamsa.errors import StructureViolationError
 from lamsa.model import ModelVariant, SystemParams, _field_arr, latch_from_projectile
-from lamsa.stability import _FD_BASE, _fd_abgd
+from lamsa.stability import _FD_BASE, _fd_abgd, _latched_abgd
 
 from conftest import REF_SADDLE_FL
 from oracles import jacobian_central_fd
@@ -165,6 +168,21 @@ def test_eigenvalues_double_zero_case():
     assert _spectrum_set(eigs) == _spectrum_set([0.0, 0.0, 1.0, -1.0])
 
 
+def test_eigenvalues_keep_a_tiny_pair():
+    # h1 at round-off, as on the equilibrium branch: the small pair is
+    # +/- sqrt(h1/h2), not a cancelled zero
+    h1, h2 = 1e-20, 0.4
+    small = math.sqrt(h1 / h2)
+    eigs = eigenvalues_biquadratic(h1, h2)
+    big = sorted((e for e in eigs if abs(e) > 1e-3), key=lambda z: z.real)
+    tiny = sorted((e for e in eigs if abs(e) <= 1e-3), key=lambda z: z.real)
+    for got, want in zip(tiny, (-small, small)):
+        assert abs(got - want) <= 1e-12 * small
+    for got, want in zip(big, (-math.sqrt(h2), math.sqrt(h2))):
+        assert abs(got - want) <= 1e-15
+    assert len(tiny) == len(big) == 2
+
+
 def test_eigenvalue_negation_symmetry():
     rng = np.random.default_rng(5)
     for _ in range(300):
@@ -225,7 +243,73 @@ def test_all_interior_points_are_saddles(params):
         assert real_pair_exists(rep.eigenvalues)
 
 
-# --- closed-form entries (comparison only) ----------------------------------
+# --- closed-form linearization ------------------------------------------------
+
+
+@pytest.mark.parametrize("var", list(ModelVariant))
+def test_closed_form_is_the_symbolic_jacobian(var):
+    # differentiate the 4-D latched field symbolically at a rest state
+    import sympy as sp
+
+    m, M, R, k, p0 = sp.symbols("m M R k p0", positive=True)
+    p, l, v, w, fl = sp.symbols("p l v w F_L", real=True)
+    d = m if var is ModelVariant.AS_PRINTED else M
+    fs = -k * (p - p0)
+    tau = (-(v**2 + w**2) + (R - p) * fs / m - l * fl / d) / ((R - p) ** 2 / m + l**2 / M)
+    acc_p = (fs + (p - R) * tau) / m
+    acc_l = (fl + l * tau) / M
+    rest = {v: 0, w: 0}
+    exact = [sp.diff(acc, x).subs(rest) for acc in (acc_p, acc_l) for x in (p, l)]
+    symbolic_params = types.SimpleNamespace(m=m, M=M, R=R, k=k, p0=p0)
+    closed = _latched_abgd(symbolic_params, p, l, fl, var)
+    for mine, want in zip(closed, exact):
+        assert sp.simplify(sp.nsimplify(mine, rational=True) - want) == 0
+
+
+def _rel_dev(mine, fd):
+    return max(abs(a - b) for a, b in zip(mine, fd)) / max(map(abs, fd))
+
+
+def test_closed_form_agrees_with_fd_on_grid():
+    for var in ModelVariant:
+        params = SystemParams(variant=var)
+        for p in np.linspace(0.0, 2.0 * params.R, 41)[:-1].tolist():
+            l = latch_from_projectile(params, p)
+            for fl in (-15.0, -3.25, -1e-6, 0.0):
+                mine = _latched_abgd(params, p, l, fl, var)
+                assert _rel_dev(mine, _fd_abgd(params, (p, 0.0, l, 0.0), fl, var)) <= 1e-7, (var, p, fl)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    R=st.floats(1.0, 8.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    log_fl=st.floats(-12.0, math.log10(20.0)),
+    share=st.floats(0.0, 0.999),
+    var=st.sampled_from(list(ModelVariant)),
+)
+def test_closed_form_agrees_with_fd_over_parameter_space(R, m, M, k, p0_ratio, log_fl, share, var):
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    p, fl = share * 2.0 * R, -(10.0**log_fl)
+    l = latch_from_projectile(params, p)
+    mine = _latched_abgd(params, p, l, fl, var)
+    assert _rel_dev(mine, _fd_abgd(params, (p, 0.0, l, 0.0), fl, var)) <= 1e-7
+
+
+def test_stability_report_uses_the_closed_form(cc_params):
+    fp = _interior(cc_params, -6.0)
+    rep = stability_report(cc_params, fp)
+    assert (rep.A, rep.B, rep.Gamma, rep.Delta) == _latched_abgd(
+        cc_params, fp.p_star, fp.l_star, fp.F_L_star, cc_params.variant
+    )
+    # on the branch h1 vanishes identically; the closed form leaves round-off
+    assert abs(rep.h1) <= 1e-14 * max(1.0, abs(rep.A * rep.Delta))
+
+
+# --- published closed-form entries (comparison only) --------------------------
 
 
 def test_closed_form_B_vanishes_at_zero_force(params):
