@@ -39,12 +39,9 @@ from .equilibria import (
     quartic_coefficients,
 )
 from .stability import (
-    Classification,
     _is_saddle,
     _latched_abgd,
-    _saddle_eps,
     characteristic_invariants,
-    classify,
     extract_ABGD,
     jacobian_fd_at,
 )
@@ -157,14 +154,16 @@ def _dp_singular(q: QuarticD, p, den):
     return out
 
 
-def _implicit_slope(params: SystemParams, p, F_L, var: ModelVariant):
+def _implicit_slope(params: SystemParams, p, F_L, var: ModelVariant, q: QuarticD | None = None):
     """(slope, singular): dp*/dF_L = -(dD/dF_L)/(dD/dp) of the quartic at (p, F_L).
 
-    p and F_L may be floats or numpy arrays that broadcast together.
-    ``singular`` flags where dD/dp is numerically zero (a fold of the
-    branch would look like this); the slope there is nan.
+    p and F_L may be floats or numpy arrays that broadcast together; ``q``,
+    when given, is the quartic at F_L.  ``singular`` flags where dD/dp is
+    numerically zero (a fold of the branch would look like this); the
+    slope there is nan.
     """
-    q = quartic_coefficients(params, F_L, var)
+    if q is None:
+        q = quartic_coefficients(params, F_L, var)
     den = eval_quartic_derivative(q, p)
     singular = _dp_singular(q, p, den)
     if isinstance(singular, np.ndarray):
@@ -234,10 +233,11 @@ def in_region_U(params: SystemParams, p: float, F_L: float) -> UMembership:
     )
 
 
-def _in_S_at(params: SystemParams, p: float, F_L: float, var: ModelVariant) -> tuple[float, float, bool]:
+def _in_S_at(params: SystemParams, p: float, F_L: float, var: ModelVariant) -> tuple[float, bool]:
+    """(h2, saddle?) at the on-circle rest state (p, F_L)."""
     A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), F_L, var)
     h1, h2 = characteristic_invariants(A, B, G, D)
-    return h1, h2, classify(h1, h2) is Classification.SADDLE
+    return h2, _is_saddle(h1, h2)
 
 
 def trace_path(
@@ -272,25 +272,22 @@ def trace_path(
             f"(residual {res:.3e})"
         )
 
-    h1, h2, in_s = _in_S_at(params, p_start, fl_start, var)
+    h2, in_s = _in_S_at(params, p_start, fl_start, var)
     samples = [PathSample(fl_start, p_start, in_s, h2)]
     p, fl = p_start, fl_start
+    slope, singular = _implicit_slope(params, p, fl, var)
     dfl = _DEFAULT_FL_STEP
 
     while fl < F_L_end - 1e-14:
-        dfl = min(dfl, F_L_end - fl)
-        try:
-            slope = nominal_rhs(params, p, fl, var)
-        except SingularDenominatorError:
+        if singular:  # only at the start: a singular sample ends the path below
             return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
-
-        corrected = None
+        dfl = min(dfl, F_L_end - fl)
         while True:
             fl_new = fl + dfl
             if F_L_end - fl_new < 1e-14:
                 fl_new = F_L_end
-            p_pred = p + dfl * slope
-            corrected, iters = _newton_correct(params, p_pred, fl_new, var, step_tol)
+            q = quartic_coefficients(params, fl_new, var)
+            corrected, iters = _newton_correct(q, p + dfl * slope, step_tol)
             if corrected is not None:
                 break
             dfl *= 0.5
@@ -305,14 +302,12 @@ def trace_path(
         if not 0.0 <= p_new < params.R:
             return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
 
-        q = quartic_coefficients(params, fl_new, var)
-        if _dp_singular(q, p_new, eval_quartic_derivative(q, p_new)):
-            h1, h2, in_s = _in_S_at(params, p_new, fl_new, var)
-            samples.append(PathSample(fl_new, p_new, in_s, h2))
-            return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
-
-        h1, h2, in_s = _in_S_at(params, p_new, fl_new, var)
+        # the corrector's quartic gives the fold test and the next predictor slope
+        slope, singular = _implicit_slope(params, p_new, fl_new, var, q)
+        h2, in_s = _in_S_at(params, p_new, fl_new, var)
         samples.append(PathSample(fl_new, p_new, in_s, h2))
+        if singular:
+            return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
         p, fl = p_new, fl_new
         if iters <= 3:
             dfl = min(_DEFAULT_FL_STEP, dfl * 1.5)
@@ -321,14 +316,9 @@ def trace_path(
 
 
 def _newton_correct(
-    params: SystemParams,
-    p0: float,
-    F_L: float,
-    var: ModelVariant,
-    tol: float,
-    max_iter: int = 12,
+    q: QuarticD, p0: float, tol: float, max_iter: int = 12
 ) -> tuple[float | None, int]:
-    q = quartic_coefficients(params, F_L, var)
+    """(root, iterations) of Newton's method on D from p0; root None on failure."""
     p = p0
     for it in range(1, max_iter + 1):
         f = eval_quartic(q, p)
@@ -372,7 +362,7 @@ def saddle_region_map(
     l = np.sqrt(params.R * params.R - rp * rp)  # latch_from_projectile, node by node
     A, B, G, D = _latched_abgd(params, p, l, F_L_grid[None, :], var)
     h1, h2 = characteristic_invariants(A, B, G, D)
-    in_s = _is_saddle(h1, h2, _saddle_eps(h1, h2))
+    in_s = _is_saddle(h1, h2)
     return RegionMap(p_grid=p_grid, F_L_grid=F_L_grid, h1=h1, h2=h2, in_S=in_s)
 
 

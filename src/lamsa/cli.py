@@ -5,12 +5,14 @@
 
 Every subcommand writes its CSV/JSON artifacts plus a ``manifest.json``
 into the output directory.  Exit status: 0 on success, 1 on a
-configuration/validation problem, 2 on a numerical failure.
+configuration/validation problem (a nan or infinite number included),
+2 on a numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -310,7 +312,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and shared for the process.
+
+    Parsing never mutates it (each call gets a fresh namespace), so one
+    tree serves every ``main`` call; do not add arguments to the result.
+    """
     parser = argparse.ArgumentParser(
         prog="lamsa",
         description="Simulation and bifurcation analysis of a contact-latch spring actuator.",

@@ -8,6 +8,7 @@ reference set m=1, M=5, R=5, k=1, p0=10 used throughout the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -16,6 +17,13 @@ from .model import ModelVariant, SystemParams, SystemState
 from .simulate import IntegratorConfig
 
 __all__ = ["FLRange", "RunConfig", "parse_config", "sweep_values"]
+
+
+def _require_finite(values: dict[str, float]) -> None:
+    """Raise ConfigError naming the first value that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -27,6 +35,7 @@ class FLRange:
     step: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite({"fl_range start": self.start, "fl_range stop": self.stop, "fl_range step": self.step})
         if self.step <= 0.0:
             raise ConfigError(f"fl_range step must be positive, got {self.step}")
         if self.stop < self.start:
@@ -61,6 +70,16 @@ class RunConfig:
     jitter: bool = False
 
     def __post_init__(self) -> None:
+        p, ic = self.params, self.integrator
+        _require_finite(
+            {
+                "m": p.m, "M": p.M, "R": p.R, "k": p.k, "p0": p.p0,
+                "rel_tol": ic.rel_tol, "abs_tol": ic.abs_tol, "max_step": ic.max_step,
+                "event_time_tol": ic.event_time_tol,
+                "fl": self.F_L, "t_end": self.t_end, "v_max": self.v_max,
+                **{f"x0 {name}": v for name, v in zip(SystemState._fields, self.x0)},
+            }
+        )
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ConfigError(f"grid dimensions must be >= 2, got {self.grid}")
         if self.t_end < 0.0:

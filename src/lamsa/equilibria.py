@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,14 +93,14 @@ class QuarticD:
         return (self.E, self.Z, self.H, self.Theta, self.I)
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """A validated equilibrium of the latched (or unlatched) mode.
 
     ``l_star`` is None for the unlatched equilibrium, where the latch
     position is unconstrained.  ``vanishing_rows`` lists which components
     of the full 4-state field vanish at the point (all four only for the
-    constraint-consistent interior point and the F_L = 0 origin).
+    constraint-consistent interior point and the F_L = 0 origin).  The
+    record is an immutable tuple: ``_replace`` derives a changed copy.
     """
 
     p_star: float
@@ -237,16 +238,9 @@ def _make_fp(
     origin: bool = False,
 ) -> FixedPoint:
     res = _field_arr(params, (p_star, 0.0, l_star, 0.0), F_L, True, var)
-    scale = max(1.0, abs(F_L), params.k * params.p0)
-    vanishing = tuple(i for i in range(4) if abs(res[i]) <= _VANISH_TOL * scale)
-    return FixedPoint(
-        p_star=p_star,
-        l_star=l_star,
-        F_L_star=F_L,
-        mode=Mode.LATCHED,
-        origin_flag=origin,
-        vanishing_rows=vanishing,
-    )
+    tol = _VANISH_TOL * max(1.0, abs(F_L), params.k * params.p0)
+    vanishing = tuple([i for i, r in enumerate(res) if abs(r) <= tol])
+    return FixedPoint(p_star, l_star, F_L, Mode.LATCHED, origin, vanishing)
 
 
 def _arc_point(
@@ -344,11 +338,4 @@ def unlatched_fixed_point(params: SystemParams) -> FixedPoint:
 
     The latch position is unconstrained there (``l_star`` is None).
     """
-    return FixedPoint(
-        p_star=params.p0,
-        l_star=None,
-        F_L_star=0.0,
-        mode=Mode.UNLATCHED,
-        origin_flag=False,
-        vanishing_rows=(0, 1, 2, 3),
-    )
+    return FixedPoint(p_star=params.p0, l_star=None, F_L_star=0.0, mode=Mode.UNLATCHED)

@@ -69,6 +69,7 @@ __all__ = [
 
 _FD_BASE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _STRUCTURE_TOL = 1e-6
+_SADDLE_RTOL = 1e-9
 
 
 class Classification(Enum):
@@ -232,18 +233,30 @@ def eigenvalues_biquadratic(h1: float, h2: float) -> tuple[complex, complex, com
     return (r1, -r1, r2, -r2)
 
 
-def _saddle_eps(h1, h2):
-    """Default tolerance band of the saddle test, for floats or arrays.
+def _saddle_eps(h1: float, h2: float) -> float:
+    """Default tolerance band of the saddle test.
 
     It scales with the invariants (1e-9 of the larger, at least 1e-9) to
     absorb round-off.
     """
-    return 1e-9 * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
+    return _SADDLE_RTOL * max(1.0, abs(h1), abs(h2))
 
 
-def _is_saddle(h1, h2, eps):
-    """The saddle set h1 < -eps or h2 > eps, for floats or arrays."""
-    return (h1 < -eps) | (h2 > eps)
+def _is_saddle(h1, h2, eps=None):
+    """The saddle set h1 < -eps or h2 > eps, for floats or arrays.
+
+    Without ``eps`` the band is ``_saddle_eps``'s, tested one term of its
+    max at a time: h1 < -eps iff h1 lies below each term's negative, and
+    h2 > eps iff h2 lies above each term.  That is the same test, a NaN
+    invariant included, and keeps numpy out of the scalar path.
+    """
+    if eps is not None:
+        return (h1 < -eps) | (h2 > eps)
+    below, above = h1 < -_SADDLE_RTOL, h2 > _SADDLE_RTOL
+    for term in (_SADDLE_RTOL * abs(h1), _SADDLE_RTOL * abs(h2)):
+        below = below & (h1 < -term)
+        above = above & (h2 > term)
+    return below | above
 
 
 def classify(h1: float, h2: float, eps: float | None = None) -> Classification:
@@ -254,12 +267,13 @@ def classify(h1: float, h2: float, eps: float | None = None) -> Classification:
     numerically undecidable); NonSaddle otherwise.  The default tolerance
     is ``_saddle_eps``.
     """
-    if eps is None:
-        eps = _saddle_eps(h1, h2)
-    elif eps < 0.0:
+    if eps is not None and eps < 0.0:
         raise ValueError("eps must be non-negative")
     if _is_saddle(h1, h2, eps):
         return Classification.SADDLE
+    if eps is None:
+        # a NaN invariant fails the band test whatever eps is
+        eps = _saddle_eps(h1, h2)
     if abs(h1) <= eps and abs(h2) <= eps:
         return Classification.MARGINAL
     return Classification.NON_SADDLE

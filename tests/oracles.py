@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: the root
 oracle is a brute-force numpy grid scan, the trajectory oracle is a
 fixed-stride classical RK4 loop, the step oracle is the Dormand-Prince
 pair in tableau (matrix) form, the Jacobian oracle differences the field
-on numpy arrays, and the projection oracle uses the closed-form radial
-projection onto the circle.
+on numpy arrays, the projection oracle uses the closed-form radial
+projection onto the circle, and the continuation oracle rebuilds the
+quartic for each use and bands the saddle test with numpy.
 """
 
 from __future__ import annotations
@@ -141,3 +142,71 @@ def jacobian_central_fd(
         J[1, j] = (fp[1] - fm[1]) / (2.0 * h)
         J[3, j] = (fp[3] - fm[3]) / (2.0 * h)
     return J
+
+
+def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float = 0.0, step_tol: float = 1e-10):
+    """The saddle continuation with a fresh quartic at every use, for a valid start.
+
+    Each accepted step builds the quartic at the same F_L three times: for
+    the predictor slope -(dD/dF_L)/(dD/dp), in the corrector, and for the
+    fold check.  Saddle membership goes through ``classify`` with the band
+    1e-9 * max(1, |h1|, |h2|) computed by numpy.
+    """
+    from lamsa.bifurcation import ContinuationPath, PathSample, PathTerminal, _dD_dFL, _dp_singular
+    from lamsa.equilibria import eval_quartic, eval_quartic_derivative, quartic_coefficients
+    from lamsa.model import latch_from_projectile
+    from lamsa.stability import Classification, _latched_abgd, characteristic_invariants, classify
+
+    var = params.variant
+
+    def in_s_at(p, fl):
+        A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), fl, var)
+        h1, h2 = characteristic_invariants(A, B, G, D)
+        eps = 1e-9 * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
+        return h2, classify(h1, h2, eps) is Classification.SADDLE
+
+    def newton(p, fl):
+        q = quartic_coefficients(params, fl, var)
+        for it in range(1, 13):
+            df = eval_quartic_derivative(q, p)
+            if df == 0.0:
+                return None, it
+            step = eval_quartic(q, p) / df
+            p -= step
+            if abs(step) <= step_tol * max(1.0, abs(p)):
+                return p, it
+        return None, 12
+
+    p, fl = float(start[0]), float(start[1])
+    h2, in_s = in_s_at(p, fl)
+    samples = [PathSample(fl, p, in_s, h2)]
+    dfl = 0.05
+    while fl < F_L_end - 1e-14:
+        dfl = min(dfl, F_L_end - fl)
+        q = quartic_coefficients(params, fl, var)
+        den = eval_quartic_derivative(q, p)
+        if _dp_singular(q, p, den):
+            return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
+        slope = -_dD_dFL(params, p, fl, var) / den
+        while True:
+            fl_new = fl + dfl
+            if F_L_end - fl_new < 1e-14:
+                fl_new = F_L_end
+            corrected, iters = newton(p + dfl * slope, fl_new)
+            if corrected is not None:
+                break
+            dfl *= 0.5
+            if dfl < 1e-9:
+                raise RuntimeError(f"corrector kept failing near F_L={fl}")
+        p_new = 0.0 if abs(corrected) < 1e-12 else corrected
+        if not 0.0 <= p_new < params.R:
+            return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
+        q = quartic_coefficients(params, fl_new, var)
+        h2, in_s = in_s_at(p_new, fl_new)
+        samples.append(PathSample(fl_new, p_new, in_s, h2))
+        if _dp_singular(q, p_new, eval_quartic_derivative(q, p_new)):
+            return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
+        p, fl = p_new, fl_new
+        if iters <= 3:
+            dfl = min(0.05, dfl * 1.5)
+    return ContinuationPath(tuple(samples), PathTerminal.REACHED_ZERO_FORCE)

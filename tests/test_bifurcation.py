@@ -23,6 +23,7 @@ from lamsa.model import latch_from_projectile
 from lamsa.stability import _latched_abgd, characteristic_invariants, classify
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
+from oracles import trace_path_three_quartics
 
 
 def _interior_p(params, fl):
@@ -108,6 +109,30 @@ def test_trace_path_sensitivity_minimal_near_zero_force(params):
 def test_trace_path_single_sample_at_bifurcation(params):
     path = trace_path(params, (0.0, 0.0), F_L_end=0.0)
     assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
+    assert len(path.samples) == 1
+
+
+@pytest.mark.parametrize("var", list(ModelVariant))
+@pytest.mark.parametrize("fl_start", [REF_SADDLE_FL, -3.3])
+def test_trace_path_equals_the_three_quartic_oracle(var, fl_start):
+    # one quartic per accepted F_L, reused by the fold check and the next
+    # predictor, must give the very samples of the loop that rebuilt it
+    params = SystemParams(variant=var)
+    start = (_interior_p(params, fl_start), fl_start)
+    path = trace_path(params, start, F_L_end=0.0)
+    want = trace_path_three_quartics(params, start, F_L_end=0.0)
+    assert path.terminal is want.terminal is PathTerminal.REACHED_ZERO_FORCE
+    assert len(path.samples) > 20
+    assert path.samples == want.samples
+
+
+def test_trace_path_singular_start_at_the_end_is_one_sample():
+    # with a soft spring dD/dp at (0, 0) is below the fold tolerance; a
+    # path that starts where it ends takes no step, so that is no fold
+    params = SystemParams(m=1.0, M=1.0, R=1.0, k=1e-6, p0=2.0)
+    path = trace_path(params, (0.0, 0.0), F_L_end=0.0)
+    assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
+    assert path.samples == trace_path_three_quartics(params, (0.0, 0.0)).samples
     assert len(path.samples) == 1
 
 

@@ -28,6 +28,7 @@ from lamsa.cli import (
     cmd_region_map,
     cmd_simulate,
     cmd_trace,
+    build_parser,
     main,
     phase_portrait,
 )
@@ -121,6 +122,27 @@ def test_bad_range_and_grid_rejected():
         parse_config("fl_range = 0:-15:1\n")
     with pytest.raises(ConfigError):
         parse_config("grid = 1x9\n")
+
+
+_FLOAT_KEYS = ("m", "M", "R", "k", "p0", "rel_tol", "abs_tol", "max_step", "event_time_tol", "fl", "t_end", "v_max")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_values_rejected(bad):
+    # every float a config file can set; the overrides share RunConfig's
+    # check.  A parameter's own check may fire first: it names the key too
+    for key in _FLOAT_KEYS:
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            parse_config(f"{key} = {bad}\n")
+    with pytest.raises(ConfigError, match="x0 l must be finite"):
+        parse_config(f"x0 = 1, 0, {bad}, 0\n")
+    for text in (f"{bad}:0:1", f"-3:{bad}:1", f"-3:0:{bad}"):
+        with pytest.raises(ConfigError, match="fl_range .* must be finite"):
+            parse_config(f"fl_range = {text}\n")
+    cfg = build_config({})
+    for name in ("F_L", "t_end"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            apply_overrides(cfg, **{name: float(bad)})
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -352,6 +374,73 @@ def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     rc = main(["trace", "--out", str(tmp_path / "t")])
     assert rc == 2
     assert "synthetic failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equilibria", "--fl-range=-inf:0:1"], "fl_range start must be finite, got -inf"),
+        (["trace", "--fl", "nan"], "fl must be finite, got nan"),
+        (["simulate", "--t-end", "nan"], "t_end must be finite, got nan"),
+    ],
+)
+def test_main_non_finite_option_is_configuration_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "x"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"lamsa: configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_bad_argument_exits_2_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--fl", "not-a-number"])
+        assert exc.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
+
+
+def _artifacts(out: Path) -> dict[str, object]:
+    """Every file under ``out``; a manifest without its timestamp."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            del manifest["created"], manifest["config"]["out_dir"]
+            files[str(path.relative_to(out))] = manifest
+        elif path.is_file():
+            files[str(path.relative_to(out))] = path.read_bytes()
+    return files
+
+
+def test_main_in_one_process_matches_fresh_processes(tmp_path):
+    # the parser is shared by every main call of a process: no option may
+    # carry over from one call to the next
+    runs = [
+        ["trace", "--variant", "printed", "--fl", "-4"],
+        ["trace", "--fl", "-6"],
+        ["equilibria", "--variant", "derived", "--fl-range=-3:0:0.5"],
+        ["equilibria"],
+        ["quiver", "--grid", "4x3", "--fl-range=-2:0:1"],
+        ["region-map"],
+    ]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / "one" / str(i))]) == 0
+    for i, argv in enumerate(runs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamsa.cli", *argv, "--out", str(tmp_path / "fresh" / str(i))],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert _artifacts(tmp_path / "one") == _artifacts(tmp_path / "fresh")
+    manifest = json.loads((tmp_path / "one" / "1" / "manifest.json").read_text())
+    assert manifest["config"]["variant"] == "printed"
 
 
 def test_console_script_runs(tmp_path):

@@ -22,7 +22,7 @@ from lamsa import (
     unlatched_fixed_point,
     vector_field,
 )
-from lamsa.equilibria import _far_fold, equilibrium_field_residual
+from lamsa.equilibria import FixedPoint, _far_fold, equilibrium_field_residual
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
 from oracles import fine_grid_roots
@@ -232,6 +232,22 @@ def test_quartic_roots_match_companion_matrix(params):
         assert len(mine) == len(real)
         for a, b in zip(mine, real):
             assert a == pytest.approx(b, abs=1e-8)
+
+
+def test_fixed_point_record_api():
+    # an immutable named tuple: keyword construction with defaults,
+    # attribute access, rest_state(), tuple equality and _replace
+    fp = FixedPoint(p_star=3.0, l_star=4.0, F_L_star=-2.0, mode=Mode.LATCHED)
+    assert (fp.origin_flag, fp.vanishing_rows) == (False, (0, 1, 2, 3))
+    assert fp == FixedPoint(3.0, 4.0, -2.0, Mode.LATCHED, False, (0, 1, 2, 3))
+    assert fp.rest_state() == SystemState(3.0, 0.0, 4.0, 0.0)
+    assert fp._replace(l_star=None).rest_state() == SystemState(3.0, 0.0, 0.0, 0.0)
+    assert fp.l_star == 4.0  # _replace made a copy
+    with pytest.raises(AttributeError):
+        fp.p_star = 1.0
+    origin, interior = fixed_points(SystemParams(), REF_SADDLE_FL)
+    assert type(origin) is type(interior) is FixedPoint
+    assert origin == (0.0, 0.0, REF_SADDLE_FL, Mode.LATCHED, True, (0, 1, 2))
 
 
 def test_unlatched_fixed_point(params):

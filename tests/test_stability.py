@@ -27,7 +27,7 @@ from lamsa import (
 from lamsa.equilibria import FixedPoint
 from lamsa.errors import StructureViolationError
 from lamsa.model import ModelVariant, SystemParams, _field_arr, latch_from_projectile
-from lamsa.stability import _FD_BASE, _fd_abgd, _latched_abgd
+from lamsa.stability import _FD_BASE, _fd_abgd, _is_saddle, _latched_abgd
 
 from conftest import REF_SADDLE_FL
 from oracles import jacobian_central_fd
@@ -218,6 +218,32 @@ def test_classify_agrees_with_eigenvalue_test():
         assert verdict == by_eigs, (h1, h2)
         checked += 1
     assert checked > 50_000
+
+
+def _band_rule(h1, h2):
+    """classify's verdict with the default band computed by numpy over both invariants."""
+    eps = 1e-9 * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
+    return classify(h1, h2, eps)
+
+
+def test_default_saddle_band_is_the_max_rule():
+    # the scalar path tests the band term by term; the verdict must be
+    # that of eps = 1e-9 max(1, |h1|, |h2|), at the band's edges and for
+    # NaN or infinite invariants too
+    specials = [0.0, -0.0, 1e-9, -1e-9, 1.0000000001e-9, 1.0, -1.0, 2.5, -2.5,
+                1e300, -1e300, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(7)
+    randoms = (rng.standard_normal(400) * 10.0 ** rng.integers(-12, 4, 400)).tolist()
+    values = specials + randoms
+    pairs = [(a, b) for a in specials for b in values] + [(a, b) for a in randoms for b in specials]
+    pairs += list(zip(randoms, randoms[1:]))
+    for h1, h2 in pairs:
+        got = classify(h1, h2)
+        assert got is _band_rule(h1, h2), (h1, h2)
+        assert _is_saddle(h1, h2) is (got is Classification.SADDLE)
+    h1, h2 = (np.array(v) for v in zip(*pairs))
+    in_s = _is_saddle(h1, h2)
+    assert np.array_equal(in_s, [_band_rule(a, b) is Classification.SADDLE for a, b in pairs])
 
 
 def test_published_saddle_set_overstates_complex_quartets():
