@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,11 +44,19 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) 
 
 
 def trajectory_rows(traj: Trajectory) -> list[tuple[str, ...]]:
-    """One row of strings per sample, formatted straight from the columns."""
-    return [
-        (fmt(t), fmt(p), fmt(p_dot), fmt(l), fmt(l_dot), mode.value, fmt(tau))
-        for t, (p, p_dot, l, l_dot), mode, tau in zip(traj.t, traj.x, traj.mode, traj.tau)
-    ]
+    """One row of strings per sample, formatted straight from the float columns.
+
+    ``float.__repr__`` is ``fmt`` without its call: it gives a float's repr
+    for float subclasses such as ``np.float64`` too.  The states are
+    formatted as one flat stream that ``zip`` deals back out four cells per
+    row; the mode letter is the member's ``_value_``.
+    """
+    r = float.__repr__
+    cells = map(r, chain.from_iterable(traj.x))
+    return list(zip(
+        map(r, traj.t), cells, cells, cells, cells,
+        map(attrgetter("_value_"), traj.mode), map(r, traj.tau),
+    ))
 
 
 def write_trajectory(path: Path, traj: Trajectory) -> int:

@@ -82,10 +82,10 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "M", "R", "k"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.p0 > self.R:
-            raise ValueError(f"p0 must exceed the latch radius R, got p0={self.p0}, R={self.R}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not self.R < self.p0 < math.inf:
+            raise ValueError(f"p0 must be finite and exceed the latch radius R={self.R}, got {self.p0}")
 
     @property
     def h_tol(self) -> float:

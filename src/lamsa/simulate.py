@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-14
+# Python 3.11 fetches Enum members through a Python-level descriptor
+_LATCHED, _UNLATCHED = Mode.LATCHED, Mode.UNLATCHED
+_new_state = SystemState._make
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,8 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "max_step", "event_time_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not self.event_time_tol < self.max_step:
             raise ValueError("event_time_tol must be smaller than max_step")
 
@@ -133,11 +136,6 @@ class Trajectory:
 
     def times(self) -> np.ndarray:
         return np.array(self.t)
-
-
-def _norm(y: Sequence[float]) -> float:
-    p, p_dot, l, l_dot = y
-    return math.sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
 
 
 def _step_raw(
@@ -220,7 +218,7 @@ def _step_raw(
         ),
         F_L, latched, variant,
     )
-    y_new = SystemState(
+    y_new = _new_state((
         y0 + h * (35 / 384 * k10 + 500 / 1113 * k30 + 125 / 192 * k40
                   - 2187 / 6784 * k50 + 11 / 84 * k60),
         y1 + h * (35 / 384 * k11 + 500 / 1113 * k31 + 125 / 192 * k41
@@ -229,7 +227,7 @@ def _step_raw(
                   - 2187 / 6784 * k52 + 11 / 84 * k62),
         y3 + h * (35 / 384 * k13 + 500 / 1113 * k33 + 125 / 192 * k43
                   - 2187 / 6784 * k53 + 11 / 84 * k63),
-    )
+    ))
     k70, k71, k72, k73 = f(params, y_new, F_L, latched, variant)
     e0 = h * (71 / 57600 * k10 - 71 / 16695 * k30 + 71 / 1920 * k40
               - 17253 / 339200 * k50 + 22 / 525 * k60 - 1 / 40 * k70)
@@ -259,10 +257,11 @@ def integrate_step(
     Returns (new_state, dt_used, error_estimate).
     """
     cfg = config or IntegratorConfig()
-    var = params.variant_or(variant)
-    latched = mode is Mode.LATCHED
-    tol = max(cfg.rel_tol * _norm(state), cfg.abs_tol)
-    dt = min(dt_suggestion, cfg.max_step)
+    var = params.variant if variant is None else variant
+    latched = mode is _LATCHED
+    p, p_dot, l, l_dot = state
+    tol = max(cfg.rel_tol * math.sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot), cfg.abs_tol)
+    dt = cfg.max_step if cfg.max_step < dt_suggestion else dt_suggestion
     while True:
         if dt < _MIN_STEP:
             raise StepSizeUnderflowError(
@@ -291,8 +290,11 @@ def _hermite(
     b = 3 * s2 - 2 * s3
     c = s - 2 * s2 + s3
     d = s3 - s2
-    return SystemState(*(
-        a * y0[i] + b * y1[i] + h * (c * f0[i] + d * f1[i]) for i in range(4)
+    return _new_state((
+        a * y0[0] + b * y1[0] + h * (c * f0[0] + d * f1[0]),
+        a * y0[1] + b * y1[1] + h * (c * f0[1] + d * f1[1]),
+        a * y0[2] + b * y1[2] + h * (c * f0[2] + d * f1[2]),
+        a * y0[3] + b * y1[3] + h * (c * f0[3] + d * f1[3]),
     ))
 
 
@@ -332,7 +334,7 @@ def _locate_zero(
     mode: Mode,
     variant: ModelVariant,
 ) -> tuple[float, SystemState]:
-    latched = mode is Mode.LATCHED
+    latched = mode is _LATCHED
     f_lo = _field_arr(params, y_lo, F_L, latched, variant)
     f_hi = _field_arr(params, y_hi, F_L, latched, variant)
 
@@ -397,15 +399,7 @@ def project_to_constraint(params: SystemParams, state: SystemState) -> SystemSta
         l_dot = (R - p) * p_dot / l if l != 0.0 else 0.0
     else:
         p_dot = l * l_dot / (R - p) if p != R else 0.0
-    return SystemState(p, p_dot, l, l_dot)
-
-
-def _suggest(dt_used: float, err: float, tol: float, max_step: float) -> float:
-    if err == 0.0:
-        factor = 5.0
-    else:
-        factor = min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-    return min(max_step, dt_used * factor)
+    return _new_state((p, p_dot, l, l_dot))
 
 
 def _release_event(
@@ -471,31 +465,35 @@ def simulate(
         raise ValueError("t_end must be non-negative")
 
     traj = Trajectory()
+    add_t, add_x, add_mode, add_tau = traj.t.append, traj.x.append, traj.mode.append, traj.tau.append
     mode = mode_of(params, x0, F_L, variant=var)
     t = 0.0
     t_last = t_end - 1e-14 * max(1.0, t_end)
     y = SystemState(*map(float, x0))
     project = cfg.constraint_projection
+    rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    R, sqrt = params.R, math.sqrt
 
     def tau_of(s: SystemState) -> float:
         return _tau(params, s[0], s[1], s[2], s[3], F_L, var)
 
-    def tolerance(s: SystemState) -> float:
-        return max(cfg.rel_tol * _norm(s), cfg.abs_tol)
-
-    if mode is Mode.LATCHED and project:
+    if mode is _LATCHED and project:
         y = project_to_constraint(params, y)
         if tau_of(y) <= 0.0:
-            mode = Mode.UNLATCHED  # projection nudged a borderline tau past 0
-    traj.append(t, y, mode, tau_of(y) if mode is Mode.LATCHED else 0.0)
+            mode = _UNLATCHED  # projection nudged a borderline tau past 0
+    traj.append(t, y, mode, tau_of(y) if mode is _LATCHED else 0.0)
 
-    dt = 0.01 * cfg.max_step
+    # Each loop tries min(dt, t_end - t) (dt never exceeds max_step), then
+    # scales dt by 0.9 (tol / err)^(1/5), kept in [0.2, 5], with tol taken at
+    # the new state; min and max are written out as the builtins resolve them.
+    dt = 0.01 * max_step
 
     # --- latched phase -------------------------------------------------
-    if mode is Mode.LATCHED:
+    if mode is _LATCHED:
         while t < t_last:
+            h = t_end - t
             y_end, dt_used, err = integrate_step(
-                params, y, F_L, Mode.LATCHED, min(dt, t_end - t, cfg.max_step), cfg, var
+                params, y, F_L, _LATCHED, h if h < dt else dt, cfg, var
             )
             t_new = t + dt_used
             y_new = project_to_constraint(params, y_end) if project else y_end
@@ -504,51 +502,68 @@ def simulate(
             # a guard fires on the integrated end state, bracketed by the
             # step itself, or else on the projected end state, the state the
             # next step would start from
-            ends = ((y_end, tau_of(y_end)),) if project else ()
-            event = None
-            for y_hi, tau_hi in (*ends, (y_new, tau_new)):
-                unlatch = tau_hi <= 0.0
-                takeoff = y_hi[0] - params.R >= 0.0 and y[0] - params.R < 0.0
-                if unlatch or takeoff:
-                    event = _release_event(
-                        params, F_L, (t, y, t_new, y_hi), unlatch, takeoff, tau_of, cfg, var
-                    )
-                    break
-            if event is not None:
+            unlatch = takeoff = False
+            if project:
+                y_hi = y_end
+                unlatch = tau_of(y_end) <= 0.0
+                takeoff = y_end[0] - R >= 0.0 and y[0] - R < 0.0
+            if not (unlatch or takeoff):
+                y_hi = y_new
+                unlatch = tau_new <= 0.0
+                takeoff = y_new[0] - R >= 0.0 and y[0] - R < 0.0
+            if unlatch or takeoff:
+                event = _release_event(
+                    params, F_L, (t, y, t_new, y_hi), unlatch, takeoff, tau_of, cfg, var
+                )
                 if project:
                     event = Event(event.t, project_to_constraint(params, event.state), event.kind)
                 traj.events.append(event)
-                t, y, mode = event.t, event.state, Mode.UNLATCHED
+                t, y, mode = event.t, event.state, _UNLATCHED
                 traj.append(t, y, mode, 0.0)
                 break
 
             t, y = t_new, y_new
-            traj.append(t, y, Mode.LATCHED, tau_new)
-            dt = _suggest(dt_used, err, tolerance(y), cfg.max_step)
+            add_t(t)
+            add_x(y)
+            add_mode(_LATCHED)
+            add_tau(tau_new)
+            p, p_dot, l, l_dot = y
+            tol = rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
+            g = 0.9 * ((abs_tol if abs_tol > tol else tol) / err) ** 0.2 if err else 5.0
+            dt = dt_used * ((g if g < 5.0 else 5.0) if g > 0.2 else 0.2)
+            dt = dt if dt < max_step else max_step
 
     # --- unlatched phase (permanent: no re-latching) ---------------------
-    if mode is Mode.UNLATCHED:
+    if mode is _UNLATCHED:
         p0 = params.p0
         # outward crossing of the natural length ends the run immediately
         if y[0] >= p0 and y[1] > 0.0:
             return traj
         while t < t_last:
+            h = t_end - t
             y_new, dt_used, err = integrate_step(
-                params, y, F_L, Mode.UNLATCHED, min(dt, t_end - t, cfg.max_step), cfg, var
+                params, y, F_L, _UNLATCHED, h if h < dt else dt, cfg, var
             )
             t_new = t + dt_used
 
             if y_new[0] >= p0 and y[0] < p0:
                 t_stop, y_stop = _locate_zero(
                     params, F_L, t, y, t_new, y_new, lambda s: s[0] - p0,
-                    cfg, Mode.UNLATCHED, var,
+                    cfg, _UNLATCHED, var,
                 )
                 if y_stop[1] > 0.0:
-                    traj.append(t_stop, y_stop, Mode.UNLATCHED, 0.0)
+                    traj.append(t_stop, y_stop, _UNLATCHED, 0.0)
                     return traj
 
             t, y = t_new, y_new
-            traj.append(t, y, Mode.UNLATCHED, 0.0)
-            dt = _suggest(dt_used, err, tolerance(y), cfg.max_step)
+            add_t(t)
+            add_x(y)
+            add_mode(_UNLATCHED)
+            add_tau(0.0)
+            p, p_dot, l, l_dot = y
+            tol = rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
+            g = 0.9 * ((abs_tol if abs_tol > tol else tol) / err) ** 0.2 if err else 5.0
+            dt = dt_used * ((g if g < 5.0 else 5.0) if g > 0.2 else 0.2)
+            dt = dt if dt < max_step else max_step
 
     return traj

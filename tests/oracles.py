@@ -5,8 +5,12 @@ oracle is a brute-force numpy grid scan, the trajectory oracle is a
 fixed-stride classical RK4 loop, the step oracle is the Dormand-Prince
 pair in tableau (matrix) form, the Jacobian oracle differences the field
 on numpy arrays, the projection oracle uses the closed-form radial
-projection onto the circle, and the continuation oracle rebuilds the
-quartic for each use and bands the saddle test with numpy.
+projection onto the circle, the continuation oracle rebuilds the
+quartic for each use and bands the saddle test with numpy, and the
+simulation oracle runs ``simulate``'s two loops in their plain form, one
+helper per concern (it shares the Dormand-Prince kernel, the field and
+the constraint projection with the package, not the loop bookkeeping,
+the step-size control or the event interpolation).
 """
 
 from __future__ import annotations
@@ -210,3 +214,173 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
         if iters <= 3:
             dfl = min(0.05, dfl * 1.5)
     return ContinuationPath(tuple(samples), PathTerminal.REACHED_ZERO_FORCE)
+
+
+def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
+    """``simulate`` written with one helper per concern; equal to it sample for sample.
+
+    Each accepted step goes through a plain copy of the adaptive-step
+    wrapper, the next step size comes from ``_suggest`` with the tolerance
+    of the state the step ends in, every sample goes through
+    ``Trajectory.append``, the latched guards are read in a loop over the
+    (integrated, projected) step ends, and events are bisected on a
+    generator-built cubic Hermite interpolant.  The float arithmetic is the
+    package's, in the same order, so the result must match exactly.
+    """
+    from lamsa.errors import StepSizeUnderflowError
+    from lamsa.model import Mode, SystemState, _tau, mode_of
+    from lamsa.simulate import (
+        Event, EventKind, IntegratorConfig, Trajectory, _step_raw, project_to_constraint,
+    )
+
+    cfg = config or IntegratorConfig()
+    var = params.variant
+    F_L, t_end = float(F_L), float(t_end)
+
+    def norm(y):
+        p, p_dot, l, l_dot = y
+        return math.sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
+
+    def tolerance(s):
+        return max(cfg.rel_tol * norm(s), cfg.abs_tol)
+
+    def step(y, mode, dt_suggestion):
+        latched = mode is Mode.LATCHED
+        tol = tolerance(y)
+        dt = min(dt_suggestion, cfg.max_step)
+        while True:
+            if dt < 1e-14:
+                raise StepSizeUnderflowError(f"step size {dt:.3e} below floor")
+            y_new, err = _step_raw(params, F_L, latched, var, y, dt)
+            if err <= tol:
+                return y_new, dt, err
+            dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
+
+    def suggest(dt_used, err, tol):
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+        return min(cfg.max_step, dt_used * factor)
+
+    def locate(t_lo, y_lo, t_hi, y_hi, g, latched):
+        return locate_zero_reference(params, F_L, cfg.event_time_tol, t_lo, y_lo, t_hi, y_hi, g, latched)
+
+    def tau_of(s):
+        return _tau(params, s[0], s[1], s[2], s[3], F_L, var)
+
+    def release(t_lo, y_lo, t_hi, y_hi, unlatch, takeoff):
+        events = []
+        if unlatch:
+            events.append(Event(*locate(t_lo, y_lo, t_hi, y_hi, tau_of, True), EventKind.UNLATCH_TAU_ZERO))
+        if takeoff:
+            events.append(Event(
+                *locate(t_lo, y_lo, t_hi, y_hi, lambda s: s[0] - params.R, True), EventKind.TAKEOFF_TANGENCY,
+            ))
+        if len(events) == 2:
+            tau_ev, take_ev = events
+            return take_ev if take_ev.t <= tau_ev.t + cfg.event_time_tol else tau_ev
+        return events[0]
+
+    if not x0.is_finite():
+        raise ValueError(f"initial state has non-finite components: {x0}")
+    if t_end < 0.0:
+        raise ValueError("t_end must be non-negative")
+    traj = Trajectory()
+    mode = mode_of(params, x0, F_L)
+    t = 0.0
+    t_last = t_end - 1e-14 * max(1.0, t_end)
+    y = SystemState(*map(float, x0))
+    project = cfg.constraint_projection
+    if mode is Mode.LATCHED and project:
+        y = project_to_constraint(params, y)
+        if tau_of(y) <= 0.0:
+            mode = Mode.UNLATCHED
+    traj.append(t, y, mode, tau_of(y) if mode is Mode.LATCHED else 0.0)
+    dt = 0.01 * cfg.max_step
+
+    if mode is Mode.LATCHED:
+        while t < t_last:
+            y_end, dt_used, err = step(y, Mode.LATCHED, min(dt, t_end - t, cfg.max_step))
+            t_new = t + dt_used
+            y_new = project_to_constraint(params, y_end) if project else y_end
+            tau_new = tau_of(y_new)
+            ends = ((y_end, tau_of(y_end)),) if project else ()
+            event = None
+            for y_hi, tau_hi in (*ends, (y_new, tau_new)):
+                unlatch = tau_hi <= 0.0
+                takeoff = y_hi[0] - params.R >= 0.0 and y[0] - params.R < 0.0
+                if unlatch or takeoff:
+                    event = release(t, y, t_new, y_hi, unlatch, takeoff)
+                    break
+            if event is not None:
+                if project:
+                    event = Event(event.t, project_to_constraint(params, event.state), event.kind)
+                traj.events.append(event)
+                t, y, mode = event.t, event.state, Mode.UNLATCHED
+                traj.append(t, y, mode, 0.0)
+                break
+            t, y = t_new, y_new
+            traj.append(t, y, Mode.LATCHED, tau_new)
+            dt = suggest(dt_used, err, tolerance(y))
+
+    if mode is Mode.UNLATCHED:
+        p0 = params.p0
+        if y[0] >= p0 and y[1] > 0.0:
+            return traj
+        while t < t_last:
+            y_new, dt_used, err = step(y, Mode.UNLATCHED, min(dt, t_end - t, cfg.max_step))
+            t_new = t + dt_used
+            if y_new[0] >= p0 and y[0] < p0:
+                t_stop, y_stop = locate(t, y, t_new, y_new, lambda s: s[0] - p0, False)
+                if y_stop[1] > 0.0:
+                    traj.append(t_stop, y_stop, Mode.UNLATCHED, 0.0)
+                    return traj
+            t, y = t_new, y_new
+            traj.append(t, y, Mode.UNLATCHED, 0.0)
+            dt = suggest(dt_used, err, tolerance(y))
+    return traj
+
+
+def locate_zero_reference(params, F_L: float, event_time_tol: float, t_lo, y_lo, t_hi, y_hi, g, latched: bool):
+    """Bisect a guard zero on the cubic Hermite interpolant of one step.
+
+    The interpolant builds each state from a generator over the four
+    components; returns (t, state) and raises NoSignChangeError for a
+    bracket whose guard values share a sign.
+    """
+    from lamsa.errors import NoSignChangeError
+    from lamsa.model import SystemState, _field_arr
+
+    var = params.variant
+    f_lo = _field_arr(params, y_lo, F_L, latched, var)
+    f_hi = _field_arr(params, y_hi, F_L, latched, var)
+
+    def interp(t):
+        h = t_hi - t_lo
+        s = (t - t_lo) / h
+        s2, s3 = s * s, s * s * s
+        a = 1 - 3 * s2 + 2 * s3
+        b = 3 * s2 - 2 * s3
+        c = s - 2 * s2 + s3
+        d = s3 - s2
+        return SystemState(*(
+            a * y_lo[i] + b * y_hi[i] + h * (c * f_lo[i] + d * f_hi[i]) for i in range(4)
+        ))
+
+    g_lo, g_hi = g(y_lo), g(y_hi)
+    if g_lo == 0.0:
+        return t_lo, y_lo
+    if g_hi == 0.0:
+        return t_hi, y_hi
+    if g_lo * g_hi > 0.0:
+        raise NoSignChangeError(f"no sign change: g({t_lo})={g_lo}, g({t_hi})={g_hi}")
+    a, b, ga = t_lo, t_hi, g_lo
+    while b - a > event_time_tol:
+        mid = 0.5 * (a + b)
+        gm = g(interp(mid))
+        if gm == 0.0:
+            return mid, interp(mid)
+        if ga * gm < 0.0:
+            b = mid
+        else:
+            a, ga = mid, gm
+    t_ev = 0.5 * (a + b)
+    return t_ev, interp(t_ev)

@@ -1,0 +1,59 @@
+"""The names the benchmark's per-layer tracer wraps must keep doing their work.
+
+``perfbench/tracer.py`` replaces lamsa module globals with counting
+wrappers, and a traced benchmark run aborts when a workload's expected
+counter reads 0.  These tests run the tracer on a tiny phase portrait so
+that a refactor which renames or bypasses a traced name fails here and
+not only under ``perfbench/run.py --trace 1``.  The benchmark files are
+read and executed in memory: nothing is written under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from lamsa.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str) -> types.ModuleType:
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"_perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracer() -> types.ModuleType:
+    return _load("tracer")
+
+
+def test_every_traced_name_resolves(tracer):
+    for module_name, attr, span, layer, _ in tracer.TARGETS:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target), f"{module_name}.{attr} ({span})"
+        assert layer in tracer.LAYERS
+
+
+def test_traced_portrait_reaches_every_expected_layer(tracer, tmp_path):
+    sim_module = importlib.import_module("lamsa.simulate")
+    originals = {name: getattr(sim_module, name) for name in ("integrate_step", "_step_raw", "_field_arr")}
+    trace = tracer.Trace()
+    with tracer.Tracer(trace):
+        rc = main(["phase-portrait", "--grid", "3x3", "--t-end", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    metrics = tracer.layer_metrics(trace)
+    for name in _load("workloads").Portrait.expect_nonzero:
+        assert metrics[name][0] > 0, name
+    assert metrics["simulate.calls"][0] == 9
+    assert metrics["simulate.step_trials"][0] >= metrics["simulate.steps_accepted"][0]
+    # the wrappers are gone once the block ends
+    assert {name: getattr(sim_module, name) for name in originals} == originals

@@ -12,6 +12,7 @@ import pytest
 
 from lamsa import (
     FLRange,
+    Mode,
     ModelVariant,
     SystemParams,
     SystemState,
@@ -34,7 +35,7 @@ from lamsa.cli import (
 )
 from lamsa.config import RunConfig, apply_overrides, build_config
 from lamsa.errors import ConfigError, SingularDenominatorError
-from lamsa.io import fmt, write_trajectory
+from lamsa.io import fmt, trajectory_rows, write_trajectory
 
 from conftest import REF_SADDLE_P
 
@@ -255,6 +256,19 @@ def test_write_trajectory_numpy_scalar_inputs(tmp_path):
     for r in rows:
         for cell in (*r[:5], r[6]):
             float(cell)
+
+
+def test_trajectory_rows_format_each_cell_like_fmt():
+    traj = simulate(SystemParams(), SystemState(1, 0, 3, 0), -5.0, 4.0)
+    # a hand-built sample with numpy scalars, a negative zero and a subnormal
+    state = SystemState(*map(np.float64, (1.5, -0.0, 3.0, 5e-324)))
+    traj.append(np.float64(4.5), state, Mode.UNLATCHED, np.float64(0.0))
+    expected = [
+        (fmt(t), *map(fmt, x), mode.value, fmt(tau))
+        for t, x, mode, tau in zip(traj.t, traj.x, traj.mode, traj.tau)
+    ]
+    assert {mode.value for mode in traj.mode} == {"L", "U"}
+    assert trajectory_rows(traj) == expected
 
 
 def test_cmd_classify_schema(tmp_path):

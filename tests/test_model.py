@@ -36,6 +36,14 @@ def test_params_invariants_enforced():
         SystemParams(p0=5.0, R=5.0)  # natural length must exceed the radius
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["m", "M", "R", "k", "p0"])
+def test_params_reject_non_finite_values(name, bad):
+    # an infinite stiffness used to pass and fail later as a numerical error
+    with pytest.raises(ValueError, match=rf"^{name} must be .*finite"):
+        SystemParams(**{name: bad})
+
+
 def test_spring_force_examples(params):
     assert spring_force(params, 10.0) == 0.0
     assert spring_force(params, 0.0) == 10.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from lamsa import (
     ModelVariant,
     SystemParams,
     SystemState,
+    fixed_points,
     holonomic_h,
     integrate_step,
     latch_from_projectile,
@@ -20,11 +22,20 @@ from lamsa import (
     project_to_constraint,
     simulate,
 )
-from lamsa.errors import NoSignChangeError, StepSizeUnderflowError
-from lamsa.model import _field_arr
-from lamsa.simulate import _step_raw
+from lamsa.cli import _portrait_initial_states
+from lamsa.config import RunConfig
+from lamsa.errors import LamsaError, NoSignChangeError, StepSizeUnderflowError
+from lamsa.model import _field_arr, mode_of
+from lamsa.simulate import _locate_zero, _step_raw
 
-from oracles import dopri5_step, harmonic_position, radial_projection, rk4_fixed
+from oracles import (
+    dopri5_step,
+    harmonic_position,
+    locate_zero_reference,
+    radial_projection,
+    rk4_fixed,
+    simulate_reference,
+)
 
 
 def _latched_start(params: SystemParams, p: float, p_dot: float = 0.0) -> SystemState:
@@ -38,6 +49,13 @@ def test_integrator_config_invariants():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(event_time_tol=1e-2, max_step=1e-2)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_step", "event_time_tol"])
+def test_integrator_config_rejects_non_finite_values(name, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):
+        IntegratorConfig(**{name: bad})
 
 
 # --- integrate_step ---------------------------------------------------------
@@ -348,3 +366,118 @@ def test_simulate_time_reversal_returns_start(params):
 def test_simulate_rejects_invalid_initial_state(params):
     with pytest.raises(ValueError):
         simulate(params, SystemState(math.nan, 0, 0, 0), 0.0, 1.0)
+
+
+# --- simulate against its helper-per-concern form ---------------------------
+
+_CONFIGS = [IntegratorConfig(), IntegratorConfig(constraint_projection=False)]
+
+# on the circle up to a 2e-9 radial offset, with the speed at which the
+# contact force vanishes there: tau > 0 at the start, tau <= 0 once projected
+_PROJECTION_FLIP_STARTS = {
+    ModelVariant.AS_PRINTED: SystemState(1.9999999988, 5.306599665847047, 4.0000000016, 3.9799497493852853),
+    ModelVariant.CONSTRAINT_CONSISTENT: SystemState(
+        1.9999999988, 4.233202098822119, 4.0000000016, 3.174901574116589
+    ),
+}
+
+
+def _outcome(fn, params, x0, F_L, t_end, cfg):
+    try:
+        return fn(params, x0, F_L, t_end, cfg)
+    except LamsaError as exc:
+        return type(exc)
+
+
+def _assert_same_as_reference(params, x0, F_L, t_end, cfg):
+    got = _outcome(simulate, params, x0, F_L, t_end, cfg)
+    ref = _outcome(simulate_reference, params, x0, F_L, t_end, cfg)
+    if isinstance(ref, type):
+        assert got is ref, (x0, F_L)
+        return ref
+    assert not isinstance(got, type), (x0, F_L, got)
+    assert got.t == ref.t, (x0, F_L)
+    assert got.x == ref.x, (x0, F_L)
+    assert got.mode == ref.mode, (x0, F_L)
+    assert got.tau == ref.tau, (x0, F_L)
+    assert got.events == ref.events, (x0, F_L)
+    return got
+
+
+def _saddle_starts(params, F_L, deltas):
+    p_star = next(fp.p_star for fp in fixed_points(params, F_L) if not fp.origin_flag)
+    return [_latched_start(params, p_star + d) for d in deltas]
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=["projected", "raw"])
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_simulate_equals_reference_on_jittered_portrait_grid(variant, cfg):
+    params = SystemParams(variant=variant)
+    run = RunConfig(params=params, grid=(6, 6), jitter=True, seed=11)
+    kinds = set()
+    for x0 in _portrait_initial_states(run):
+        traj = _assert_same_as_reference(params, x0, -15.0, 10.0, cfg)
+        if not isinstance(traj, type):
+            kinds.update(e.kind for e in traj.events)
+    assert kinds  # the grid exercises the latched phase and its release
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=["projected", "raw"])
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_simulate_equals_reference_on_saddle_releases(variant, cfg):
+    params = SystemParams(variant=variant)
+    kinds = []
+    for F_L in (-15.0, -5.0):
+        for x0 in _saddle_starts(params, F_L, (1e-3, -1e-3, 0.5, -0.5)):
+            traj = _assert_same_as_reference(params, x0, F_L, 10.0, cfg)
+            kinds.extend(e.kind for e in traj.events)
+    assert set(kinds) == set(EventKind)
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=["projected", "raw"])
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_simulate_equals_reference_at_the_edges(variant, cfg):
+    params = SystemParams(variant=variant)
+    # a t_end that clips the last step, latched and unlatched
+    for x0 in (_latched_start(params, 1.0, 0.3), SystemState(9.0, 0.5, 2.0, 0.3)):
+        traj = _assert_same_as_reference(params, x0, -2.0, 0.123456789, cfg)
+        assert traj.t[-1] == pytest.approx(0.123456789, abs=1e-12)
+    # steps set by the error control, with the absolute tolerance binding
+    tight = dataclasses.replace(cfg, rel_tol=1e-14, abs_tol=1e-11)
+    _assert_same_as_reference(params, _saddle_starts(params, -5.0, (0.5,))[0], -5.0, 10.0, tight)
+    # the outward stop at the spring's natural length
+    traj = _assert_same_as_reference(params, SystemState(9.0, 0.5, 2.0, 0.3), -2.0, 5.0, cfg)
+    assert traj.t[-1] < 5.0 and traj.x[-1].p == pytest.approx(params.p0, abs=1e-6)
+    # a borderline start that the projection turns unlatched
+    x0 = _PROJECTION_FLIP_STARTS[variant]
+    assert mode_of(params, x0, -5.0) is Mode.LATCHED
+    traj = _assert_same_as_reference(params, x0, -5.0, 10.0, cfg)
+    assert traj.mode[0] is (Mode.UNLATCHED if cfg.constraint_projection else Mode.LATCHED)
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_simulate_raises_where_reference_raises(variant):
+    params = SystemParams(variant=variant)
+    cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
+    for x0 in (_latched_start(params, 1.0, 1.5), SystemState(9.0, 0.5, 2.0, 0.3)):
+        assert _assert_same_as_reference(params, x0, -5.0, 1.0, cfg) is StepSizeUnderflowError
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_locate_zero_equals_reference(variant):
+    params = SystemParams(variant=variant)
+    cfg = IntegratorConfig()
+    F_L = -5.0
+    y_lo = _latched_start(params, 4.99, 2.0)
+    y_hi, dt, _ = integrate_step(params, y_lo, F_L, Mode.LATCHED, 1e-2, cfg)
+    assert y_hi.p > params.R
+
+    def g(s):
+        return s[0] - params.R
+
+    got = _locate_zero(params, F_L, 0.0, y_lo, dt, y_hi, g, cfg, Mode.LATCHED, variant)
+    assert got == locate_zero_reference(params, F_L, cfg.event_time_tol, 0.0, y_lo, dt, y_hi, g, True)
+    with pytest.raises(NoSignChangeError):
+        _locate_zero(params, F_L, 0.0, y_hi, dt, y_hi, g, cfg, Mode.LATCHED, variant)
+    with pytest.raises(NoSignChangeError):
+        locate_zero_reference(params, F_L, cfg.event_time_tol, 0.0, y_hi, dt, y_hi, g, True)
