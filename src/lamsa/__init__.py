@@ -26,7 +26,6 @@ from .simulate import (
     Trajectory,
     TrajectorySample,
     integrate_step,
-    locate_event,
     project_to_constraint,
     simulate,
 )

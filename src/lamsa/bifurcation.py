@@ -30,7 +30,7 @@ from .errors import (
     SingularBoundError,
     SingularDenominatorError,
 )
-from .model import ModelVariant, SystemParams, SystemState, latch_from_projectile
+from .model import _PRINTED, SystemParams, SystemState, latch_from_projectile
 from .equilibria import (
     QuarticD,
     balance_residual,
@@ -135,8 +135,8 @@ class DesignReport:
     feasible: bool
 
 
-def _dD_dFL(params: SystemParams, p: float, F_L: float, var: ModelVariant) -> float:
-    im2 = 1.0 / (params.m * params.m) if var is ModelVariant.AS_PRINTED else 1.0
+def _dD_dFL(params: SystemParams, p: float, F_L: float) -> float:
+    im2 = 1.0 / (params.m * params.m) if params.variant is _PRINTED else 1.0
     R = params.R
     return (-2.0 * F_L * im2) * p * p + (4.0 * R * F_L * im2) * p - 2.0 * F_L * R * R * im2
 
@@ -154,7 +154,7 @@ def _dp_singular(q: QuarticD, p, den):
     return out
 
 
-def _implicit_slope(params: SystemParams, p, F_L, var: ModelVariant, q: QuarticD | None = None):
+def _implicit_slope(params: SystemParams, p, F_L, q: QuarticD | None = None):
     """(slope, singular): dp*/dF_L = -(dD/dF_L)/(dD/dp) of the quartic at (p, F_L).
 
     p and F_L may be floats or numpy arrays that broadcast together; ``q``,
@@ -163,21 +163,20 @@ def _implicit_slope(params: SystemParams, p, F_L, var: ModelVariant, q: QuarticD
     slope there is nan.
     """
     if q is None:
-        q = quartic_coefficients(params, F_L, var)
+        q = quartic_coefficients(params, F_L)
     den = eval_quartic_derivative(q, p)
     singular = _dp_singular(q, p, den)
     if isinstance(singular, np.ndarray):
         den = np.where(singular, np.nan, den)
     elif singular:
         return float("nan"), True
-    return -_dD_dFL(params, p, F_L, var) / den, singular
+    return -_dD_dFL(params, p, F_L) / den, singular
 
 
 def nominal_rhs(
     params: SystemParams,
     p: float,
     F_L: float,
-    variant: ModelVariant | None = None,
     formula: NominalFormula = NominalFormula.IMPLICIT_DIFF,
 ) -> float:
     """Slope dp*/dF_L of the equilibrium branch at (p, F_L).
@@ -188,9 +187,8 @@ def nominal_rhs(
     Raises SingularDenominatorError when the respective denominator is
     numerically zero (a fold of the branch would look like this).
     """
-    var = params.variant_or(variant)
     if formula is NominalFormula.IMPLICIT_DIFF:
-        slope, singular = _implicit_slope(params, p, F_L, var)
+        slope, singular = _implicit_slope(params, p, F_L)
         if singular:
             raise SingularDenominatorError(f"dD/dp ~ 0 at p={p}, F_L={F_L}")
         return slope
@@ -233,9 +231,9 @@ def in_region_U(params: SystemParams, p: float, F_L: float) -> UMembership:
     )
 
 
-def _in_S_at(params: SystemParams, p: float, F_L: float, var: ModelVariant) -> tuple[float, bool]:
+def _in_S_at(params: SystemParams, p: float, F_L: float) -> tuple[float, bool]:
     """(h2, saddle?) at the on-circle rest state (p, F_L)."""
-    A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), F_L, var)
+    A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), F_L)
     h1, h2 = characteristic_invariants(A, B, G, D)
     return h2, _is_saddle(h1, h2)
 
@@ -244,7 +242,6 @@ def trace_path(
     params: SystemParams,
     start: tuple[float, float],
     F_L_end: float = 0.0,
-    variant: ModelVariant | None = None,
     step_tol: float = 1e-10,
 ) -> ContinuationPath:
     """Continue the interior equilibrium from ``start = (p*, F_L0)`` to F_L_end.
@@ -256,7 +253,6 @@ def trace_path(
     REACHED_ZERO_FORCE at F_L_end, DENOMINATOR_SINGULAR at a fold, or
     LEFT_DOMAIN when the corrected root exits [0, R).
     """
-    var = params.variant_or(variant)
     p_start, fl_start = float(start[0]), float(start[1])
     if not fl_start < F_L_end and not (p_start == 0.0 and fl_start == F_L_end):
         raise InvalidStartError(
@@ -264,7 +260,7 @@ def trace_path(
         )
     if F_L_end > 0.0:
         raise InvalidStartError("the equilibrium branch does not extend past F_L = 0")
-    res = balance_residual(params, p_start, fl_start, var)
+    res = balance_residual(params, p_start, fl_start)
     scale = max(1.0, abs(params.k * params.p0 * params.R), abs(fl_start * params.R))
     if abs(res) > _START_BALANCE_TOL * scale:
         raise InvalidStartError(
@@ -272,10 +268,10 @@ def trace_path(
             f"(residual {res:.3e})"
         )
 
-    h2, in_s = _in_S_at(params, p_start, fl_start, var)
+    h2, in_s = _in_S_at(params, p_start, fl_start)
     samples = [PathSample(fl_start, p_start, in_s, h2)]
     p, fl = p_start, fl_start
-    slope, singular = _implicit_slope(params, p, fl, var)
+    slope, singular = _implicit_slope(params, p, fl)
     dfl = _DEFAULT_FL_STEP
 
     while fl < F_L_end - 1e-14:
@@ -286,7 +282,7 @@ def trace_path(
             fl_new = fl + dfl
             if F_L_end - fl_new < 1e-14:
                 fl_new = F_L_end
-            q = quartic_coefficients(params, fl_new, var)
+            q = quartic_coefficients(params, fl_new)
             corrected, iters = _newton_correct(q, p + dfl * slope, step_tol)
             if corrected is not None:
                 break
@@ -303,8 +299,8 @@ def trace_path(
             return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
 
         # the corrector's quartic gives the fold test and the next predictor slope
-        slope, singular = _implicit_slope(params, p_new, fl_new, var, q)
-        h2, in_s = _in_S_at(params, p_new, fl_new, var)
+        slope, singular = _implicit_slope(params, p_new, fl_new, q)
+        h2, in_s = _in_S_at(params, p_new, fl_new)
         samples.append(PathSample(fl_new, p_new, in_s, h2))
         if singular:
             return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
@@ -332,12 +328,7 @@ def _newton_correct(
     return None, max_iter
 
 
-def saddle_region_map(
-    params: SystemParams,
-    p_grid: np.ndarray,
-    F_L_grid: np.ndarray,
-    variant: ModelVariant | None = None,
-) -> RegionMap:
+def saddle_region_map(params: SystemParams, p_grid: np.ndarray, F_L_grid: np.ndarray) -> RegionMap:
     """Evaluate (h1, h2, saddle membership) on a raster of rest states.
 
     Grid nodes are zero-velocity on-circle states, not equilibria: the
@@ -347,7 +338,6 @@ def saddle_region_map(
     equals what ``stability_report`` and ``classify`` give for it.
     Requires p in [0, R) (p = 0 is the preloaded rest state) and F_L <= 0.
     """
-    var = params.variant_or(variant)
     p_grid = np.asarray(p_grid, dtype=float)
     F_L_grid = np.asarray(F_L_grid, dtype=float)
     if p_grid.size == 0 or F_L_grid.size == 0:
@@ -360,7 +350,7 @@ def saddle_region_map(
     p = p_grid[:, None]
     rp = params.R - p
     l = np.sqrt(params.R * params.R - rp * rp)  # latch_from_projectile, node by node
-    A, B, G, D = _latched_abgd(params, p, l, F_L_grid[None, :], var)
+    A, B, G, D = _latched_abgd(params, p, l, F_L_grid[None, :])
     h1, h2 = characteristic_invariants(A, B, G, D)
     in_s = _is_saddle(h1, h2)
     return RegionMap(p_grid=p_grid, F_L_grid=F_L_grid, h1=h1, h2=h2, in_S=in_s)

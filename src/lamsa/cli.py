@@ -187,7 +187,7 @@ def cmd_quiver(cfg: RunConfig) -> int:
     """Implicit-diff slope dp*/dF_L over the raster; nan where dD/dp is numerically zero."""
     out = _ensure_out(cfg)
     p_grid, fl_grid = _raster(cfg)
-    slope, _ = _implicit_slope(cfg.params, p_grid[:, None], fl_grid[None, :], cfg.params.variant)
+    slope, _ = _implicit_slope(cfg.params, p_grid[:, None], fl_grid[None, :])
     rows = _raster_rows(p_grid, fl_grid, map(fmt, slope.ravel().tolist()))
     n = write_csv(out / "quiver.csv", QUIVER_HEADER, rows)
     write_manifest(out, cfg.echo(), {"quiver.csv": n})

@@ -52,14 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EquilibriumBalanceError
-from .model import (
-    Mode,
-    ModelVariant,
-    SystemParams,
-    SystemState,
-    _field_arr,
-    spring_force,
-)
+from .model import _PRINTED, Mode, SystemParams, SystemState, _field_arr, spring_force
 
 __all__ = [
     "QuarticD",
@@ -71,7 +64,6 @@ __all__ = [
     "balance_residual",
     "fixed_points",
     "unlatched_fixed_point",
-    "equilibrium_field_residual",
 ]
 
 _BALANCE_RTOL = 1e-9
@@ -115,18 +107,15 @@ class FixedPoint(NamedTuple):
         return SystemState(self.p_star, 0.0, l, 0.0)
 
 
-def quartic_coefficients(
-    params: SystemParams, F_L: float, variant: ModelVariant | None = None
-) -> QuarticD:
+def quartic_coefficients(params: SystemParams, F_L: float) -> QuarticD:
     """Equilibrium quartic coefficients for a given latch force.
 
     AS_PRINTED carries the published mass factors (1/M^2 on spring terms,
     1/m^2 on latch-force terms); the constraint-consistent variant has
     them cancelled.
     """
-    var = params.variant_or(variant)
     m, M, R, k, p0 = params.m, params.M, params.R, params.k, params.p0
-    if var is ModelVariant.AS_PRINTED:
+    if params.variant is _PRINTED:
         im2, iM2 = 1.0 / (m * m), 1.0 / (M * M)
     else:
         im2 = iM2 = 1.0
@@ -192,9 +181,7 @@ def roots_in_interval(
     return roots
 
 
-def balance_residual(
-    params: SystemParams, p: float, F_L: float, variant: ModelVariant | None = None
-) -> float:
+def balance_residual(params: SystemParams, p: float, F_L: float) -> float:
     """Signed residual of the unsquared equilibrium balance at p.
 
     Zero (to round-off) exactly at genuine equilibria; the squared quartic
@@ -202,45 +189,23 @@ def balance_residual(
     position is l = sqrt(p (2R - p)), which, unlike sqrt(R^2 - (R - p)^2),
     keeps its digits as p -> 0.  Raises ValueError for p outside [0, 2R].
     """
-    var = params.variant_or(variant)
     if p < 0.0 or p > 2.0 * params.R:
         raise ValueError(f"p={p} outside the contact window [0, {2.0 * params.R}]")
     l = math.sqrt(p * (2.0 * params.R - p))
-    if var is ModelVariant.AS_PRINTED:
+    if params.variant is _PRINTED:
         c1, c2 = 1.0 / params.M, 1.0 / params.m
     else:
         c1 = c2 = 1.0
     return spring_force(params, p) * l * c1 - (p - params.R) * F_L * c2
 
 
-def equilibrium_field_residual(
-    params: SystemParams, fp: FixedPoint, variant: ModelVariant | None = None
-) -> np.ndarray:
-    """Full 4-state field evaluated at the candidate rest state."""
-    latched = fp.mode is Mode.LATCHED
-    return np.array(
-        _field_arr(
-            params,
-            fp.rest_state().as_array(),
-            fp.F_L_star,
-            latched,
-            params.variant_or(variant),
-        )
-    )
-
-
 def _make_fp(
-    params: SystemParams,
-    p_star: float,
-    l_star: float,
-    F_L: float,
-    var: ModelVariant,
-    origin: bool = False,
+    params: SystemParams, p_star: float, l_star: float, F_L: float, tol: float
 ) -> FixedPoint:
-    res = _field_arr(params, (p_star, 0.0, l_star, 0.0), F_L, True, var)
-    tol = _VANISH_TOL * max(1.0, abs(F_L), params.k * params.p0)
+    """The latched rest point (p*, l*), with the field rows that vanish there within ``tol``."""
+    res = _field_arr(params, (p_star, 0.0, l_star, 0.0), F_L, True)
     vanishing = tuple([i for i, r in enumerate(res) if abs(r) <= tol])
-    return FixedPoint(p_star, l_star, F_L, Mode.LATCHED, origin, vanishing)
+    return FixedPoint(p_star, l_star, F_L, Mode.LATCHED, False, vanishing)
 
 
 def _arc_point(
@@ -293,11 +258,7 @@ def _far_fold(params: SystemParams, ck: float) -> tuple[float, float] | None:
     return u, ck * (a - R / s) * u
 
 
-def fixed_points(
-    params: SystemParams,
-    F_L: float,
-    variant: ModelVariant | None = None,
-) -> list[FixedPoint]:
+def fixed_points(params: SystemParams, F_L: float) -> list[FixedPoint]:
     """Latched-mode equilibrium set for one latch force, in ascending p.
 
     * F_L > 0: empty.
@@ -310,14 +271,17 @@ def fixed_points(
     the module docstring); a residual that fails the postcondition raises
     EquilibriumBalanceError.
     """
-    var = params.variant_or(variant)
     if F_L > 0.0:
         return []
-    origin = _make_fp(params, 0.0, 0.0, F_L, var, origin=True)
+    # At the origin the velocity rows 0 and 2 are zero, row 1 cancels to
+    # round-off (R tau = k p0 there) and row 3 is exactly F_L/M.
+    tol = _VANISH_TOL * max(1.0, abs(F_L), params.k * params.p0)
+    rows = (0, 1, 2, 3) if abs(F_L / params.M) <= tol else (0, 1, 2)
+    origin = FixedPoint(0.0, 0.0, F_L, Mode.LATCHED, True, rows)
     if F_L == 0.0:
         return [origin]
 
-    ck = params.k * (params.m / params.M if var is ModelVariant.AS_PRINTED else 1.0)
+    ck = params.k * (params.m / params.M if params.variant is _PRINTED else 1.0)
     a = params.p0 - params.R
     arcs = [(1.0, -F_L / (ck * params.p0), -F_L / (ck * a))]
     fold = _far_fold(params, ck)
@@ -329,7 +293,7 @@ def fixed_points(
     out = [origin]
     for sigma, u, stop in arcs:
         p, l = _arc_point(params, ck, F_L, sigma, u, stop)
-        out.append(_make_fp(params, p, l, F_L, var))
+        out.append(_make_fp(params, p, l, F_L, tol))
     return out
 
 

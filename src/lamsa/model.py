@@ -56,6 +56,11 @@ class ModelVariant(Enum):
     CONSTRAINT_CONSISTENT = "derived"
 
 
+# the one variant every formula tests ``params.variant`` against; a module
+# constant, because Python 3.11 fetches Enum members through a descriptor
+_PRINTED = ModelVariant.AS_PRINTED
+
+
 class Mode(Enum):
     """Latched: in contact with positive contact force.  Unlatched: free."""
 
@@ -69,8 +74,10 @@ class SystemParams:
 
     ``m``: projectile mass, ``M``: latch mass, ``R``: latch radius,
     ``k``: spring stiffness, ``p0``: spring natural length (must exceed
-    the latch radius).  ``variant`` selects the contact-force flavour and
-    is the default for every routine that accepts a variant override.
+    the latch radius).  ``variant`` selects the contact-force flavour.
+    It is set here and only here: every routine of the package reads it
+    from the params it is given, and ``dataclasses.replace(params,
+    variant=...)`` gives the same actuator under the other variant.
     """
 
     m: float = 1.0
@@ -91,9 +98,6 @@ class SystemParams:
     def h_tol(self) -> float:
         """Default absolute tolerance for constraint membership (scales with R^2)."""
         return 1e-9 * self.R * self.R
-
-    def variant_or(self, variant: ModelVariant | None) -> ModelVariant:
-        return self.variant if variant is None else variant
 
 
 class SystemState(NamedTuple):
@@ -143,32 +147,7 @@ def latch_from_projectile(params: SystemParams, p: float) -> float:
     return math.sqrt(max(0.0, params.R * params.R - rp * rp))
 
 
-def _tau(
-    params: SystemParams,
-    p: float,
-    p_dot: float,
-    l: float,
-    l_dot: float,
-    F_L: float,
-    variant: ModelVariant,
-) -> float:
-    m, M, R = params.m, params.M, params.R
-    w = (R - p) ** 2 / m + l * l / M
-    if w <= 0.0:
-        raise SingularConfigurationError(
-            f"contact-force denominator W={w} is not positive at p={p}, l={l}"
-        )
-    d = m if variant is ModelVariant.AS_PRINTED else M
-    fs = spring_force(params, p)
-    return (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
-
-
-def contact_force(
-    params: SystemParams,
-    state: SystemState,
-    F_L: float,
-    variant: ModelVariant | None = None,
-) -> float:
+def contact_force(params: SystemParams, state: Sequence[float], F_L: float) -> float:
     """Constraint (contact) force between latch and projectile.
 
     tau = W^-1 [ -(p_dot^2 + l_dot^2) + (R - p) F_s / m - l F_L / d ]
@@ -176,49 +155,41 @@ def contact_force(
     with W = (R - p)^2/m + l^2/M and d = m (AS_PRINTED) or d = M
     (CONSTRAINT_CONSISTENT).  The expression is even in the velocities and
     independent of F_L wherever l = 0.  Meaningful as a physical force
-    only near the constraint circle, but defined for any state with W > 0.
+    only near the constraint circle, but defined for any state (any
+    4-sequence) with W > 0.
     """
-    return _tau(
-        params,
-        state.p,
-        state.p_dot,
-        state.l,
-        state.l_dot,
-        F_L,
-        params.variant_or(variant),
-    )
+    p, p_dot, l, l_dot = state
+    m, M, R = params.m, params.M, params.R
+    w = (R - p) ** 2 / m + l * l / M
+    if w <= 0.0:
+        raise SingularConfigurationError(
+            f"contact-force denominator W={w} is not positive at p={p}, l={l}"
+        )
+    d = m if params.variant is _PRINTED else M
+    fs = spring_force(params, p)
+    return (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
 
 
-def mode_of(
-    params: SystemParams,
-    state: SystemState,
-    F_L: float,
-    h_tol: float | None = None,
-    variant: ModelVariant | None = None,
-) -> Mode:
+def mode_of(params: SystemParams, state: SystemState, F_L: float) -> Mode:
     """Classify a state: latched iff on the constraint circle with tau > 0.
 
-    ``tau == 0`` counts as unlatched (contact requires a strictly pushing
-    force).
+    On the circle means |h| <= ``params.h_tol``.  ``tau == 0`` counts as
+    unlatched (contact requires a strictly pushing force).
     """
-    tol = params.h_tol if h_tol is None else h_tol
-    if abs(holonomic_h(params, state.p, state.l)) > tol:
+    if abs(holonomic_h(params, state.p, state.l)) > params.h_tol:
         return Mode.UNLATCHED
-    if contact_force(params, state, F_L, variant) > 0.0:
+    if contact_force(params, state, F_L) > 0.0:
         return Mode.LATCHED
     return Mode.UNLATCHED
 
 
 def _field_arr(
-    params: SystemParams,
-    x: Sequence[float],
-    F_L: float,
-    latched: bool,
-    variant: ModelVariant,
+    params: SystemParams, x: Sequence[float], F_L: float, latched: bool
 ) -> tuple[float, float, float, float]:
     """Vector field of any 4-sequence as a plain 4-tuple; the integrator's hot path.
 
-    The contact force is computed inline with the arithmetic of ``_tau``.
+    The contact force is computed inline with the arithmetic of
+    ``contact_force``.
     """
     p, p_dot, l, l_dot = x
     m, M, R = params.m, params.M, params.R
@@ -229,35 +200,21 @@ def _field_arr(
             raise SingularConfigurationError(
                 f"contact-force denominator W={w} is not positive at p={p}, l={l}"
             )
-        d = m if variant is ModelVariant.AS_PRINTED else M
+        d = m if params.variant is _PRINTED else M
         lam = (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
     else:
         lam = 0.0
     return (p_dot, (fs + (p - R) * lam) / m, l_dot, (F_L + l * lam) / M)
 
 
-def vector_field(
-    params: SystemParams,
-    state: SystemState,
-    F_L: float,
-    mode: Mode,
-    variant: ModelVariant | None = None,
-) -> np.ndarray:
+def vector_field(params: SystemParams, state: SystemState, F_L: float, mode: Mode) -> np.ndarray:
     """Time derivative of (p, p_dot, l, l_dot) in the given mode.
 
     Latched mode substitutes the contact force; unlatched mode sets it to
     zero, decoupling projectile (harmonic oscillator) and latch (constant
     force F_L).
     """
-    return np.array(
-        _field_arr(
-            params,
-            state.as_array(),
-            F_L,
-            mode is Mode.LATCHED,
-            params.variant_or(variant),
-        )
-    )
+    return np.array(_field_arr(params, state.as_array(), F_L, mode is Mode.LATCHED))
 
 
 def mechanical_energy(params: SystemParams, state: SystemState, F_L: float) -> float:

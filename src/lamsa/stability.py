@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureViolationError
-from .model import ModelVariant, SystemParams, SystemState, _field_arr
+from .model import _PRINTED, SystemParams, SystemState, _field_arr
 from .equilibria import FixedPoint
 
 __all__ = [
@@ -90,7 +90,7 @@ class StabilityReport:
     classification: Classification
 
 
-def _latched_abgd(params: SystemParams, p, l, F_L, var: ModelVariant):
+def _latched_abgd(params: SystemParams, p, l, F_L):
     """(A, B, Gamma, Delta) of the latched closed-loop field at rest states (p, 0, l, 0).
 
     The closed form of the module docstring in plain arithmetic, so p, l
@@ -99,7 +99,7 @@ def _latched_abgd(params: SystemParams, p, l, F_L, var: ModelVariant):
     state with p < R.
     """
     m, M, k = params.m, params.M, params.k
-    d = m if var is ModelVariant.AS_PRINTED else M
+    d = m if params.variant is _PRINTED else M
     rp = params.R - p
     fs = -k * (p - params.p0)
     w = rp * rp / m + l * l / M
@@ -113,7 +113,6 @@ def _fd_abgd(
     params: SystemParams,
     x: Sequence[float],
     F_L: float,
-    var: ModelVariant,
     fd_step: float | None = None,
 ) -> tuple[float, float, float, float]:
     """(A, B, Gamma, Delta) of the latched closed-loop field at a rest state x.
@@ -136,8 +135,8 @@ def _fd_abgd(
         (hl, (p, v, l + hl, w), (p, v, l - hl, w)),
         (hw, (p, v, l, w + hw), (p, v, l, w - hw)),
     ):
-        fp = _field_arr(params, xp, F_L, True, var)
-        fm = _field_arr(params, xm, F_L, True, var)
+        fp = _field_arr(params, xp, F_L, True)
+        fm = _field_arr(params, xm, F_L, True)
         cols.append(((fp[1] - fm[1]) / (2.0 * h), (fp[3] - fm[3]) / (2.0 * h)))
     (a, g), vel_p, (b, d), vel_l = cols
     scale = max(1.0, abs(a), abs(b), abs(g), abs(d))
@@ -150,11 +149,7 @@ def _fd_abgd(
 
 
 def jacobian_fd_at(
-    params: SystemParams,
-    state: SystemState,
-    F_L: float,
-    variant: ModelVariant | None = None,
-    fd_step: float | None = None,
+    params: SystemParams, state: SystemState, F_L: float, fd_step: float | None = None
 ) -> np.ndarray:
     """Central-difference Jacobian of the latched closed-loop field at a rest state.
 
@@ -163,20 +158,15 @@ def jacobian_fd_at(
     columns are zero (a state where they are not raises
     StructureViolationError).
     """
-    A, B, G, D = _fd_abgd(params, state, F_L, params.variant_or(variant), fd_step)
+    A, B, G, D = _fd_abgd(params, state, F_L, fd_step)
     return np.array(
         [[0.0, 1.0, 0.0, 0.0], [A, 0.0, B, 0.0], [0.0, 0.0, 0.0, 1.0], [G, 0.0, D, 0.0]]
     )
 
 
-def jacobian_fd(
-    params: SystemParams,
-    fp: FixedPoint,
-    variant: ModelVariant | None = None,
-    fd_step: float | None = None,
-) -> np.ndarray:
+def jacobian_fd(params: SystemParams, fp: FixedPoint, fd_step: float | None = None) -> np.ndarray:
     """Jacobian of the latched closed-loop field at a fixed point's rest state."""
-    return jacobian_fd_at(params, fp.rest_state(), fp.F_L_star, variant, fd_step)
+    return jacobian_fd_at(params, fp.rest_state(), fp.F_L_star, fd_step)
 
 
 def extract_ABGD(J: np.ndarray, tol: float = _STRUCTURE_TOL) -> tuple[float, float, float, float]:
@@ -338,15 +328,12 @@ def closed_form_ABGD(
 
 
 def stability_report(
-    params: SystemParams,
-    fp: FixedPoint,
-    variant: ModelVariant | None = None,
-    eps: float | None = None,
+    params: SystemParams, fp: FixedPoint, eps: float | None = None
 ) -> StabilityReport:
     """Full linearization record at a fixed point: closed-form entries,
     invariants, spectrum and classification."""
     p, _, l, _ = fp.rest_state()
-    A, B, G, D = _latched_abgd(params, p, l, fp.F_L_star, params.variant_or(variant))
+    A, B, G, D = _latched_abgd(params, p, l, fp.F_L_star)
     h1, h2 = characteristic_invariants(A, B, G, D)
     eigs = eigenvalues_biquadratic(h1, h2)
     return StabilityReport(

@@ -161,16 +161,14 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
     from lamsa.model import latch_from_projectile
     from lamsa.stability import Classification, _latched_abgd, characteristic_invariants, classify
 
-    var = params.variant
-
     def in_s_at(p, fl):
-        A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), fl, var)
+        A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), fl)
         h1, h2 = characteristic_invariants(A, B, G, D)
         eps = 1e-9 * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
         return h2, classify(h1, h2, eps) is Classification.SADDLE
 
     def newton(p, fl):
-        q = quartic_coefficients(params, fl, var)
+        q = quartic_coefficients(params, fl)
         for it in range(1, 13):
             df = eval_quartic_derivative(q, p)
             if df == 0.0:
@@ -187,11 +185,11 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
     dfl = 0.05
     while fl < F_L_end - 1e-14:
         dfl = min(dfl, F_L_end - fl)
-        q = quartic_coefficients(params, fl, var)
+        q = quartic_coefficients(params, fl)
         den = eval_quartic_derivative(q, p)
         if _dp_singular(q, p, den):
             return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
-        slope = -_dD_dFL(params, p, fl, var) / den
+        slope = -_dD_dFL(params, p, fl) / den
         while True:
             fl_new = fl + dfl
             if F_L_end - fl_new < 1e-14:
@@ -205,7 +203,7 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
         p_new = 0.0 if abs(corrected) < 1e-12 else corrected
         if not 0.0 <= p_new < params.R:
             return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
-        q = quartic_coefficients(params, fl_new, var)
+        q = quartic_coefficients(params, fl_new)
         h2, in_s = in_s_at(p_new, fl_new)
         samples.append(PathSample(fl_new, p_new, in_s, h2))
         if _dp_singular(q, p_new, eval_quartic_derivative(q, p_new)):
@@ -228,13 +226,12 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     package's, in the same order, so the result must match exactly.
     """
     from lamsa.errors import StepSizeUnderflowError
-    from lamsa.model import Mode, SystemState, _tau, mode_of
+    from lamsa.model import Mode, SystemState, contact_force, mode_of
     from lamsa.simulate import (
         Event, EventKind, IntegratorConfig, Trajectory, _step_raw, project_to_constraint,
     )
 
     cfg = config or IntegratorConfig()
-    var = params.variant
     F_L, t_end = float(F_L), float(t_end)
 
     def norm(y):
@@ -251,7 +248,7 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
         while True:
             if dt < 1e-14:
                 raise StepSizeUnderflowError(f"step size {dt:.3e} below floor")
-            y_new, err = _step_raw(params, F_L, latched, var, y, dt)
+            y_new, err = _step_raw(params, F_L, latched, y, dt)
             if err <= tol:
                 return y_new, dt, err
             dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
@@ -264,7 +261,7 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
         return locate_zero_reference(params, F_L, cfg.event_time_tol, t_lo, y_lo, t_hi, y_hi, g, latched)
 
     def tau_of(s):
-        return _tau(params, s[0], s[1], s[2], s[3], F_L, var)
+        return contact_force(params, s, F_L)
 
     def release(t_lo, y_lo, t_hi, y_hi, unlatch, takeoff):
         events = []
@@ -349,9 +346,8 @@ def locate_zero_reference(params, F_L: float, event_time_tol: float, t_lo, y_lo,
     from lamsa.errors import NoSignChangeError
     from lamsa.model import SystemState, _field_arr
 
-    var = params.variant
-    f_lo = _field_arr(params, y_lo, F_L, latched, var)
-    f_hi = _field_arr(params, y_hi, F_L, latched, var)
+    f_lo = _field_arr(params, y_lo, F_L, latched)
+    f_hi = _field_arr(params, y_hi, F_L, latched)
 
     def interp(t):
         h = t_hi - t_lo

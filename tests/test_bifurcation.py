@@ -193,7 +193,7 @@ def test_saddle_region_map_nodes_equal_the_scalar_closed_form(var):
     assert rmap.in_S.any() and not rmap.in_S.all()  # both labels occur
     for i, p in enumerate(p_grid.tolist()):
         for j, fl in enumerate(fl_grid.tolist()):
-            abgd = _latched_abgd(params, p, latch_from_projectile(params, p), fl, var)
+            abgd = _latched_abgd(params, p, latch_from_projectile(params, p), fl)
             h1, h2 = characteristic_invariants(*abgd)
             assert (rmap.h1[i, j], rmap.h2[i, j]) == (h1, h2), (p, fl)
             assert rmap.in_S[i, j] == (classify(h1, h2) is Classification.SADDLE), (p, fl)

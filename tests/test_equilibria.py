@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from lamsa import (
     unlatched_fixed_point,
     vector_field,
 )
-from lamsa.equilibria import FixedPoint, _far_fold, equilibrium_field_residual
+from lamsa.equilibria import _VANISH_TOL, FixedPoint, _far_fold
+from lamsa.model import _field_arr
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
 from oracles import fine_grid_roots
@@ -49,7 +51,7 @@ def test_quartic_coefficients_zero_force(params):
 def test_quartic_leading_coefficient_always_negative(params):
     for fl in (-15.0, -1.0, 0.0):
         for var in ModelVariant:
-            assert quartic_coefficients(params, fl, var).E < 0.0
+            assert quartic_coefficients(replace(params, variant=var), fl).E < 0.0
 
 
 def test_quartic_value_at_twice_radius(params):
@@ -141,8 +143,38 @@ def test_fixed_points_origin_annotation(params):
     # whose acceleration is F_L / M
     origin = fixed_points(params, -15.0)[0]
     assert origin.vanishing_rows == (0, 1, 2)
-    res = equilibrium_field_residual(params, origin)
+    res = vector_field(params, origin.rest_state(), origin.F_L_star, origin.mode)
     assert res[3] == pytest.approx(-15.0 / params.M, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    R=st.floats(1.0, 8.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    var=st.sampled_from(list(ModelVariant)),
+    data=st.data(),
+)
+def test_origin_record_equals_the_field_evaluated_one(R, m, M, k, p0_ratio, var, data):
+    # the origin's vanishing rows come from a closed form; the field
+    # evaluated at (0, 0, 0, 0) must give the same record, including at
+    # F_L = -0.0 and around the edge |F_L/M| = tol of the latch row
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    edge = M * _VANISH_TOL * max(1.0, k * params.p0)
+    near_edge = [-edge, -math.nextafter(edge, 0.0), -math.nextafter(edge, math.inf)]
+    F_L = data.draw(st.one_of(
+        st.sampled_from([0.0, -0.0, *near_edge]),
+        st.floats(0.999, 1.001).map(lambda s: -s * edge),
+        st.floats(-12.0, math.log10(20.0)).map(lambda e: -(10.0**e)),
+    ))
+    res = _field_arr(params, (0.0, 0.0, 0.0, 0.0), F_L, True)
+    tol = _VANISH_TOL * max(1.0, abs(F_L), params.k * params.p0)
+    rows = tuple(i for i, r in enumerate(res) if abs(r) <= tol)
+    origin = fixed_points(params, F_L)[0]
+    assert origin == FixedPoint(0.0, 0.0, F_L, Mode.LATCHED, True, rows)
+    assert math.copysign(1.0, origin.F_L_star) == math.copysign(1.0, F_L)
 
 
 def test_fixed_points_projectile_row_vanishes(params):
@@ -151,7 +183,7 @@ def test_fixed_points_projectile_row_vanishes(params):
     for var in ModelVariant:
         p = SystemParams(variant=var)
         interior = [f for f in fixed_points(p, -15.0) if not f.origin_flag][0]
-        res = equilibrium_field_residual(p, interior)
+        res = vector_field(p, interior.rest_state(), interior.F_L_star, interior.mode)
         assert np.max(np.abs(res[:3])) <= 1e-8
 
 

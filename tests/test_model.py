@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,7 +78,8 @@ def test_contact_force_at_preloaded_origin(params):
     # W = 25, F_s = 10: tau = (1/25) * 5 * 10 = 2, same under both variants
     st = SystemState(0.0, 0.0, 0.0, 0.0)
     assert contact_force(params, st, 0.0) == pytest.approx(2.0, rel=1e-14)
-    assert contact_force(params, st, 0.0, ModelVariant.CONSTRAINT_CONSISTENT) == pytest.approx(2.0, rel=1e-14)
+    derived = replace(params, variant=ModelVariant.CONSTRAINT_CONSISTENT)
+    assert contact_force(derived, st, 0.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_contact_force_balances_spring_at_saddle(params):
@@ -104,8 +106,8 @@ def test_contact_force_ignores_latch_force_when_latch_at_zero(params):
 
 def test_contact_force_variant_agreement_needs_zero_latch(params):
     st = SystemState(2.0, 0.0, 4.0, 0.0)
-    printed = contact_force(params, st, -3.0, ModelVariant.AS_PRINTED)
-    derived = contact_force(params, st, -3.0, ModelVariant.CONSTRAINT_CONSISTENT)
+    printed = contact_force(replace(params, variant=ModelVariant.AS_PRINTED), st, -3.0)
+    derived = contact_force(replace(params, variant=ModelVariant.CONSTRAINT_CONSISTENT), st, -3.0)
     assert printed != pytest.approx(derived, rel=1e-6)
 
 
@@ -129,7 +131,7 @@ def test_contact_force_singular_configuration_guard():
 
 
 def test_mode_of_examples(params):
-    assert mode_of(params, SystemState(0, 0, 0, 0), 0.0, 1e-9) is Mode.LATCHED
+    assert mode_of(params, SystemState(0, 0, 0, 0), 0.0) is Mode.LATCHED
     # p=10, l=0 sits on h=0 but tau = 0 there (F_s = 0): not latched
     assert mode_of(params, SystemState(10, 0, 0, 0), 0.0) is Mode.UNLATCHED
     # off the constraint circle
@@ -201,3 +203,31 @@ def test_state_array_round_trip():
     st = SystemState(1.0, -2.0, 3.5, 0.25)
     assert SystemState.from_array(st.as_array()) == st
     assert not SystemState(math.nan, 0, 0, 0).is_finite()
+
+
+def test_no_routine_takes_a_variant_argument():
+    # the variant is chosen once, on SystemParams; a routine that took its
+    # own override would let one call disagree with the params it is given
+    import importlib
+    import inspect
+
+    import lamsa
+
+    names = "model simulate equilibria stability bifurcation config io cli errors".split()
+    modules = [importlib.import_module(f"lamsa.{name}") for name in names]
+    exported = [getattr(lamsa, name) for name in dir(lamsa) if not name.startswith("__")]
+    exported += [getattr(mod, name) for mod in modules for name in getattr(mod, "__all__", ())]
+    defined = [fn for mod in modules for _, fn in inspect.getmembers(mod, inspect.isfunction)
+               if fn.__module__ == mod.__name__]
+    checked = 0
+    for obj in exported + defined:
+        if obj is SystemParams or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        checked += 1
+        assert "variant" not in parameters, obj
+    assert checked > 80
+    assert "variant" in inspect.signature(SystemParams).parameters

@@ -17,7 +17,6 @@ from lamsa import (
     holonomic_h,
     integrate_step,
     latch_from_projectile,
-    locate_event,
     mechanical_energy,
     project_to_constraint,
     simulate,
@@ -105,10 +104,10 @@ def test_step_raw_matches_tableau_oracle(variant, latched):
     else:
         st, F_L = SystemState(9.0, 0.5, 2.0, 0.3), -2.0
     dt = 0.05
-    y_new, err = _step_raw(params, F_L, latched, variant, st, dt)
+    y_new, err = _step_raw(params, F_L, latched, st, dt)
 
     def f(y: np.ndarray) -> np.ndarray:
-        return np.array(_field_arr(params, y, F_L, latched, variant))
+        return np.array(_field_arr(params, y, F_L, latched))
 
     ref_y, ref_err, err_scale = dopri5_step(f, st.as_array(), dt)
     assert err > 0.0
@@ -125,7 +124,7 @@ def test_step_size_underflow_reported(params):
         integrate_step(params, st, -5.0, Mode.LATCHED, 1e-2, cfg)
 
 
-# --- locate_event -----------------------------------------------------------
+# --- event location (_locate_zero) ------------------------------------------
 
 
 def _tau_fn(params, F_L):
@@ -143,15 +142,14 @@ def test_locate_event_tau_crossing(cc_params):
     for _ in range(2000):
         new, dt, _ = integrate_step(cc_params, st, F_L, Mode.LATCHED, 5e-3, cfg)
         if _tau_fn(cc_params, F_L)(new) < 0:
-            ev = locate_event(
-                cc_params, F_L, (t, st, t + dt, new), _tau_fn(cc_params, F_L), cfg,
-                Mode.LATCHED, EventKind.UNLATCH_TAU_ZERO,
+            t_ev, y_ev = _locate_zero(
+                cc_params, F_L, t, st, t + dt, new, _tau_fn(cc_params, F_L), cfg, Mode.LATCHED
             )
             tau_lo = _tau_fn(cc_params, F_L)(st)
             tau_hi = _tau_fn(cc_params, F_L)(new)
             derived_tol = 4.0 * abs(tau_hi - tau_lo) / dt * cfg.event_time_tol + 1e-12
-            assert t < ev.t <= t + dt
-            assert abs(_tau_fn(cc_params, F_L)(ev.state)) <= derived_tol
+            assert t < t_ev <= t + dt
+            assert abs(_tau_fn(cc_params, F_L)(y_ev)) <= derived_tol
             return
         st, t = new, t + dt
     pytest.fail("tau never crossed zero")
@@ -163,19 +161,17 @@ def test_locate_event_position_crossing(params):
     st = SystemState(4.9, 2.0, 1.0, 0.0)
     new, dt, _ = integrate_step(params, st, 0.0, Mode.UNLATCHED, 1e-1, cfg)
     assert new.p > params.R
-    ev = locate_event(
-        params, 0.0, (0.0, st, dt, new), lambda s: s.p - params.R, cfg,
-        Mode.UNLATCHED, EventKind.TAKEOFF_TANGENCY,
+    _, y_ev = _locate_zero(
+        params, 0.0, 0.0, st, dt, new, lambda s: s.p - params.R, cfg, Mode.UNLATCHED
     )
-    assert abs(ev.state.p - params.R) <= 2.0 * abs(new.p_dot) * cfg.event_time_tol + 1e-12
+    assert abs(y_ev.p - params.R) <= 2.0 * abs(new.p_dot) * cfg.event_time_tol + 1e-12
 
 
 def test_locate_event_requires_sign_change(params):
     st = SystemState(1.0, 0.0, 3.0, 0.0)
     with pytest.raises(NoSignChangeError):
-        locate_event(
-            params, 0.0, (0.0, st, 0.1, st), lambda s: 1.0, None,
-            Mode.UNLATCHED, EventKind.TAKEOFF_TANGENCY,
+        _locate_zero(
+            params, 0.0, 0.0, st, 0.1, st, lambda s: 1.0, IntegratorConfig(), Mode.UNLATCHED
         )
 
 
@@ -242,7 +238,7 @@ def test_simulate_latched_segment_matches_fixed_stride_oracle(cc_params):
     assert not traj.events
 
     def f(y: np.ndarray) -> np.ndarray:
-        return np.array(_field_arr(cc_params, y, -5.0, True, ModelVariant.CONSTRAINT_CONSISTENT))
+        return np.array(_field_arr(cc_params, y, -5.0, True))
 
     ref = rk4_fixed(f, x0.as_array(), t_probe, 60000)
     assert np.max(np.abs(traj.final.state.as_array() - ref)) <= 1e-7
@@ -475,9 +471,9 @@ def test_locate_zero_equals_reference(variant):
     def g(s):
         return s[0] - params.R
 
-    got = _locate_zero(params, F_L, 0.0, y_lo, dt, y_hi, g, cfg, Mode.LATCHED, variant)
+    got = _locate_zero(params, F_L, 0.0, y_lo, dt, y_hi, g, cfg, Mode.LATCHED)
     assert got == locate_zero_reference(params, F_L, cfg.event_time_tol, 0.0, y_lo, dt, y_hi, g, True)
     with pytest.raises(NoSignChangeError):
-        _locate_zero(params, F_L, 0.0, y_hi, dt, y_hi, g, cfg, Mode.LATCHED, variant)
+        _locate_zero(params, F_L, 0.0, y_hi, dt, y_hi, g, cfg, Mode.LATCHED)
     with pytest.raises(NoSignChangeError):
         locate_zero_reference(params, F_L, cfg.event_time_tol, 0.0, y_hi, dt, y_hi, g, True)

@@ -84,9 +84,9 @@ def test_fd_kernel_bit_equal_to_numpy_oracle():
             x = SystemState(float(p), 0.0, latch_from_projectile(params, float(p)), 0.0)
             for fl in (-15.0, -3.25, -1e-6, 0.0):
                 J = jacobian_central_fd(
-                    lambda y: _field_arr(params, y, fl, True, var), x.as_array(), _FD_BASE
+                    lambda y: _field_arr(params, y, fl, True), x.as_array(), _FD_BASE
                 )
-                assert _fd_abgd(params, x, fl, var) == extract_ABGD(J), (var, p, fl)
+                assert _fd_abgd(params, x, fl) == extract_ABGD(J), (var, p, fl)
                 assert np.array_equal(jacobian_fd_at(params, x, fl), J)
 
 
@@ -94,7 +94,7 @@ def test_fd_kernel_rejects_moving_state(params):
     l = latch_from_projectile(params, 2.0)
     for x in (SystemState(2.0, 0.5, l, 0.0), SystemState(2.0, 0.0, l, -0.3)):
         with pytest.raises(StructureViolationError):
-            _fd_abgd(params, x, -3.0, params.variant)
+            _fd_abgd(params, x, -3.0)
         with pytest.raises(StructureViolationError):
             jacobian_fd_at(params, x, -3.0)
 
@@ -286,8 +286,8 @@ def test_closed_form_is_the_symbolic_jacobian(var):
     acc_l = (fl + l * tau) / M
     rest = {v: 0, w: 0}
     exact = [sp.diff(acc, x).subs(rest) for acc in (acc_p, acc_l) for x in (p, l)]
-    symbolic_params = types.SimpleNamespace(m=m, M=M, R=R, k=k, p0=p0)
-    closed = _latched_abgd(symbolic_params, p, l, fl, var)
+    symbolic_params = types.SimpleNamespace(m=m, M=M, R=R, k=k, p0=p0, variant=var)
+    closed = _latched_abgd(symbolic_params, p, l, fl)
     for mine, want in zip(closed, exact):
         assert sp.simplify(sp.nsimplify(mine, rational=True) - want) == 0
 
@@ -302,8 +302,8 @@ def test_closed_form_agrees_with_fd_on_grid():
         for p in np.linspace(0.0, 2.0 * params.R, 41)[:-1].tolist():
             l = latch_from_projectile(params, p)
             for fl in (-15.0, -3.25, -1e-6, 0.0):
-                mine = _latched_abgd(params, p, l, fl, var)
-                assert _rel_dev(mine, _fd_abgd(params, (p, 0.0, l, 0.0), fl, var)) <= 1e-7, (var, p, fl)
+                mine = _latched_abgd(params, p, l, fl)
+                assert _rel_dev(mine, _fd_abgd(params, (p, 0.0, l, 0.0), fl)) <= 1e-7, (var, p, fl)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -321,16 +321,15 @@ def test_closed_form_agrees_with_fd_over_parameter_space(R, m, M, k, p0_ratio, l
     params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
     p, fl = share * 2.0 * R, -(10.0**log_fl)
     l = latch_from_projectile(params, p)
-    mine = _latched_abgd(params, p, l, fl, var)
-    assert _rel_dev(mine, _fd_abgd(params, (p, 0.0, l, 0.0), fl, var)) <= 1e-7
+    mine = _latched_abgd(params, p, l, fl)
+    assert _rel_dev(mine, _fd_abgd(params, (p, 0.0, l, 0.0), fl)) <= 1e-7
 
 
 def test_stability_report_uses_the_closed_form(cc_params):
     fp = _interior(cc_params, -6.0)
     rep = stability_report(cc_params, fp)
-    assert (rep.A, rep.B, rep.Gamma, rep.Delta) == _latched_abgd(
-        cc_params, fp.p_star, fp.l_star, fp.F_L_star, cc_params.variant
-    )
+    closed = _latched_abgd(cc_params, fp.p_star, fp.l_star, fp.F_L_star)
+    assert (rep.A, rep.B, rep.Gamma, rep.Delta) == closed
     # on the branch h1 vanishes identically; the closed form leaves round-off
     assert abs(rep.h1) <= 1e-14 * max(1.0, abs(rep.A * rep.Delta))
 
