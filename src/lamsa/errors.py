@@ -24,7 +24,7 @@ class SingularConfigurationError(NumericalError):
 
 
 class StepSizeUnderflowError(NumericalError):
-    """Adaptive step shrank below the minimum without meeting tolerance."""
+    """Adaptive step shrank below the minimum without meeting tolerance (only while latched)."""
 
 
 class NoSignChangeError(NumericalError):

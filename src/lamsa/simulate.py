@@ -12,9 +12,11 @@ Release is detected by two guards watched in the latched phase:
   can act on the projectile there).
 
 Whichever happens first switches the system to the unlatched flow; there
-is no re-latching.  In the unlatched phase integration stops at ``t_end``
-or when the projectile crosses the spring's natural length moving
-outward, where the model stops describing the physics.
+is no re-latching.  The unlatched flow has a closed form (a harmonic
+oscillator for the projectile, constant acceleration for the latch), so
+the flight is evaluated, not integrated.  It ends at ``t_end`` or when
+the projectile crosses the spring's natural length moving outward, where
+the model stops describing the physics.
 """
 
 from __future__ import annotations
@@ -62,19 +64,16 @@ _new_state = SystemState._make
 class IntegratorConfig:
     """Tolerances of the adaptive Dormand-Prince 5(4) integration.
 
-    ``rel_tol`` and ``abs_tol`` bound each accepted step's local error
-    estimate (the Euclidean norm of the fifth- minus fourth-order update):
-    it is at most max(rel_tol * |y|, abs_tol), with |y| the Euclidean norm
-    of the step's start state.  ``max_step`` bounds every step's length,
-    and so the spacing of the samples.  ``event_time_tol`` bounds the
-    width of the bisection bracket in which a release or stop event is
-    located on the step's cubic Hermite interpolant; it does not bound
-    the event time's error against the exact flow.  The interpolant is
-    only third-order, and on the benchmark's release design the release
-    times of the constraint-consistent variant are 1.86e-9 off a DOP853
-    reference (rtol 1e-12), against the default 1e-10.
-    ``constraint_projection`` pulls each latched step back onto the
-    constraint circle.
+    The unlatched flight has a closed form, so ``rel_tol``, ``abs_tol`` and
+    ``event_time_tol`` govern the latched phase and the release alone.
+    Each accepted step's local error estimate (the norm of the fifth- minus
+    fourth-order update) is at most max(rel_tol * |y|, abs_tol), |y| the
+    norm of the step's start state.  ``max_step`` bounds every latched step
+    and spaces the flight's samples.  ``event_time_tol`` bounds the
+    bisection bracket of the release on the step's third-order Hermite
+    interpolant, not the error against the flow: on the benchmark's release
+    design the derived release times are 1.86e-9 off a DOP853 reference.
+    ``constraint_projection`` pulls each latched step back onto the circle.
     """
 
     rel_tol: float = 1e-8
@@ -285,31 +284,6 @@ def integrate_step(
         dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
 
 
-def _hermite(
-    t0: float,
-    y0: Sequence[float],
-    f0: Sequence[float],
-    t1: float,
-    y1: Sequence[float],
-    f1: Sequence[float],
-    t: float,
-) -> SystemState:
-    """Cubic Hermite dense output over one step."""
-    h = t1 - t0
-    s = (t - t0) / h
-    s2, s3 = s * s, s * s * s
-    a = 1 - 3 * s2 + 2 * s3
-    b = 3 * s2 - 2 * s3
-    c = s - 2 * s2 + s3
-    d = s3 - s2
-    return _new_state((
-        a * y0[0] + b * y1[0] + h * (c * f0[0] + d * f1[0]),
-        a * y0[1] + b * y1[1] + h * (c * f0[1] + d * f1[1]),
-        a * y0[2] + b * y1[2] + h * (c * f0[2] + d * f1[2]),
-        a * y0[3] + b * y1[3] + h * (c * f0[3] + d * f1[3]),
-    ))
-
-
 def _locate_zero(
     params: SystemParams,
     F_L: float,
@@ -344,8 +318,19 @@ def _locate_zero(
             f"guard has the same sign at both bracket ends: g({t_lo})={g_lo}, g({t_hi})={g_hi}"
         )
 
+    h = t_hi - t_lo
+
     def interp(t: float) -> SystemState:
-        return _hermite(t_lo, y_lo, f_lo, t_hi, y_hi, f_hi, t)
+        s = (t - t_lo) / h
+        s2, s3 = s * s, s * s * s
+        c0, c1 = 1 - 3 * s2 + 2 * s3, 3 * s2 - 2 * s3
+        d0, d1 = s - 2 * s2 + s3, s3 - s2
+        return _new_state((
+            c0 * y_lo[0] + c1 * y_hi[0] + h * (d0 * f_lo[0] + d1 * f_hi[0]),
+            c0 * y_lo[1] + c1 * y_hi[1] + h * (d0 * f_lo[1] + d1 * f_hi[1]),
+            c0 * y_lo[2] + c1 * y_hi[2] + h * (d0 * f_lo[2] + d1 * f_hi[2]),
+            c0 * y_lo[3] + c1 * y_hi[3] + h * (d0 * f_lo[3] + d1 * f_hi[3]),
+        ))
 
     a, b, ga = t_lo, t_hi, g_lo
     while b - a > cfg.event_time_tol:
@@ -426,6 +411,49 @@ def _release_event(
     return events[0]
 
 
+def _append_flight(
+    params: SystemParams, traj: Trajectory, t: float, y: SystemState, F_L: float, t_end: float, max_step: float
+) -> None:
+    """Append the unlatched flight from (t, y) to ``traj``, in closed form.
+
+    A time s later, p = p0 + a cos(omega s) + b sin(omega s) with
+    omega = sqrt(k/m), a = p - p0 and b = p_dot / omega, and
+    l = l + l_dot s + F_L s^2 / (2M).  The flight ends at the outward
+    natural-length crossing s* = ((atan2(b, a) - pi/2) mod 2 pi) / omega or
+    at ``t_end``, whichever comes first; a start at p >= p0 moving outward
+    ends at once.  Samples sit at t + n * max_step, plus one at the end.
+    """
+    p0, M = params.p0, params.M
+    p, p_dot, l, l_dot = y
+    if p >= p0 and p_dot > 0.0:
+        return
+    omega = math.sqrt(params.k / params.m)
+    a, b = p - p0, p_dot / omega
+    s_stop, t_stop = t_end - t, t_end
+    if a or b:
+        s_star = ((math.atan2(b, a) - 0.5 * math.pi) % (2.0 * math.pi)) / omega
+        if s_star < s_stop:
+            s_stop, t_stop = s_star, t + s_star
+    # as in the latched loop, an end within this margin takes no further sample
+    margin = 1e-14 * max(1.0, t_end)
+    if s_stop <= margin:
+        return
+    s = np.arange(1, math.ceil((s_stop - margin) / max_step) + 1) * max_step
+    s[-1] = s_stop
+    cos_ws, sin_ws = np.cos(omega * s), np.sin(omega * s)
+    ts = (t + s).tolist()
+    ts[-1] = t_stop
+    traj.t.extend(ts)
+    traj.x.extend(map(_new_state, zip(
+        (p0 + a * cos_ws + b * sin_ws).tolist(),
+        (p_dot * cos_ws - (omega * a) * sin_ws).tolist(),
+        (l + (l_dot + (0.5 * F_L / M) * s) * s).tolist(),
+        (l_dot + (F_L / M) * s).tolist(),
+    )))
+    traj.mode.extend([_UNLATCHED] * len(ts))
+    traj.tau.extend([0.0] * len(ts))
+
+
 def simulate(
     params: SystemParams,
     x0: SystemState,
@@ -443,15 +471,16 @@ def simulate(
     the next step starts from; the first end that fires a guard closes the
     event's bracket.  When both guards fire inside one step the earlier
     one wins and a tie within the event tolerance resolves to tangency
-    takeoff.  ``F_L`` and ``t_end`` are taken as floats, so every sample
-    holds plain floats.
+    takeoff.  The unlatched flight is appended in closed form.  ``F_L``
+    and ``t_end`` are taken as floats, so every sample holds plain floats;
+    a non-finite ``x0``, ``F_L`` or ``t_end`` raises ValueError.
     """
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
     if not x0.is_finite():
         raise ValueError(f"initial state has non-finite components: {x0}")
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
+    if not (math.isfinite(F_L) and 0.0 <= t_end < math.inf):
+        raise ValueError(f"F_L must be finite and t_end finite and non-negative, got {F_L}, {t_end}")
 
     traj = Trajectory()
     add_t, add_x, add_mode, add_tau = traj.t.append, traj.x.append, traj.mode.append, traj.tau.append
@@ -472,7 +501,7 @@ def simulate(
             mode = _UNLATCHED  # projection nudged a borderline tau past 0
     traj.append(t, y, mode, tau_of(y) if mode is _LATCHED else 0.0)
 
-    # Each loop tries min(dt, t_end - t) (dt never exceeds max_step), then
+    # The loop tries min(dt, t_end - t) (dt never exceeds max_step), then
     # scales dt by 0.9 (tol / err)^(1/5), kept in [0.2, 5], with tol taken at
     # the new state; min and max are written out as the builtins resolve them.
     dt = 0.01 * max_step
@@ -522,37 +551,7 @@ def simulate(
             dt = dt_used * ((g if g < 5.0 else 5.0) if g > 0.2 else 0.2)
             dt = dt if dt < max_step else max_step
 
-    # --- unlatched phase (permanent: no re-latching) ---------------------
+    # --- unlatched flight (permanent: no re-latching) --------------------
     if mode is _UNLATCHED:
-        p0 = params.p0
-        # outward crossing of the natural length ends the run immediately
-        if y[0] >= p0 and y[1] > 0.0:
-            return traj
-        while t < t_last:
-            h = t_end - t
-            y_new, dt_used, err = integrate_step(
-                params, y, F_L, _UNLATCHED, h if h < dt else dt, cfg
-            )
-            t_new = t + dt_used
-
-            if y_new[0] >= p0 and y[0] < p0:
-                t_stop, y_stop = _locate_zero(
-                    params, F_L, t, y, t_new, y_new, lambda s: s[0] - p0,
-                    cfg, _UNLATCHED,
-                )
-                if y_stop[1] > 0.0:
-                    traj.append(t_stop, y_stop, _UNLATCHED, 0.0)
-                    return traj
-
-            t, y = t_new, y_new
-            add_t(t)
-            add_x(y)
-            add_mode(_UNLATCHED)
-            add_tau(0.0)
-            p, p_dot, l, l_dot = y
-            tol = rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
-            g = 0.9 * ((abs_tol if abs_tol > tol else tol) / err) ** 0.2 if err else 5.0
-            dt = dt_used * ((g if g < 5.0 else 5.0) if g > 0.2 else 0.2)
-            dt = dt if dt < max_step else max_step
-
+        _append_flight(params, traj, t, y, F_L, t_end, max_step)
     return traj

@@ -6,11 +6,13 @@ fixed-stride classical RK4 loop, the step oracle is the Dormand-Prince
 pair in tableau (matrix) form, the Jacobian oracle differences the field
 on numpy arrays, the projection oracle uses the closed-form radial
 projection onto the circle, the continuation oracle rebuilds the
-quartic for each use and bands the saddle test with numpy, and the
-simulation oracle runs ``simulate``'s two loops in their plain form, one
-helper per concern (it shares the Dormand-Prince kernel, the field and
-the constraint projection with the package, not the loop bookkeeping,
-the step-size control or the event interpolation).
+quartic for each use and bands the saddle test with numpy, the
+simulation oracle integrates both phases in plain form, one helper per
+concern (it shares the Dormand-Prince kernel, the field and the
+constraint projection with the package, not the loop bookkeeping, the
+step-size control or the event interpolation; ``simulate`` evaluates the
+unlatched flight in closed form where this oracle integrates it), and
+the flight oracle writes that closed form with ``harmonic_position``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,24 @@ def fine_grid_roots(
 def harmonic_position(p_rest: float, p_init: float, v_init: float, omega: float, t: float) -> float:
     """Closed-form solution of m p'' = -k (p - p_rest)."""
     return p_rest + (p_init - p_rest) * math.cos(omega * t) + (v_init / omega) * math.sin(omega * t)
+
+
+def flight_reference(params, y_r, F_L: float, s: float) -> tuple[float, float, float, float]:
+    """The unlatched state a time ``s`` after the state ``y_r`` = (p, p_dot, l, l_dot).
+
+    Free of the latch, p oscillates harmonically about p0 and its velocity
+    oscillates about 0, starting at p_dot with acceleration
+    -omega^2 (p - p0); the latch moves under the constant force F_L.
+    """
+    p, p_dot, l, l_dot = (float(c) for c in y_r)
+    omega = math.sqrt(params.k / params.m)
+    acc = F_L / params.M
+    return (
+        harmonic_position(params.p0, p, p_dot, omega, s),
+        harmonic_position(0.0, p_dot, -omega * omega * (p - params.p0), omega, s),
+        l + l_dot * s + 0.5 * acc * s * s,
+        l_dot + acc * s,
+    )
 
 
 def rk4_fixed(
@@ -215,15 +235,20 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
 
 
 def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
-    """``simulate`` written with one helper per concern; equal to it sample for sample.
+    """``simulate`` written with one helper per concern, with the flight integrated.
+
+    It equals ``simulate`` sample for sample up to and including the
+    release sample; after it, the unlatched loop integrates the flight
+    that ``simulate`` evaluates in closed form.
 
     Each accepted step goes through a plain copy of the adaptive-step
     wrapper, the next step size comes from ``_suggest`` with the tolerance
     of the state the step ends in, every sample goes through
     ``Trajectory.append``, the latched guards are read in a loop over the
     (integrated, projected) step ends, and events are bisected on a
-    generator-built cubic Hermite interpolant.  The float arithmetic is the
-    package's, in the same order, so the result must match exactly.
+    generator-built cubic Hermite interpolant.  The float arithmetic of the
+    latched phase is the package's, in the same order, so up to the
+    release the result must match exactly.
     """
     from lamsa.errors import StepSizeUnderflowError
     from lamsa.model import Mode, SystemState, contact_force, mode_of

@@ -2,10 +2,11 @@
 
 ``perfbench/tracer.py`` replaces lamsa module globals with counting
 wrappers, and a traced benchmark run aborts when a workload's expected
-counter reads 0.  These tests run the tracer on a tiny phase portrait so
-that a refactor which renames or bypasses a traced name fails here and
-not only under ``perfbench/run.py --trace 1``.  The benchmark files are
-read and executed in memory: nothing is written under ``perfbench/``.
+counter reads 0.  These tests run the tracer on the benchmark's own
+smoke portrait so that a refactor which renames or bypasses a traced name
+fails here and not only under ``perfbench/run.py --trace 1``.  The
+benchmark files are read and executed in memory: nothing is written under
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -44,16 +45,35 @@ def test_every_traced_name_resolves(tracer):
 
 
 def test_traced_portrait_reaches_every_expected_layer(tracer, tmp_path):
+    # the benchmark's own smoke portrait: a jittered 3x3 grid at F_L = -15
+    # with latched starts for both variants, so the integrator runs
+    portrait = _load("workloads").Portrait
+    config = portrait(7, True, tmp_path).config
     sim_module = importlib.import_module("lamsa.simulate")
     originals = {name: getattr(sim_module, name) for name in ("integrate_step", "_step_raw", "_field_arr")}
+    for variant in ("printed", "derived"):
+        trace = tracer.Trace()
+        with tracer.Tracer(trace):
+            rc = main(["phase-portrait", "--config", str(config), "--variant", variant,
+                       "--out", str(tmp_path / variant)])
+        assert rc == 0
+        metrics = tracer.layer_metrics(trace)
+        for name in portrait.expect_nonzero:
+            assert metrics[name][0] > 0, (variant, name)
+        assert metrics["simulate.calls"][0] == 9
+        assert metrics["simulate.step_trials"][0] >= metrics["simulate.steps_accepted"][0]
+    # the wrappers are gone once the block ends
+    assert {name: getattr(sim_module, name) for name in originals} == originals
+
+
+def test_traced_unjittered_portrait_integrates_nothing(tracer, tmp_path):
+    # all nine starts of the plain 3x3 grid are unlatched: the flight is
+    # evaluated in closed form, so no step is tried and no field evaluated
     trace = tracer.Trace()
     with tracer.Tracer(trace):
         rc = main(["phase-portrait", "--grid", "3x3", "--t-end", "2", "--out", str(tmp_path)])
     assert rc == 0
     metrics = tracer.layer_metrics(trace)
-    for name in _load("workloads").Portrait.expect_nonzero:
-        assert metrics[name][0] > 0, name
     assert metrics["simulate.calls"][0] == 9
-    assert metrics["simulate.step_trials"][0] >= metrics["simulate.steps_accepted"][0]
-    # the wrappers are gone once the block ends
-    assert {name: getattr(sim_module, name) for name in originals} == originals
+    assert metrics["simulate.step_trials"][0] == 0
+    assert trace.count("model.field_evals_in_simulate") == 0

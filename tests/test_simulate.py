@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lamsa import (
     EventKind,
@@ -29,6 +31,7 @@ from lamsa.simulate import _locate_zero, _step_raw
 
 from oracles import (
     dopri5_step,
+    flight_reference,
     harmonic_position,
     locate_zero_reference,
     radial_projection,
@@ -364,6 +367,147 @@ def test_simulate_rejects_invalid_initial_state(params):
         simulate(params, SystemState(math.nan, 0, 0, 0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", ["F_L", "t_end"])
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_simulate_rejects_non_finite_force_and_horizon(variant, arg, bad):
+    # a nan force would write nan samples and an infinite horizon with no
+    # stop an unbounded sample count; both are bad input, not a numerical
+    # failure
+    params = SystemParams(variant=variant)
+    args = {"F_L": -2.0, "t_end": 1.0, arg: bad}
+    for x0 in (SystemState(9.0, 0.5, 2.0, 0.3), _latched_start(params, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate(params, x0, args["F_L"], args["t_end"])
+
+
+# --- the closed-form unlatched flight ----------------------------------------
+
+
+def _dop853_flight(params, x0, F_L, times):
+    """The unlatched field integrated by scipy's DOP853 (rtol = atol = 1e-12)."""
+    from scipy.integrate import solve_ivp
+
+    m, M, k, p0 = params.m, params.M, params.k, params.p0
+
+    def field(_t, y):
+        return [y[1], -k * (y[0] - p0) / m, y[3], F_L / M]
+
+    sol = solve_ivp(field, (0.0, times[-1]), list(x0), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return sol.y.T
+
+
+def _mp_outward_stop(params, x0):
+    """The first outward natural-length crossing s*, to 50 digits with mpmath.
+
+    s* = ((atan2(b, a) - pi/2) mod 2 pi) / omega; the value is checked to be
+    a zero of p - p0 with p_dot > 0 in [0, 2 pi / omega), where there is
+    only one outward crossing.  None when the projectile rests at p0.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        omega = mpmath.sqrt(mpmath.mpf(params.k) / mpmath.mpf(params.m))
+        a = mpmath.mpf(x0.p) - mpmath.mpf(params.p0)
+        b = mpmath.mpf(x0.p_dot) / omega
+        if a == 0 and b == 0:
+            return None
+        s = mpmath.fmod(mpmath.atan2(b, a) - mpmath.pi / 2 + 4 * mpmath.pi, 2 * mpmath.pi) / omega
+        assert 0 <= s < 2 * mpmath.pi / omega
+        assert abs(a * mpmath.cos(omega * s) + b * mpmath.sin(omega * s)) <= mpmath.mpf(10) ** -40
+        assert b * mpmath.cos(omega * s) - a * mpmath.sin(omega * s) > 0
+        return float(s)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    R=st.floats(1.0, 8.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    var=st.sampled_from(list(ModelVariant)),
+    F_L=st.one_of(st.just(0.0), st.floats(-20.0, -0.05), st.floats(0.05, 20.0)),
+    p_share=st.floats(0.0, 2.0),
+    p_dot=st.floats(-5.0, 5.0),
+    l=st.floats(-10.0, 10.0),
+    l_dot=st.floats(-5.0, 5.0),
+    t_end=st.floats(0.0, 12.0),
+    max_step=st.sampled_from([1e-2, 0.05, 0.2]),
+)
+def test_flight_matches_dop853_and_stops_at_the_outward_crossing(
+    R, m, M, k, p0_ratio, var, F_L, p_share, p_dot, l, l_dot, t_end, max_step
+):
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    assume(math.sqrt(k / m) != 1.0)
+    x0 = SystemState(p_share * params.p0, p_dot, l, l_dot)
+    assume(mode_of(params, x0, F_L) is Mode.UNLATCHED)
+    cfg = IntegratorConfig(max_step=max_step)
+    traj = simulate(params, x0, F_L, t_end, cfg)
+    assert traj.x[0] == x0 and not traj.events
+    _assert_flight(params, traj, F_L, 0, max_step)
+    if len(traj) > 1:
+        ref = _dop853_flight(params, x0, F_L, traj.times())
+        for x, y in zip(traj.x, ref):
+            assert _rel_err(x, y) <= 1e-9
+    s_star = _mp_outward_stop(params, x0)
+    if x0.p >= params.p0 and x0.p_dot > 0.0:
+        assert len(traj) == 1  # already past the natural length, moving out
+    elif s_star is not None and s_star < t_end:
+        assert abs(traj.t[-1] - s_star) <= 1e-12 * max(1.0, s_star)
+        assert traj.x[-1].p_dot > 0.0
+    else:
+        # as in the latched phase, a horizon within 1e-14 takes no sample
+        assert traj.t[-1] == (t_end if t_end > 1e-14 else 0.0)
+        assert s_star is None or s_star >= t_end - 1e-12 * max(1.0, t_end)
+
+
+def test_flight_keeps_both_decoupled_energies_to_round_off(params):
+    # criterion 9's start: the projectile's and the latch's energies are
+    # each constant along the flight
+    x0, F_L = SystemState(9.0, 0.5, 2.0, 0.3), -2.0
+    traj = simulate(params, x0, F_L, 5.0)
+    assert len(traj) > 100
+
+    def energies(s):
+        return (0.5 * params.m * s.p_dot**2 + 0.5 * params.k * (s.p - params.p0) ** 2,
+                0.5 * params.M * s.l_dot**2 - F_L * s.l)
+
+    ep0, el0 = energies(x0)
+    for s in traj.x:
+        ep, el = energies(s)
+        assert abs(ep - ep0) <= 1e-12 * abs(ep0)
+        assert abs(el - el0) <= 1e-12 * abs(el0)
+
+
+def test_flight_edges(params):
+    omega = math.sqrt(params.k / params.m)
+    # at the natural length moving outward: the run ends at once
+    assert len(simulate(params, SystemState(params.p0, 0.5, 2.0, 0.3), -2.0, 5.0)) == 1
+    # beyond it moving inward: in, through the rest length and back out
+    traj = simulate(params, SystemState(params.p0 + 0.5, -0.5, 2.0, 0.3), -2.0, 10.0)
+    assert math.pi / omega < traj.t[-1] < 2.0 * math.pi / omega
+    assert traj.x[-1].p == pytest.approx(params.p0, abs=1e-12) and traj.x[-1].p_dot > 0.0
+    # a horizon of five sample spacings: five samples after the start, the
+    # last at t_end
+    cfg = IntegratorConfig()
+    t_end = 5 * cfg.max_step
+    traj = simulate(params, SystemState(9.0, 0.5, 2.0, 0.3), -2.0, t_end, cfg)
+    assert len(traj) == 6 and traj.t[-1] == t_end
+    assert all(a < b for a, b in zip(traj.t, traj.t[1:]))
+    # no horizon: the start alone
+    assert len(simulate(params, SystemState(9.0, 0.5, 2.0, 0.3), -2.0, 0.0)) == 1
+    # a flight after a release, cut by a t_end at which t_r + (t_end - t_r)
+    # rounds away from t_end, still ends on t_end itself
+    x0 = SystemState(2.8571428571428568, -7.894736842105264, 4.5175395145262565, -3.74480249230466)
+    t_r = simulate(params, x0, -15.0, 10.0).events[0].t
+    t_end = next(t for t in np.linspace(0.5, 2.0, 400).tolist() if t_r + (t - t_r) != t)
+    traj = simulate(params, x0, -15.0, t_end)
+    assert traj.events[0].t == t_r and traj.t[-1] == t_end
+
+
 # --- simulate against its helper-per-concern form ---------------------------
 
 _CONFIGS = [IntegratorConfig(), IntegratorConfig(constraint_projection=False)]
@@ -385,18 +529,56 @@ def _outcome(fn, params, x0, F_L, t_end, cfg):
         return type(exc)
 
 
+def _rel_err(x, ref) -> float:
+    return math.dist(x, ref) / max(1.0, math.hypot(*ref))
+
+
+def _assert_flight(params, traj, F_L, i, max_step):
+    """Samples after index ``i`` are the closed-form flight from sample ``i``.
+
+    They sit at t_i + n * max_step, each within 1e-12 relative of
+    ``flight_reference``, plus a last one at the natural-length stop
+    (p = p0 moving outward) or at the run's end.
+    """
+    t_r, y_r = traj.t[i], traj.x[i]
+    assert traj.mode[i:] == [Mode.UNLATCHED] * (len(traj) - i)
+    assert traj.tau[i:] == [0.0] * (len(traj) - i)
+    assert traj.t[i + 1:-1] == [t_r + n * max_step for n in range(1, len(traj) - i - 1)]
+    assert all(a < b for a, b in zip(traj.t[i:], traj.t[i + 1:]))
+    if len(traj) > i + 1:
+        assert traj.t[-1] - traj.t[-2] <= max_step * (1.0 + 1e-9)
+    for t, x in zip(traj.t[i + 1:], traj.x[i + 1:]):
+        assert _rel_err(x, flight_reference(params, y_r, F_L, t - t_r)) <= 1e-12, (t, x)
+
+
 def _assert_same_as_reference(params, x0, F_L, t_end, cfg):
+    """``simulate`` against the frozen loop that integrates the flight.
+
+    Up to and including the release sample (the first unlatched one) and
+    in the events the two are equal.  After it ``simulate`` gives the
+    closed-form flight, and the reference's integrated flight agrees with
+    that closed form to 1e-9 relative and in its final time to 1e-10.
+    """
     got = _outcome(simulate, params, x0, F_L, t_end, cfg)
     ref = _outcome(simulate_reference, params, x0, F_L, t_end, cfg)
     if isinstance(ref, type):
         assert got is ref, (x0, F_L)
         return ref
     assert not isinstance(got, type), (x0, F_L, got)
-    assert got.t == ref.t, (x0, F_L)
-    assert got.x == ref.x, (x0, F_L)
-    assert got.mode == ref.mode, (x0, F_L)
-    assert got.tau == ref.tau, (x0, F_L)
+    i = ref.mode.index(Mode.UNLATCHED) if Mode.UNLATCHED in ref.mode else len(ref) - 1
+    assert got.t[:i + 1] == ref.t[:i + 1], (x0, F_L)
+    assert got.x[:i + 1] == ref.x[:i + 1], (x0, F_L)
+    assert got.mode[:i + 1] == ref.mode[:i + 1], (x0, F_L)
+    assert got.tau[:i + 1] == ref.tau[:i + 1], (x0, F_L)
     assert got.events == ref.events, (x0, F_L)
+    if ref.mode[i] is Mode.LATCHED:
+        assert len(got) == len(ref), (x0, F_L)
+        return got
+    _assert_flight(params, got, F_L, i, cfg.max_step)
+    t_r, y_r = ref.t[i], ref.x[i]
+    for t, x in zip(ref.t[i + 1:], ref.x[i + 1:]):
+        assert _rel_err(x, flight_reference(params, y_r, F_L, t - t_r)) <= 1e-9, (x0, F_L, t)
+    assert abs(got.t[-1] - ref.t[-1]) <= 1e-10, (x0, F_L)
     return got
 
 
@@ -455,8 +637,15 @@ def test_simulate_equals_reference_at_the_edges(variant, cfg):
 def test_simulate_raises_where_reference_raises(variant):
     params = SystemParams(variant=variant)
     cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
-    for x0 in (_latched_start(params, 1.0, 1.5), SystemState(9.0, 0.5, 2.0, 0.3)):
-        assert _assert_same_as_reference(params, x0, -5.0, 1.0, cfg) is StepSizeUnderflowError
+    x0 = _latched_start(params, 1.0, 1.5)
+    assert _assert_same_as_reference(params, x0, -5.0, 1.0, cfg) is StepSizeUnderflowError
+    # the reference integrates the flight and fails its tolerance; the
+    # closed form has no tolerance to fail
+    x0 = SystemState(9.0, 0.5, 2.0, 0.3)
+    assert _outcome(simulate_reference, params, x0, -5.0, 1.0, cfg) is StepSizeUnderflowError
+    traj = simulate(params, x0, -5.0, 1.0, cfg)
+    assert traj.x[0] == x0 and traj.t[-1] == 1.0
+    _assert_flight(params, traj, -5.0, 0, cfg.max_step)
 
 
 @pytest.mark.parametrize("variant", list(ModelVariant))
