@@ -4,7 +4,7 @@
           [--fl <value> | --fl-range a:b:step] [--grid NxM] [--seed N] [--t-end T]
 
 Every subcommand writes its CSV/JSON artifacts plus a ``manifest.json``
-into the output directory.  Exit status: 0 on success, 1 on a
+into the output directory, which it creates at its first write.  Exit status: 0 on success, 1 on a
 configuration/validation problem (a nan or infinite number included),
 2 on a numerical failure.
 """
@@ -12,13 +12,14 @@ configuration/validation problem (a nan or infinite number included),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .bifurcation import (
     trace_path,
 )
 from .config import RunConfig, apply_overrides, build_config, parse_config, parse_fl_range, parse_grid, sweep_values
-from .equilibria import fixed_points, unlatched_fixed_point
+from .equilibria import FixedPoint, fixed_points, unlatched_fixed_point
 from .errors import ConfigError, LamsaError
 from .io import flag, fmt, write_csv, write_events, write_manifest, write_trajectory
 from .model import ModelVariant, SystemState, latch_from_projectile
@@ -55,12 +56,40 @@ CLASSIFY_HEADER = ["F_L", "p_star", "A", "B", "Gamma", "Delta", "h1", "h2", "cla
 PATH_HEADER = ["F_L", "p_star", "in_S"]
 REGION_HEADER = ["p", "F_L", "h1", "h2", "in_S", "in_U"]
 QUIVER_HEADER = ["p", "F_L", "dp_dFL"]
+INDEX_HEADER = ["idx", *SystemState._fields, "file", "status", "n_samples", "n_events", "detail"]
 
 
-def _ensure_out(cfg: RunConfig) -> Path:
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Artifacts:
+    """One command's output directory: made at the first write, its manifest written last.
+
+    A command that fails before its first write leaves no directory behind.
+    """
+
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
+        self.outputs: dict[str, int] = {}  # artifact name -> row count, in write order
+
+    def write(self, name: str, writer: Callable[..., int], *args: object) -> None:
+        """Write artifact ``name`` as ``writer(path, *args)``, which returns its row count."""
+        if not self.outputs:
+            self.cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs[name] = writer(self.cfg.output_dir / name, *args)
+
+    def finish(self, results: dict | None = None) -> int:
+        """Write the manifest (config echo and row counts) and return the exit status."""
+        write_manifest(self.cfg.output_dir, self.cfg.echo(), self.outputs, results=results)
+        return 0
+
+
+def _write_json(path: Path, payload: dict) -> int:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return 1
+
+
+def _fixed_point_row(fp: FixedPoint) -> list[str]:
+    """One ``fixedpoints.csv``/``overlay.csv`` row; the unlatched point has no l_star (nan)."""
+    l_star = math.nan if fp.l_star is None else fp.l_star
+    return [fmt(fp.F_L_star), fmt(fp.p_star), fmt(l_star), flag(fp.origin_flag), flag(True)]
 
 
 def _interior_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -90,40 +119,28 @@ def _raster_rows(p_grid: np.ndarray, fl_grid: np.ndarray, *cells: Iterable[str])
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
     traj = simulate(cfg.params, cfg.x0, cfg.F_L, cfg.t_end, cfg.integrator)
-    n = write_trajectory(out / "trajectory.csv", traj)
-    n_ev = write_events(out / "events.json", traj)
-    write_manifest(out, cfg.echo(), {"trajectory.csv": n, "events.json": n_ev})
-    return 0
+    out = _Artifacts(cfg)
+    out.write("trajectory.csv", write_trajectory, traj)
+    out.write("events.json", write_events, traj)
+    return out.finish()
 
 
 def cmd_equilibria(cfg: RunConfig) -> int:
     """Sweep of the moving fixed point; at F_L = 0 it collapses onto the origin."""
-    out = _ensure_out(cfg)
     rows = []
     for fl in sweep_values(cfg.F_L_range):
         pts = fixed_points(cfg.params, fl)
         movers = [p for p in pts if not p.origin_flag] or [p for p in pts]
         if not movers:
             continue  # F_L > 0: no latched fixed point exists
-        fp = movers[0]
-        rows.append(
-            [
-                fmt(fl),
-                fmt(fp.p_star),
-                fmt(fp.l_star if fp.l_star is not None else float("nan")),
-                flag(fp.origin_flag),
-                flag(True),
-            ]
-        )
-    n = write_csv(out / "fixedpoints.csv", FIXEDPOINT_HEADER, rows)
-    write_manifest(out, cfg.echo(), {"fixedpoints.csv": n})
-    return 0
+        rows.append(_fixed_point_row(movers[0]))
+    out = _Artifacts(cfg)
+    out.write("fixedpoints.csv", write_csv, FIXEDPOINT_HEADER, rows)
+    return out.finish()
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
     rows = []
     for fl in sweep_values(cfg.F_L_range):
         for fp in fixed_points(cfg.params, fl):
@@ -143,30 +160,27 @@ def cmd_classify(cfg: RunConfig) -> int:
                     rep.classification.value,
                 ]
             )
-    n = write_csv(out / "classification.csv", CLASSIFY_HEADER, rows)
-    write_manifest(out, cfg.echo(), {"classification.csv": n})
-    return 0
+    out = _Artifacts(cfg)
+    out.write("classification.csv", write_csv, CLASSIFY_HEADER, rows)
+    return out.finish()
 
 
 def cmd_trace(cfg: RunConfig) -> int:
     """Continue the saddle from the interior fixed point at the configured F_L."""
-    out = _ensure_out(cfg)
     pts = [p for p in fixed_points(cfg.params, cfg.F_L) if not p.origin_flag]
     if not pts:
         raise ConfigError(f"no interior fixed point exists at F_L={cfg.F_L}")
     path = trace_path(cfg.params, (pts[0].p_star, cfg.F_L), F_L_end=0.0)
     rows = [[fmt(s.F_L), fmt(s.p_star), flag(s.in_S)] for s in path.samples]
-    n = write_csv(out / "path.csv", PATH_HEADER, rows)
+    out = _Artifacts(cfg)
+    out.write("path.csv", write_csv, PATH_HEADER, rows)
     # +/- sqrt(h2) is the saddle's real pair at the last sample; as F_L -> 0-
     # it tends to sqrt(k p0/(M R)), not to zero (no eigenvalue vanishes there)
     h2 = path.final.h2
-    results = {"terminal": path.terminal.value, "terminal_lambda": math.sqrt(h2) if h2 > 0.0 else None}
-    write_manifest(out, cfg.echo(), {"path.csv": n}, results=results)
-    return 0
+    return out.finish({"terminal": path.terminal.value, "terminal_lambda": math.sqrt(h2) if h2 > 0.0 else None})
 
 
 def cmd_region_map(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
     p_grid, fl_grid = _raster(cfg)
     rmap = saddle_region_map(cfg.params, p_grid, fl_grid)
     u = in_region_U(cfg.params, p_grid[:, None], fl_grid[None, :])
@@ -178,38 +192,26 @@ def cmd_region_map(cfg: RunConfig) -> int:
         map(flag, rmap.in_S.ravel().tolist()),
         map(flag, u.in_u.ravel().tolist()),
     )
-    n = write_csv(out / "region.csv", REGION_HEADER, rows)
-    write_manifest(out, cfg.echo(), {"region.csv": n})
-    return 0
+    out = _Artifacts(cfg)
+    out.write("region.csv", write_csv, REGION_HEADER, rows)
+    return out.finish()
 
 
 def cmd_quiver(cfg: RunConfig) -> int:
     """Implicit-diff slope dp*/dF_L over the raster; nan where dD/dp is numerically zero."""
-    out = _ensure_out(cfg)
     p_grid, fl_grid = _raster(cfg)
     slope, _ = _implicit_slope(cfg.params, p_grid[:, None], fl_grid[None, :])
     rows = _raster_rows(p_grid, fl_grid, map(fmt, slope.ravel().tolist()))
-    n = write_csv(out / "quiver.csv", QUIVER_HEADER, rows)
-    write_manifest(out, cfg.echo(), {"quiver.csv": n})
-    return 0
+    out = _Artifacts(cfg)
+    out.write("quiver.csv", write_csv, QUIVER_HEADER, rows)
+    return out.finish()
 
 
 def cmd_design_check(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
     report = design_feasibility(cfg.params)
-    payload = {
-        "p0_window_ok": report.p0_window_ok,
-        "p0_bound": report.p0_bound,
-        "p0_bound_ok": report.p0_bound_ok,
-        "h1_at_origin": report.h1_at_origin,
-        "h1_fd_origin": report.h1_fd_origin,
-        "feasible": report.feasible,
-    }
-    (out / "design.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    write_manifest(
-        out, cfg.echo(), {"design.json": 1}, results={"feasible": report.feasible}
-    )
-    return 0
+    out = _Artifacts(cfg)
+    out.write("design.json", _write_json, dataclasses.asdict(report))
+    return out.finish({"feasible": report.feasible})
 
 
 def _portrait_initial_states(cfg: RunConfig) -> list[SystemState]:
@@ -246,58 +248,23 @@ def phase_portrait(cfg: RunConfig) -> int:
     (failures are recorded there, not fatal), and ``overlay.csv`` with the
     fixed points at the configured F_L plus the unlatched rest point.
     """
-    out = _ensure_out(cfg)
-    outputs: dict[str, int] = {}
+    out = _Artifacts(cfg)
     index_rows = []
     for i, x0 in enumerate(_portrait_initial_states(cfg)):
         name = f"traj_{i:04d}.csv"
         try:
             traj = simulate(cfg.params, x0, cfg.F_L, cfg.t_end, cfg.integrator)
-            n = write_trajectory(out / name, traj)
-            outputs[name] = n
+            out.write(name, write_trajectory, traj)
             status, detail = "ok", ""
             n_samples, n_events = len(traj), len(traj.events)
         except LamsaError as exc:
             status, detail = "error", str(exc)
             n_samples = n_events = 0
-        index_rows.append(
-            [
-                str(i),
-                fmt(x0.p),
-                fmt(x0.p_dot),
-                fmt(x0.l),
-                fmt(x0.l_dot),
-                name,
-                status,
-                str(n_samples),
-                str(n_events),
-                detail,
-            ]
-        )
-    outputs["index.csv"] = write_csv(
-        out / "index.csv",
-        ["idx", "p", "p_dot", "l", "l_dot", "file", "status", "n_samples", "n_events", "detail"],
-        index_rows,
-    )
-
-    overlay_rows = []
-    for fp in fixed_points(cfg.params, cfg.F_L):
-        overlay_rows.append(
-            [
-                fmt(fp.F_L_star),
-                fmt(fp.p_star),
-                fmt(fp.l_star if fp.l_star is not None else float("nan")),
-                flag(fp.origin_flag),
-                flag(True),
-            ]
-        )
-    ufp = unlatched_fixed_point(cfg.params)
-    overlay_rows.append(
-        [fmt(ufp.F_L_star), fmt(ufp.p_star), fmt(float("nan")), flag(False), flag(True)]
-    )
-    outputs["overlay.csv"] = write_csv(out / "overlay.csv", FIXEDPOINT_HEADER, overlay_rows)
-    write_manifest(out, cfg.echo(), outputs)
-    return 0
+        index_rows.append([str(i), *map(fmt, x0), name, status, str(n_samples), str(n_events), detail])
+    out.write("index.csv", write_csv, INDEX_HEADER, index_rows)
+    overlay = [*fixed_points(cfg.params, cfg.F_L), unlatched_fixed_point(cfg.params)]
+    out.write("overlay.csv", write_csv, FIXEDPOINT_HEADER, [_fixed_point_row(fp) for fp in overlay])
+    return out.finish()
 
 
 _COMMANDS = {
@@ -328,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, help="flat key=value config file")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--variant", choices=["printed", "derived"])
+        p.add_argument("--variant", choices=[v.value for v in ModelVariant])
         p.add_argument("--fl", type=float, help="latch force for single-force commands")
         p.add_argument("--fl-range", help="sweep as start:stop:step")
         p.add_argument("--grid", help="grid dimensions as NxM")
@@ -346,14 +313,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg = parse_config(text)
     else:
         cfg = build_config({})
-    variant = None
-    if args.variant is not None:
-        variant = (
-            ModelVariant.AS_PRINTED if args.variant == "printed" else ModelVariant.CONSTRAINT_CONSISTENT
-        )
     return apply_overrides(
         cfg,
-        variant=variant,
+        variant=ModelVariant(args.variant) if args.variant else None,
         F_L=args.fl,
         F_L_range=parse_fl_range(args.fl_range) if args.fl_range else None,
         grid=parse_grid(args.grid) if args.grid else None,

@@ -1,9 +1,13 @@
 """Run configuration: flat key-value config files plus CLI overrides.
 
-The config format is one ``key = value`` pair per line, ``#`` comments,
-keys mirroring :class:`RunConfig`.  Every omitted key takes the
-documented default; in particular the default physical parameters are the
-reference set m=1, M=5, R=5, k=1, p0=10 used throughout the test suite.
+The config format is one ``key = value`` pair per line, ``#`` comments.
+``_KEYS`` lists every key, in manifest order, with the field it sets: a
+field of :class:`~lamsa.model.SystemParams`, of
+:class:`~lamsa.simulate.IntegratorConfig` or of :class:`RunConfig`
+(``fl``, ``fl_range`` and ``out_dir`` set ``F_L``, ``F_L_range`` and
+``output_dir``).  Every omitted key keeps its field's default; in
+particular the default physical parameters are the reference set m=1,
+M=5, R=5, k=1, p0=10 used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .model import ModelVariant, SystemParams, SystemState
@@ -70,12 +75,9 @@ class RunConfig:
     jitter: bool = False
 
     def __post_init__(self) -> None:
-        p, ic = self.params, self.integrator
+        # SystemParams and IntegratorConfig check their own values
         _require_finite(
             {
-                "m": p.m, "M": p.M, "R": p.R, "k": p.k, "p0": p.p0,
-                "rel_tol": ic.rel_tol, "abs_tol": ic.abs_tol, "max_step": ic.max_step,
-                "event_time_tol": ic.event_time_tol,
                 "fl": self.F_L, "t_end": self.t_end, "v_max": self.v_max,
                 **{f"x0 {name}": v for name, v in zip(SystemState._fields, self.x0)},
             }
@@ -88,49 +90,40 @@ class RunConfig:
             raise ConfigError("v_max must be positive")
 
     def echo(self) -> dict:
-        """Flat, JSON-ready view of the configuration (for the manifest)."""
+        """Flat, JSON-ready view of the configuration (for the manifest), one entry per config key."""
         return {
-            "m": self.params.m,
-            "M": self.params.M,
-            "R": self.params.R,
-            "k": self.params.k,
-            "p0": self.params.p0,
-            "variant": self.params.variant.value,
-            "rel_tol": self.integrator.rel_tol,
-            "abs_tol": self.integrator.abs_tol,
-            "max_step": self.integrator.max_step,
-            "event_time_tol": self.integrator.event_time_tol,
-            "constraint_projection": self.integrator.constraint_projection,
-            "fl": self.F_L,
-            "fl_range": f"{self.F_L_range.start}:{self.F_L_range.stop}:{self.F_L_range.step}",
-            "grid": f"{self.grid[0]}x{self.grid[1]}",
-            "out_dir": str(self.output_dir),
-            "seed": self.seed,
-            "t_end": self.t_end,
-            "x0": [self.x0.p, self.x0.p_dot, self.x0.l, self.x0.l_dot],
-            "v_max": self.v_max,
-            "jitter": self.jitter,
+            key: spec.show(getattr(getattr(self, spec.holder) if spec.holder else self, spec.field))
+            for key, spec in _KEYS.items()
         }
 
 
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True,
                "false": False, "off": False, "0": False, "no": False}
 
-_VARIANTS = {"printed": ModelVariant.AS_PRINTED, "derived": ModelVariant.CONSTRAINT_CONSISTENT}
+
+def _scalar(kind: Callable[[str], object], expects: str) -> Callable[[str, str], object]:
+    """Reader of a one-word value: ``kind(text)``, or a ConfigError naming the key."""
+
+    def read(raw: str, key: str) -> object:
+        try:
+            return kind(raw)
+        except (ValueError, KeyError):
+            raise ConfigError(f"key '{key}' expects {expects}, got '{raw}'") from None
+
+    return read
 
 
-def _parse_float(raw: str, key: str, line_no: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: key '{key}' expects a number, got '{raw}'") from None
+_number = _scalar(float, "a number")
+_integer = _scalar(int, "an integer")
+_flag = _scalar(lambda raw: _BOOL_WORDS[raw.lower()], "true/false")
+_variant = _scalar(ModelVariant, " or ".join(f"'{v.value}'" for v in ModelVariant))
 
 
-def _parse_bool(raw: str, key: str, line_no: int) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"line {line_no}: key '{key}' expects true/false, got '{raw}'") from None
+def _state(raw: str, key: str) -> SystemState:
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 4:
+        raise ConfigError(f"{key} expects 'p,p_dot,l,l_dot', got '{raw}'")
+    return SystemState(*(_number(p, key) for p in parts))
 
 
 def parse_fl_range(raw: str) -> FLRange:
@@ -155,93 +148,86 @@ def parse_grid(raw: str) -> tuple[int, int]:
     return n, m
 
 
+def _same(value: object) -> object:
+    return value
+
+
+class _Key(NamedTuple):
+    """Where one config key's value lives, how its text is read and how the manifest shows it."""
+
+    holder: str  # "params", "integrator", or "" for a field of RunConfig itself
+    field: str
+    read: Callable[[str, str], object]  # (text, key) -> value; raises ConfigError
+    show: Callable[[object], object] = _same
+
+
+_KEYS: dict[str, _Key] = {
+    "m": _Key("params", "m", _number),
+    "M": _Key("params", "M", _number),
+    "R": _Key("params", "R", _number),
+    "k": _Key("params", "k", _number),
+    "p0": _Key("params", "p0", _number),
+    "variant": _Key("params", "variant", _variant, lambda v: v.value),
+    "rel_tol": _Key("integrator", "rel_tol", _number),
+    "abs_tol": _Key("integrator", "abs_tol", _number),
+    "max_step": _Key("integrator", "max_step", _number),
+    "event_time_tol": _Key("integrator", "event_time_tol", _number),
+    "constraint_projection": _Key("integrator", "constraint_projection", _flag),
+    "fl": _Key("", "F_L", _number),
+    "fl_range": _Key("", "F_L_range", lambda raw, key: parse_fl_range(raw), lambda r: f"{r.start}:{r.stop}:{r.step}"),
+    "grid": _Key("", "grid", lambda raw, key: parse_grid(raw), lambda g: f"{g[0]}x{g[1]}"),
+    "out_dir": _Key("", "output_dir", lambda raw, key: Path(raw), str),
+    "seed": _Key("", "seed", _integer),
+    "t_end": _Key("", "t_end", _number),
+    "x0": _Key("", "x0", _state, list),
+    "v_max": _Key("", "v_max", _number),
+    "jitter": _Key("", "jitter", _flag),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Build a RunConfig from a flat key-value document.
 
-    Raises ConfigError with a line diagnostic for malformed lines or
-    unknown keys, and with the violated invariant for bad values (for
-    example p0 <= R).
+    Raises ConfigError with a line diagnostic for malformed lines, unknown
+    or duplicate keys and values that do not read as their key's type, and
+    with the violated invariant, naming the key, for values out of range
+    or inconsistent with another key (for example p0 <= R).
     """
     values: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got '{raw_line.strip()}'")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key in values:
-            raise ConfigError(f"line {line_no}: duplicate key '{key}'")
-
-        if key in ("m", "M", "R", "k", "p0", "rel_tol", "abs_tol", "max_step",
-                   "event_time_tol", "fl", "t_end", "v_max"):
-            values[key] = _parse_float(raw, key, line_no)
-        elif key == "variant":
-            if raw not in _VARIANTS:
-                raise ConfigError(
-                    f"line {line_no}: variant must be 'printed' or 'derived', got '{raw}'"
-                )
-            values[key] = _VARIANTS[raw]
-        elif key in ("constraint_projection", "jitter"):
-            values[key] = _parse_bool(raw, key, line_no)
-        elif key == "fl_range":
-            values[key] = parse_fl_range(raw)
-        elif key == "grid":
-            values[key] = parse_grid(raw)
-        elif key == "out_dir":
-            values[key] = Path(raw)
-        elif key == "seed":
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"line {line_no}: seed expects an integer, got '{raw}'") from None
-        elif key == "x0":
-            parts = [p.strip() for p in raw.split(",")]
-            if len(parts) != 4:
-                raise ConfigError(f"line {line_no}: x0 expects 'p,p_dot,l,l_dot', got '{raw}'")
-            values[key] = SystemState(*(_parse_float(p, "x0", line_no) for p in parts))
-        else:
-            raise ConfigError(f"line {line_no}: unknown key '{key}'")
-
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ConfigError(f"expected 'key = value', got '{raw_line.strip()}'")
+            if key in values:
+                raise ConfigError(f"duplicate key '{key}'")
+            if key not in _KEYS:
+                raise ConfigError(f"unknown key '{key}'")
+            values[key] = _KEYS[key].read(raw, key)
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
     return build_config(values)
 
 
 def build_config(values: dict[str, object]) -> RunConfig:
-    """Assemble a RunConfig from a partial key dict, applying defaults."""
+    """Assemble a RunConfig from a partial key dict; omitted keys keep their field defaults.
+
+    A number given for a float key is stored as a float, as a config file
+    would give it.
+    """
+    by_holder: dict[str, dict[str, object]] = {"params": {}, "integrator": {}, "": {}}
+    for key, value in values.items():
+        spec = _KEYS[key]
+        by_holder[spec.holder][spec.field] = float(value) if spec.read is _number else value
     try:
-        params = SystemParams(
-            m=float(values.get("m", 1.0)),
-            M=float(values.get("M", 5.0)),
-            R=float(values.get("R", 5.0)),
-            k=float(values.get("k", 1.0)),
-            p0=float(values.get("p0", 10.0)),
-            variant=values.get("variant", ModelVariant.AS_PRINTED),
-        )
-        integrator = IntegratorConfig(
-            rel_tol=float(values.get("rel_tol", 1e-8)),
-            abs_tol=float(values.get("abs_tol", 1e-10)),
-            max_step=float(values.get("max_step", 1e-2)),
-            event_time_tol=float(values.get("event_time_tol", 1e-10)),
-            constraint_projection=bool(values.get("constraint_projection", True)),
-        )
+        params = SystemParams(**by_holder["params"])
+        integrator = IntegratorConfig(**by_holder["integrator"])
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-
-    return RunConfig(
-        params=params,
-        integrator=integrator,
-        F_L=float(values.get("fl", -15.0)),
-        F_L_range=values.get("fl_range", FLRange()),
-        grid=values.get("grid", (20, 20)),
-        output_dir=Path(values.get("out_dir", Path("out"))),
-        seed=int(values.get("seed", 0)),
-        t_end=float(values.get("t_end", 10.0)),
-        x0=values.get("x0", SystemState(1.0, 0.0, 3.0, 0.0)),
-        v_max=float(values.get("v_max", 10.0)),
-        jitter=bool(values.get("jitter", False)),
-    )
+    return RunConfig(params=params, integrator=integrator, **by_holder[""])
 
 
 def apply_overrides(cfg: RunConfig, **overrides: object) -> RunConfig:

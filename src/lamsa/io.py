@@ -69,12 +69,7 @@ def write_events(path: Path, traj: Trajectory) -> int:
         {
             "t": ev.t,
             "kind": ev.kind.value,
-            "state": {
-                "p": ev.state.p,
-                "p_dot": ev.state.p_dot,
-                "l": ev.state.l,
-                "l_dot": ev.state.l_dot,
-            },
+            "state": ev.state._asdict(),
         }
         for ev in traj.events
     ]

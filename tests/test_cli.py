@@ -12,6 +12,7 @@ import pytest
 
 from lamsa import (
     FLRange,
+    IntegratorConfig,
     Mode,
     ModelVariant,
     SystemParams,
@@ -33,7 +34,7 @@ from lamsa.cli import (
     main,
     phase_portrait,
 )
-from lamsa.config import RunConfig, apply_overrides, build_config
+from lamsa.config import _KEYS, RunConfig, apply_overrides, build_config
 from lamsa.errors import ConfigError, SingularDenominatorError
 from lamsa.io import fmt, trajectory_rows, write_trajectory
 
@@ -56,6 +57,7 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 def test_empty_document_gives_reference_defaults():
     cfg = parse_config("")
+    assert cfg == build_config({}) == RunConfig()
     assert (cfg.params.m, cfg.params.M, cfg.params.R) == (1.0, 5.0, 5.0)
     assert (cfg.params.k, cfg.params.p0) == (1.0, 10.0)
     assert cfg.params.variant is ModelVariant.AS_PRINTED
@@ -74,6 +76,54 @@ def test_config_line_diagnostics():
         parse_config("m = abc\n")
     with pytest.raises(ConfigError, match="line 3"):
         parse_config("m = 1\n# fine\nm = 2\n")
+    with pytest.raises(ConfigError, match=r"^line 2: fl_range expects 'start:stop:step', got '1:2'$"):
+        parse_config("m = 1\nfl_range = 1:2\n")
+    with pytest.raises(ConfigError, match=r"^line 1: grid has a non-integer part: '1x'$"):
+        parse_config("grid = 1x\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["variant = sideways", "seed = 1.5", "x0 = 1, 2", "x0 = 1, 0, l, 0", "jitter = maybe",
+     "constraint_projection = 2", "fl_range = a:0:1", "grid = 3", "t_end = soon"],
+)
+def test_every_unreadable_value_names_its_line(line):
+    with pytest.raises(ConfigError, match=r"^line 3: "):
+        parse_config(f"# header\nm = 1\n{line}\n")
+
+
+def test_every_config_key_round_trips_through_the_manifest_echo():
+    off = RunConfig(
+        params=SystemParams(m=2.0, M=3.0, R=4.0, k=0.5, p0=9.0, variant=ModelVariant.CONSTRAINT_CONSISTENT),
+        integrator=IntegratorConfig(
+            rel_tol=1e-7, abs_tol=1e-9, max_step=0.02, event_time_tol=1e-11, constraint_projection=False
+        ),
+        F_L=-7.5,
+        F_L_range=FLRange(-10.0, -1.0, 0.5),
+        grid=(8, 4),
+        output_dir=Path("elsewhere"),
+        seed=3,
+        t_end=2.5,
+        x0=SystemState(1.5, 0.25, 3.0, -0.5),
+        v_max=4.0,
+        jitter=True,
+    )
+    echo = off.echo()
+    assert list(echo) == list(_KEYS) and len(echo) == 20
+    assert all(echo[key] != value for key, value in RunConfig().echo().items())
+    text = "".join(f"{key} = {','.join(map(str, v)) if key == 'x0' else v}\n" for key, v in echo.items())
+    assert parse_config(text) == off
+
+
+def test_readme_lists_the_config_keys_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Keys:", 1)[1].split("`")[1].split()
+    assert listed == list(_KEYS)
+
+
+def test_build_config_stores_numbers_as_floats():
+    m = build_config({"m": 2}).params.m
+    assert m == 2.0 and type(m) is float
 
 
 def test_config_full_document(tmp_path):
@@ -372,9 +422,22 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
 
 def test_main_trace_without_fixed_point_is_validation_error(tmp_path, capsys):
     # no interior fixed point exists at a pulling force: trace cannot start
-    rc = main(["trace", "--out", str(tmp_path / "t"), "--fl", "3"])
+    out = tmp_path / "t"
+    rc = main(["trace", "--out", str(out), "--fl", "3"])
     assert rc == 1
     assert "no interior fixed point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_simulate_numerical_failure_leaves_no_output_dir(tmp_path, capsys):
+    # no step meets a 1e-300 tolerance: the run fails before its first write
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("rel_tol = 1e-300\nabs_tol = 1e-300\n")
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
