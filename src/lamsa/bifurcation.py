@@ -1,16 +1,17 @@
 """Tracing the moving saddle and detecting its disappearance at (0, 0).
 
+On the near arc the saddle branch is explicit in the circle's angle
+theta (see ``equilibria``), and it has no fold there: ``trace_path``
+solves that balance afresh at each sample's F_L, with the Newton
+iteration of ``fixed_points``.
+
 Implicit differentiation of the equilibrium quartic D(p; F_L) = 0 gives
-the slope of the saddle locus,
-
-    dp*/dF_L = -(dD/dF_L) / (dD/dp),
-
-which is integrated in F_L with an Euler predictor and a Newton corrector
-back onto D = 0 (raw integration of the slope equation drifts off the
-root locus).  The published form of the same slope, Lambda/(Sigma+Pi), is
-retained verbatim behind ``NominalFormula.PUBLISHED`` for comparison
-only: its printed denominator disagrees in sign (and one term in powers)
-with the implicit derivative of the printed quartic.
+the slope dp*/dF_L = -(dD/dF_L) / (dD/dp) of the saddle locus, the
+direction field of ``nominal_rhs`` and ``quiver``.  The published form
+of the same slope, Lambda/(Sigma+Pi), is retained verbatim behind
+``NominalFormula.PUBLISHED`` for comparison only: its printed
+denominator disagrees in sign (and one term in powers) with the
+implicit derivative of the printed quartic.
 
 As F_L rises to zero the interior saddle slides into the stationary point
 at p = 0 and no equilibrium survives for F_L > 0: the branch terminates,
@@ -24,17 +25,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    CorrectorDivergenceError,
-    InvalidStartError,
-    SingularBoundError,
-    SingularDenominatorError,
-)
+from .errors import InvalidStartError, SingularBoundError, SingularDenominatorError
 from .model import _PRINTED, SystemParams, SystemState, latch_from_projectile
 from .equilibria import (
     QuarticD,
+    _near_arc,
+    _newton_correct,
     balance_residual,
-    eval_quartic,
     eval_quartic_derivative,
     quartic_coefficients,
 )
@@ -63,7 +60,7 @@ __all__ = [
 
 _DENOM_TOL = 1e-10
 _START_BALANCE_TOL = 1e-8
-_DEFAULT_FL_STEP = 0.05
+_FL_STEP = 0.05
 
 
 class NominalFormula(Enum):
@@ -73,7 +70,6 @@ class NominalFormula(Enum):
 
 class PathTerminal(Enum):
     REACHED_ZERO_FORCE = "ReachedZeroForce"
-    DENOMINATOR_SINGULAR = "DenominatorSingular"
     LEFT_DOMAIN = "LeftDomain"
 
 
@@ -142,28 +138,28 @@ def _dD_dFL(params: SystemParams, p: float, F_L: float) -> float:
 
 
 def _dp_singular(q: QuarticD, p, den):
-    """|dD/dp| < _DENOM_TOL * max(1, |terms of dD/dp|), for floats or arrays.
+    """|dD/dp| < _DENOM_TOL * max |terms of dD/dp|, for floats or arrays.
 
-    Written as one comparison per term, which is the same test and keeps
-    numpy out of the scalar path.
+    Relative to the terms only: at F_L = 0 every coefficient scales with
+    k^2, so an absolute floor would flag a soft spring's whole F_L = 0
+    line, and Theta > 0 keeps the bound positive.  Written as one comparison per term, which is the
+    same test and keeps numpy out of the scalar path.
     """
     a = abs(den)
-    out = a < _DENOM_TOL
-    for term in (4.0 * q.E * p**3, 3.0 * q.Z * p * p, 2.0 * q.H * p, q.Theta):
+    out = a < _DENOM_TOL * abs(q.Theta)
+    for term in (4.0 * q.E * p**3, 3.0 * q.Z * p * p, 2.0 * q.H * p):
         out = out | (a < _DENOM_TOL * abs(term))
     return out
 
 
-def _implicit_slope(params: SystemParams, p, F_L, q: QuarticD | None = None):
+def _implicit_slope(params: SystemParams, p, F_L):
     """(slope, singular): dp*/dF_L = -(dD/dF_L)/(dD/dp) of the quartic at (p, F_L).
 
-    p and F_L may be floats or numpy arrays that broadcast together; ``q``,
-    when given, is the quartic at F_L.  ``singular`` flags where dD/dp is
-    numerically zero (a fold of the branch would look like this); the
-    slope there is nan.
+    p and F_L may be floats or numpy arrays that broadcast together.
+    ``singular`` flags where dD/dp is numerically zero (a fold of the
+    quartic's root locus would look like this); the slope there is nan.
     """
-    if q is None:
-        q = quartic_coefficients(params, F_L)
+    q = quartic_coefficients(params, F_L)
     den = eval_quartic_derivative(q, p)
     singular = _dp_singular(q, p, den)
     if isinstance(singular, np.ndarray):
@@ -181,9 +177,9 @@ def nominal_rhs(
 ) -> float:
     """Slope dp*/dF_L of the equilibrium branch at (p, F_L).
 
-    IMPLICIT_DIFF differentiates the quartic actually solved by the
-    equilibrium module and is the formula used for continuation;
-    PUBLISHED evaluates the published Lambda/(Sigma+Pi) verbatim.
+    IMPLICIT_DIFF differentiates the squared equilibrium balance (the
+    quartic of ``quartic_coefficients``); PUBLISHED evaluates the
+    published Lambda/(Sigma+Pi) verbatim.
     Raises SingularDenominatorError when the respective denominator is
     numerically zero (a fold of the branch would look like this).
     """
@@ -231,9 +227,9 @@ def in_region_U(params: SystemParams, p: float, F_L: float) -> UMembership:
     )
 
 
-def _in_S_at(params: SystemParams, p: float, F_L: float) -> tuple[float, bool]:
-    """(h2, saddle?) at the on-circle rest state (p, F_L)."""
-    A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), F_L)
+def _in_S_at(params: SystemParams, p: float, l: float, F_L: float) -> tuple[float, bool]:
+    """(h2, saddle?) at the on-circle rest state (p, l) under F_L."""
+    A, B, G, D = _latched_abgd(params, p, l, F_L)
     h1, h2 = characteristic_invariants(A, B, G, D)
     return h2, _is_saddle(h1, h2)
 
@@ -242,16 +238,15 @@ def trace_path(
     params: SystemParams,
     start: tuple[float, float],
     F_L_end: float = 0.0,
-    step_tol: float = 1e-10,
 ) -> ContinuationPath:
-    """Continue the interior equilibrium from ``start = (p*, F_L0)`` to F_L_end.
+    """Follow the interior equilibrium from ``start = (p*, F_L0)`` to F_L_end.
 
-    Euler predictor in F_L (step at most 0.05, shrunk on corrector
-    trouble) followed by Newton correction back onto D(p; F_L) = 0.  The
-    start must satisfy the equilibrium balance; the path never extends
-    past F_L = 0, where the branch ceases to exist.  Terminates with
-    REACHED_ZERO_FORCE at F_L_end, DENOMINATOR_SINGULAR at a fold, or
-    LEFT_DOMAIN when the corrected root exits [0, R).
+    Samples go at F_L0 + 0.05, F_L0 + 0.10, ... (the last clipped to
+    F_L_end), each the near-arc point that ``fixed_points`` gives at that
+    F_L.  The start must satisfy the equilibrium balance; the path never
+    extends past F_L = 0, where the branch ceases to exist.  Terminates
+    with REACHED_ZERO_FORCE at F_L_end, or LEFT_DOMAIN at once when the
+    start lies on the far arc (p* >= R), which does not reach F_L = 0.
     """
     p_start, fl_start = float(start[0]), float(start[1])
     if not fl_start < F_L_end and not (p_start == 0.0 and fl_start == F_L_end):
@@ -268,64 +263,20 @@ def trace_path(
             f"(residual {res:.3e})"
         )
 
-    h2, in_s = _in_S_at(params, p_start, fl_start)
+    h2, in_s = _in_S_at(params, p_start, latch_from_projectile(params, p_start), fl_start)
     samples = [PathSample(fl_start, p_start, in_s, h2)]
-    p, fl = p_start, fl_start
-    slope, singular = _implicit_slope(params, p, fl)
-    dfl = _DEFAULT_FL_STEP
-
+    if p_start >= params.R:
+        return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
+    fl = fl_start
     while fl < F_L_end - 1e-14:
-        if singular:  # only at the start: a singular sample ends the path below
-            return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
-        dfl = min(dfl, F_L_end - fl)
-        while True:
-            fl_new = fl + dfl
-            if F_L_end - fl_new < 1e-14:
-                fl_new = F_L_end
-            q = quartic_coefficients(params, fl_new)
-            corrected, iters = _newton_correct(q, p + dfl * slope, step_tol)
-            if corrected is not None:
-                break
-            dfl *= 0.5
-            if dfl < 1e-9:
-                raise CorrectorDivergenceError(
-                    f"corrector kept failing near F_L={fl} (step shrank below 1e-9)"
-                )
-
-        p_new = corrected
-        if abs(p_new) < 1e-12:
-            p_new = 0.0
-        if not 0.0 <= p_new < params.R:
-            return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
-
-        # the corrector's quartic gives the fold test and the next predictor slope
-        slope, singular = _implicit_slope(params, p_new, fl_new, q)
-        h2, in_s = _in_S_at(params, p_new, fl_new)
-        samples.append(PathSample(fl_new, p_new, in_s, h2))
-        if singular:
-            return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
-        p, fl = p_new, fl_new
-        if iters <= 3:
-            dfl = min(_DEFAULT_FL_STEP, dfl * 1.5)
-
+        fl += min(_FL_STEP, F_L_end - fl)
+        if F_L_end - fl < 1e-14:
+            fl = F_L_end
+        ck, u, stop = _near_arc(params, fl)
+        (p, l), _ = _newton_correct(params, ck, fl, 1.0, u, stop)
+        h2, in_s = _in_S_at(params, p, l, fl)
+        samples.append(PathSample(fl, p, in_s, h2))
     return ContinuationPath(tuple(samples), PathTerminal.REACHED_ZERO_FORCE)
-
-
-def _newton_correct(
-    q: QuarticD, p0: float, tol: float, max_iter: int = 12
-) -> tuple[float | None, int]:
-    """(root, iterations) of Newton's method on D from p0; root None on failure."""
-    p = p0
-    for it in range(1, max_iter + 1):
-        f = eval_quartic(q, p)
-        df = eval_quartic_derivative(q, p)
-        if df == 0.0:
-            return None, it
-        step = f / df
-        p -= step
-        if abs(step) <= tol * max(1.0, abs(p)):
-            return p, it
-    return None, max_iter
 
 
 def saddle_region_map(params: SystemParams, p_grid: np.ndarray, F_L_grid: np.ndarray) -> RegionMap:

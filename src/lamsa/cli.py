@@ -5,8 +5,8 @@
 
 Every subcommand writes its CSV/JSON artifacts plus a ``manifest.json``
 into the output directory, which it creates at its first write.  Exit status: 0 on success, 1 on a
-configuration/validation problem (a nan or infinite number included),
-2 on a numerical failure.
+configuration/validation problem (a malformed argument or a nan or
+infinite number included), 2 on a numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -279,6 +279,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError (exit 1), not SystemExit(2)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on first use and shared for the process.
@@ -286,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing never mutates it (each call gets a fresh namespace), so one
     tree serves every ``main`` call; do not add arguments to the result.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lamsa",
         description="Simulation and bifurcation analysis of a contact-latch spring actuator.",
     )
@@ -326,8 +333,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:

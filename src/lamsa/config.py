@@ -86,6 +86,8 @@ class RunConfig:
             raise ConfigError(f"grid dimensions must be >= 2, got {self.grid}")
         if self.t_end < 0.0:
             raise ConfigError("t_end must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.v_max <= 0.0:
             raise ConfigError("v_max must be positive")
 

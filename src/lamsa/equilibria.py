@@ -32,10 +32,11 @@ reports nothing for F_L > 0 and only the origin for F_L = 0: the branch
 that holds the saddle ends there.
 
 Squaring the balance gives the quartic D(p) of ``quartic_coefficients``,
-which also has the spurious roots of the squared sign.  ``fixed_points``
-no longer uses it: the quartic and its root scan ``roots_in_interval``
-stay as an independent oracle and as the equation the continuation's
-corrector solves.
+which also has the spurious roots of the squared sign.  No solver uses
+it: ``_newton_correct`` solves the balance in theta for ``fixed_points``
+and ``bifurcation.trace_path`` alike, and the quartic and its root scan
+``roots_in_interval`` stay as an independent oracle and as ``quiver``'s
+direction field.
 
 Note that the origin (and, under AS_PRINTED, every other point) zeroes
 the projectile row of the vector field but leaves a latch acceleration
@@ -208,23 +209,29 @@ def _make_fp(
     return FixedPoint(p_star, l_star, F_L, Mode.LATCHED, False, vanishing)
 
 
-def _arc_point(
+def _near_arc(params: SystemParams, F_L: float) -> tuple[float, float, float]:
+    """(c k, start, stop in tan theta) of Newton's near-arc solve at F_L <= 0 (c = m/M printed, 1 derived)."""
+    ck = params.k * (params.m / params.M if params.variant is _PRINTED else 1.0)
+    return ck, -F_L / (ck * params.p0), -F_L / (ck * (params.p0 - params.R))
+
+
+def _newton_correct(
     params: SystemParams, ck: float, F_L: float, sigma: float, u: float, stop: float
-) -> tuple[float, float]:
-    """(p, l) of the balance's root on one monotone piece of an arc.
+) -> tuple[tuple[float, float], int]:
+    """((p, l), iterations) of the balance's root on one monotone piece of an arc.
 
     ``sigma`` is +1 on the near arc (cos theta = 1/s) and -1 on the far arc
     (cos theta = -1/s), with u = |tan theta| and s = sqrt(1 + u^2); there
     the balance reads -c k (sigma a + R/s) u = F_L.  Newton's iteration
     starts at ``u`` and, the balance being convex in u, moves monotonically
     towards the root, which lies between ``u`` and ``stop``; it ends when an
-    iterate stops moving on (the rounding floor).  Raises
-    EquilibriumBalanceError when the balance residual at the result is not
-    small against its terms.
+    iterate stops moving on (the rounding floor).  ``iterations`` counts
+    the Newton steps tried, at least 1.  Raises EquilibriumBalanceError
+    when the balance residual at the result is not small against its terms.
     """
     R, sa = params.R, sigma * (params.p0 - params.R)
     up = stop > u
-    for _ in range(_NEWTON_MAX_ITER):
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
         s = math.hypot(1.0, u)
         slope = -ck * (sa + R / s**3)
         if slope == 0.0:
@@ -241,7 +248,7 @@ def _arc_point(
             f"balance residual {residual:.3e} at tan(theta)={u!r}, F_L={F_L!r}"
         )
     l = R * (u / s)
-    return (l * u / (1.0 + s) if sigma > 0.0 else R + R / s), l
+    return ((l * u / (1.0 + s) if sigma > 0.0 else R + R / s), l), iterations
 
 
 def _far_fold(params: SystemParams, ck: float) -> tuple[float, float] | None:
@@ -281,9 +288,9 @@ def fixed_points(params: SystemParams, F_L: float) -> list[FixedPoint]:
     if F_L == 0.0:
         return [origin]
 
-    ck = params.k * (params.m / params.M if params.variant is _PRINTED else 1.0)
+    ck, u, stop = _near_arc(params, F_L)
     a = params.p0 - params.R
-    arcs = [(1.0, -F_L / (ck * params.p0), -F_L / (ck * a))]
+    arcs = [(1.0, u, stop)]
     fold = _far_fold(params, ck)
     if fold is not None and F_L == fold[1]:
         arcs.append((-1.0, fold[0], fold[0]))
@@ -292,7 +299,7 @@ def fixed_points(params: SystemParams, F_L: float) -> list[FixedPoint]:
         arcs += [(-1.0, u_p0, fold[0]), (-1.0, 0.0, fold[0])]
     out = [origin]
     for sigma, u, stop in arcs:
-        p, l = _arc_point(params, ck, F_L, sigma, u, stop)
+        (p, l), _ = _newton_correct(params, ck, F_L, sigma, u, stop)
         out.append(_make_fp(params, p, l, F_L, tol))
     return out
 

@@ -43,10 +43,6 @@ class SingularDenominatorError(NumericalError):
     """Denominator of the saddle-path slope equation is numerically zero."""
 
 
-class CorrectorDivergenceError(NumericalError):
-    """Continuation corrector failed to return to the equilibrium curve."""
-
-
 class InvalidStartError(NumericalError):
     """Continuation start point does not satisfy the equilibrium balance."""
 

@@ -168,13 +168,19 @@ def jacobian_central_fd(
     return J
 
 
-def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float = 0.0, step_tol: float = 1e-10):
-    """The saddle continuation with a fresh quartic at every use, for a valid start.
+QUARTIC_FOLD = "DenominatorSingular"  # the oracle's terminal where dD/dp is numerically zero
 
-    Each accepted step builds the quartic at the same F_L three times: for
-    the predictor slope -(dD/dF_L)/(dD/dp), in the corrector, and for the
-    fold check.  Saddle membership goes through ``classify`` with the band
-    1e-9 * max(1, |h1|, |h2|) computed by numpy.
+
+def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float = 0.0, step_tol: float = 1e-10):
+    """The saddle continuation on the squared balance, with a fresh quartic at every use.
+
+    An Euler predictor in F_L and a Newton corrector on the quartic D(p),
+    for a valid near-arc start.  Each accepted step builds the quartic at
+    the same F_L three times: for the predictor slope
+    -(dD/dF_L)/(dD/dp), in the corrector, and for the fold check, which
+    ends the path with terminal ``QUARTIC_FOLD``.  Saddle membership goes
+    through ``classify`` with the band 1e-9 * max(1, |h1|, |h2|) computed
+    by numpy, at l = latch_from_projectile(p).
     """
     from lamsa.bifurcation import ContinuationPath, PathSample, PathTerminal, _dD_dFL, _dp_singular
     from lamsa.equilibria import eval_quartic, eval_quartic_derivative, quartic_coefficients
@@ -208,7 +214,7 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
         q = quartic_coefficients(params, fl)
         den = eval_quartic_derivative(q, p)
         if _dp_singular(q, p, den):
-            return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
+            return ContinuationPath(tuple(samples), QUARTIC_FOLD)
         slope = -_dD_dFL(params, p, fl) / den
         while True:
             fl_new = fl + dfl
@@ -227,7 +233,7 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
         h2, in_s = in_s_at(p_new, fl_new)
         samples.append(PathSample(fl_new, p_new, in_s, h2))
         if _dp_singular(q, p_new, eval_quartic_derivative(q, p_new)):
-            return ContinuationPath(tuple(samples), PathTerminal.DENOMINATOR_SINGULAR)
+            return ContinuationPath(tuple(samples), QUARTIC_FOLD)
         p, fl = p_new, fl_new
         if iters <= 3:
             dfl = min(0.05, dfl * 1.5)

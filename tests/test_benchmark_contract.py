@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` replaces lamsa module globals with counting
 wrappers, and a traced benchmark run aborts when a workload's expected
 counter reads 0.  These tests run the tracer on the benchmark's own
-smoke portrait so that a refactor which renames or bypasses a traced name
-fails here and not only under ``perfbench/run.py --trace 1``.  The
+smoke portrait and smoke analysis so that a refactor which renames or
+bypasses a traced name fails here and not only under
+``perfbench/run.py --trace 1``.  The
 benchmark files are read and executed in memory: nothing is written under
 ``perfbench/``.
 """
@@ -64,6 +65,20 @@ def test_traced_portrait_reaches_every_expected_layer(tracer, tmp_path):
         assert metrics["simulate.step_trials"][0] >= metrics["simulate.steps_accepted"][0]
     # the wrappers are gone once the block ends
     assert {name: getattr(sim_module, name) for name in originals} == originals
+
+
+def test_traced_analysis_reaches_every_expected_layer(tracer, tmp_path):
+    # the benchmark's own smoke analysis: trace_path must still call the
+    # traced lamsa.bifurcation._newton_correct, and every gate must hold
+    analysis = _load("workloads").Analysis(7, True, tmp_path)
+    trace = tracer.Trace()
+    with tracer.Tracer(trace):
+        res = analysis.run_pass(tmp_path / "out", lambda: None)
+    metrics = tracer.layer_metrics(trace)
+    for name in analysis.expect_nonzero:
+        assert metrics[name][0] > 0, name
+    assert res.problems == []
+    assert res.failed == 0
 
 
 def test_traced_unjittered_portrait_integrates_nothing(tracer, tmp_path):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamsa import (
     Classification,
@@ -18,6 +20,7 @@ from lamsa import (
     saddle_region_map,
     trace_path,
 )
+from lamsa.equilibria import _far_fold
 from lamsa.errors import InvalidStartError, SingularBoundError
 from lamsa.model import latch_from_projectile
 from lamsa.stability import _latched_abgd, characteristic_invariants, classify
@@ -81,13 +84,13 @@ def test_trace_path_reaches_bifurcation(params):
 
 
 def test_trace_path_samples_are_equilibria(params):
+    # every sample is the very point fixed_points gives at its F_L; at
+    # F_L = 0 only the origin is left
     start_p = _interior_p(params, REF_SADDLE_FL)
-    path = trace_path(params, (start_p, REF_SADDLE_FL), F_L_end=0.0)
-    for s in path.samples:
-        if s.F_L == 0.0:
-            assert abs(s.p_star) < 1e-3
-            continue
-        assert s.p_star == pytest.approx(_interior_p(params, s.F_L), abs=1e-6)
+    *inner, last = trace_path(params, (start_p, REF_SADDLE_FL), F_L_end=0.0).samples
+    for s in inner:
+        assert s.p_star == _interior_p(params, s.F_L)
+    assert (last.F_L, last.p_star) == (0.0, fixed_points(params, 0.0)[0].p_star)
 
 
 def test_trace_path_stays_in_saddle_region(params):
@@ -115,25 +118,82 @@ def test_trace_path_single_sample_at_bifurcation(params):
 @pytest.mark.parametrize("var", list(ModelVariant))
 @pytest.mark.parametrize("fl_start", [REF_SADDLE_FL, -3.3])
 def test_trace_path_equals_the_three_quartic_oracle(var, fl_start):
-    # one quartic per accepted F_L, reused by the fold check and the next
-    # predictor, must give the very samples of the loop that rebuilt it
+    # the theta solve and the predictor-corrector on the squared balance
+    # meet the same branch at the same forces
     params = SystemParams(variant=var)
     start = (_interior_p(params, fl_start), fl_start)
     path = trace_path(params, start, F_L_end=0.0)
     want = trace_path_three_quartics(params, start, F_L_end=0.0)
     assert path.terminal is want.terminal is PathTerminal.REACHED_ZERO_FORCE
-    assert len(path.samples) > 20
-    assert path.samples == want.samples
+    assert len(path.samples) == len(want.samples) > 20
+    assert [s.F_L for s in path.samples] == [s.F_L for s in want.samples]
+    assert [s.in_S for s in path.samples] == [s.in_S for s in want.samples]
+    for got, ref in zip(path.samples, want.samples):
+        assert abs(got.p_star - ref.p_star) <= 1e-14 * max(1.0, abs(ref.p_star)), got.F_L
 
 
 def test_trace_path_singular_start_at_the_end_is_one_sample():
-    # with a soft spring dD/dp at (0, 0) is below the fold tolerance; a
-    # path that starts where it ends takes no step, so that is no fold
+    # a soft spring makes dD/dp tiny at (0, 0); a path that starts where
+    # it ends takes no step, so it is one sample whatever the slope
     params = SystemParams(m=1.0, M=1.0, R=1.0, k=1e-6, p0=2.0)
     path = trace_path(params, (0.0, 0.0), F_L_end=0.0)
     assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
     assert path.samples == trace_path_three_quartics(params, (0.0, 0.0)).samples
     assert len(path.samples) == 1
+
+
+@pytest.mark.parametrize("fl_start, n_samples", [(-1e-5, 2), (-1e-7, 2), (-0.5, 11)])
+def test_trace_path_soft_spring_reaches_zero_force(fl_start, n_samples):
+    # the squared balance's coefficients scale with k^2, where a fold test
+    # on it would fire; the near arc has no fold (G' = c k (a + R/s^3) > 0),
+    # so each path reaches F_L = 0
+    params = SystemParams(m=1.0, M=1.0, R=1.0, k=1e-6, p0=2.0)
+    path = trace_path(params, (_interior_p(params, fl_start), fl_start), F_L_end=0.0)
+    assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
+    assert path.final.F_L == 0.0 and path.final.p_star == 0.0
+    assert len(path.samples) == n_samples
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    R=st.floats(1.0, 8.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    fl_start=st.floats(-20.0, -0.05),
+    end_share=st.sampled_from([0.0, 0.0, 0.3, 0.999]),
+    var=st.sampled_from(list(ModelVariant)),
+)
+def test_trace_path_follows_the_near_arc_point(R, m, M, k, p0_ratio, fl_start, end_share, var):
+    # criterion 11's parameter space: every sample is fixed_points' near-arc
+    # point, F_L strictly increases and the path ends at F_L_end
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    F_L_end = end_share * fl_start
+    path = trace_path(params, (_interior_p(params, fl_start), fl_start), F_L_end=F_L_end)
+    assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
+    assert path.final.F_L == F_L_end
+    fls = [s.F_L for s in path.samples]
+    assert all(a < b for a, b in zip(fls, fls[1:]))
+    for s in path.samples:
+        near = [f.p_star for f in fixed_points(params, s.F_L) if f.p_star < R] if s.F_L < 0.0 else [0.0]
+        assert s.p_star == near[-1], s.F_L
+
+
+@pytest.mark.parametrize("var", list(ModelVariant))
+@pytest.mark.parametrize("p0", [6.0, 8.0])
+def test_trace_path_far_arc_start_leaves_the_domain(var, p0):
+    # the far pair and its fold F_min lie on the far arc (p* > p0 > R),
+    # which never reaches F_L = 0: the path is the start alone
+    params = SystemParams(p0=p0, variant=var)
+    _, f_min = _far_fold(params, params.k * (params.m / params.M if var is ModelVariant.AS_PRINTED else 1.0))
+    starts = [(fp.p_star, fp.F_L_star) for fp in fixed_points(params, 0.5 * f_min) if fp.p_star > p0]
+    fold = [fp for fp in fixed_points(params, f_min) if fp.p_star > p0]
+    assert len(starts) == 2 and len(fold) == 1
+    for start in [*starts, (fold[0].p_star, f_min)]:
+        path = trace_path(params, start, F_L_end=0.0)
+        assert path.terminal is PathTerminal.LEFT_DOMAIN
+        assert [(s.p_star, s.F_L) for s in path.samples] == [start]
 
 
 def test_trace_path_rejects_bad_start(params):

@@ -370,6 +370,20 @@ def test_quiver_rows_are_per_node_nominal_rhs(tmp_path, variant):
     assert nans == 1  # p = 2.5, F_L = 0, where dD/dp = 0 exactly
 
 
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_quiver_soft_spring_has_no_false_fold(tmp_path, variant):
+    # every quartic coefficient scales with k^2 at F_L = 0, so only a fold
+    # test relative to dD/dp's terms leaves that column finite: the slope is 0
+    soft = build_config({"m": 1.0, "M": 1.0, "R": 1.0, "k": 1e-6, "p0": 2.0, "variant": variant})
+    cfg = apply_overrides(soft, output_dir=tmp_path, grid=(60, 40), F_L_range=FLRange(-15.5, 0.0, 0.05))
+    assert cmd_quiver(cfg) == 0
+    _, rows = _read_csv(tmp_path / "quiver.csv")
+    assert not [row for row in rows if math.isnan(float(row[2]))]
+    assert [float(slope) for _, fl, slope in rows if float(fl) == 0.0] == [0.0] * 60
+    for p in (0.25, 0.75):
+        assert nominal_rhs(cfg.params, p, 0.0) == 0.0
+
+
 def test_phase_portrait_bundle(tmp_path):
     cfg = _cfg(tmp_path, grid=(2, 2), t_end=0.2, F_L=-15.0)
     assert phase_portrait(cfg) == 0
@@ -442,10 +456,10 @@ def test_main_simulate_numerical_failure_leaves_no_output_dir(tmp_path, capsys):
 
 def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     from lamsa import cli
-    from lamsa.errors import CorrectorDivergenceError
+    from lamsa.errors import EquilibriumBalanceError
 
     def boom(cfg):
-        raise CorrectorDivergenceError("synthetic failure")
+        raise EquilibriumBalanceError("synthetic failure")
 
     monkeypatch.setitem(cli._COMMANDS, "trace", boom)
     rc = main(["trace", "--out", str(tmp_path / "t")])
@@ -474,12 +488,53 @@ def test_build_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def test_main_bad_argument_exits_2_on_every_call(capsys):
+def test_main_bad_argument_exits_1_on_every_call(capsys):
     for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            main(["trace", "--fl", "not-a-number"])
-        assert exc.value.code == 2
-        assert "invalid float value" in capsys.readouterr().err
+        assert main(["trace", "--fl", "not-a-number"]) == 1
+        err = capsys.readouterr().err
+        assert err == "lamsa: configuration error: argument --fl: invalid float value: 'not-a-number'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--fl", "abc"], "argument --fl: invalid float value: 'abc'"),
+        (["--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["--t-end", "soon"], "argument --t-end: invalid float value: 'soon'"),
+        (["--variant", "x"], "argument --variant: invalid choice: 'x'"),
+        (["--no-such-option"], "unrecognized arguments: --no-such-option"),
+    ],
+)
+def test_main_malformed_argument_is_configuration_error(tmp_path, capsys, argv, message):
+    # exit 2 means a numerical failure: a bad argument is bad input (exit 1)
+    out = tmp_path / "x"
+    assert main(["simulate", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"lamsa: configuration error: {message}")
+    assert not out.exists()
+
+
+def test_main_without_a_subcommand_is_configuration_error(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err.startswith("lamsa: configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_main_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: lamsa" in capsys.readouterr().out
+
+
+def test_negative_seed_is_configuration_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"\bseed must be non-negative, got -1$"):
+        parse_config("seed = -1\n")
+    cfg = tmp_path / "jitter.cfg"
+    cfg.write_text("jitter = true\ngrid = 2x2\n")
+    out = tmp_path / "pp"
+    assert main(["phase-portrait", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "lamsa: configuration error: seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def _artifacts(out: Path) -> dict[str, object]:
