@@ -35,6 +35,7 @@ from .equilibria import (
     balance_residual,
     eval_quartic,
     eval_quartic_derivative,
+    fixed_point_sweep,
     fixed_points,
     quartic_coefficients,
     roots_in_interval,

@@ -2,7 +2,7 @@
 
 On the near arc the saddle branch is explicit in the circle's angle
 theta (see ``equilibria``), and it has no fold there: ``trace_path``
-solves that balance afresh at each sample's F_L, with the Newton
+solves that balance at every sample's F_L in one call of the Newton
 iteration of ``fixed_points``.
 
 Implicit differentiation of the equilibrium quartic D(p; F_L) = 0 gives
@@ -188,10 +188,15 @@ def nominal_rhs(
         if singular:
             raise SingularDenominatorError(f"dD/dp ~ 0 at p={p}, F_L={F_L}")
         return slope
-    M, R = params.M, params.R
+    m, M, R, k, p0 = params.m, params.M, params.R, params.k, params.p0
     lam = -(M * M) * (p - R) ** 2 * F_L
     sig_pi = _sigma_plus_pi(params, p, F_L)
-    if abs(sig_pi) < _DENOM_TOL * max(1.0, abs(lam)):
+    # singular against its own terms only, as in _dp_singular: at F_L = 0
+    # they all scale with k^2, so an absolute floor flags a soft spring
+    mk2 = m * m * k * k
+    terms = (F_L * F_L * M * M * (p - R), 2.0 * mk2 * k * k * p**3, mk2 * p * p0 * p0,
+             3.0 * mk2 * p * p * (p0 + R), mk2 * (4.0 * R - p0) * p0 * R)
+    if abs(sig_pi) <= _DENOM_TOL * max(map(abs, terms)):
         raise SingularDenominatorError(f"Sigma+Pi ~ 0 at p={p}, F_L={F_L}")
     return lam / sig_pi
 
@@ -227,8 +232,8 @@ def in_region_U(params: SystemParams, p: float, F_L: float) -> UMembership:
     )
 
 
-def _in_S_at(params: SystemParams, p: float, l: float, F_L: float) -> tuple[float, bool]:
-    """(h2, saddle?) at the on-circle rest state (p, l) under F_L."""
+def _in_S_at(params: SystemParams, p, l, F_L):
+    """(h2, saddle?) at on-circle rest states (p, l) under F_L, for floats or arrays."""
     A, B, G, D = _latched_abgd(params, p, l, F_L)
     h1, h2 = characteristic_invariants(A, B, G, D)
     return h2, _is_saddle(h1, h2)
@@ -243,8 +248,9 @@ def trace_path(
 
     Samples go at F_L0 + 0.05, F_L0 + 0.10, ... (the last clipped to
     F_L_end), each the near-arc point that ``fixed_points`` gives at that
-    F_L.  The start must satisfy the equilibrium balance; the path never
-    extends past F_L = 0, where the branch ceases to exist.  Terminates
+    F_L; one Newton call solves them all.  The start must satisfy the
+    equilibrium balance; the path never extends past F_L = 0, where the
+    branch ceases to exist.  Terminates
     with REACHED_ZERO_FORCE at F_L_end, or LEFT_DOMAIN at once when the
     start lies on the far arc (p* >= R), which does not reach F_L = 0.
     """
@@ -267,15 +273,18 @@ def trace_path(
     samples = [PathSample(fl_start, p_start, in_s, h2)]
     if p_start >= params.R:
         return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
+    fls = []
     fl = fl_start
     while fl < F_L_end - 1e-14:
         fl += min(_FL_STEP, F_L_end - fl)
         if F_L_end - fl < 1e-14:
             fl = F_L_end
-        ck, u, stop = _near_arc(params, fl)
-        (p, l), _ = _newton_correct(params, ck, fl, 1.0, u, stop)
-        h2, in_s = _in_S_at(params, p, l, fl)
-        samples.append(PathSample(fl, p, in_s, h2))
+        fls.append(fl)
+    F_L = np.array(fls)
+    ck, u, stop = _near_arc(params, F_L)
+    (p, l), _ = _newton_correct(params, ck, F_L, 1.0, u, stop)
+    h2, in_s = _in_S_at(params, p, l, F_L)
+    samples += map(PathSample, fls, p.tolist(), in_s.tolist(), h2.tolist())
     return ContinuationPath(tuple(samples), PathTerminal.REACHED_ZERO_FORCE)
 
 

@@ -32,12 +32,17 @@ from .bifurcation import (
     trace_path,
 )
 from .config import RunConfig, apply_overrides, build_config, parse_config, parse_fl_range, parse_grid, sweep_values
-from .equilibria import FixedPoint, fixed_points, unlatched_fixed_point
+from .equilibria import FixedPoint, fixed_point_sweep, fixed_points, unlatched_fixed_point
 from .errors import ConfigError, LamsaError
 from .io import flag, fmt, write_csv, write_events, write_manifest, write_trajectory
 from .model import ModelVariant, SystemState, latch_from_projectile
 from .simulate import simulate
-from .stability import stability_report
+from .stability import (
+    _latched_abgd,
+    characteristic_invariants,
+    classify,
+    stability_report,  # not called here; kept importable because perfbench/tracer.py wraps lamsa.cli.stability_report
+)
 
 __all__ = [
     "main",
@@ -126,40 +131,33 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return out.finish()
 
 
+def _columns(*columns: np.ndarray) -> list[Iterable[str]]:
+    """Each float column formatted cell by cell as ``fmt`` would."""
+    return [map(float.__repr__, c.tolist()) for c in columns]
+
+
 def cmd_equilibria(cfg: RunConfig) -> int:
     """Sweep of the moving fixed point; at F_L = 0 it collapses onto the origin."""
-    rows = []
-    for fl in sweep_values(cfg.F_L_range):
-        pts = fixed_points(cfg.params, fl)
-        movers = [p for p in pts if not p.origin_flag] or [p for p in pts]
-        if not movers:
-            continue  # F_L > 0: no latched fixed point exists
-        rows.append(_fixed_point_row(movers[0]))
+    sweep = sweep_values(cfg.F_L_range)
+    fl, p, l = fixed_point_sweep(cfg.params, sweep)
+    near = np.ones(fl.size, dtype=bool)  # each force's first row is its near-arc point
+    near[1:] = fl[1:] != fl[:-1]
+    no, yes = flag(False), flag(True)
+    rows = [[f, ps, ls, no, yes] for f, ps, ls in zip(*_columns(fl[near], p[near], l[near]))]
+    # the sweep ascends, so its F_L = 0 (the origin alone) follows every F_L < 0
+    rows += [_fixed_point_row(fixed_points(cfg.params, f)[0]) for f in sweep if f == 0.0]
     out = _Artifacts(cfg)
     out.write("fixedpoints.csv", write_csv, FIXEDPOINT_HEADER, rows)
     return out.finish()
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    rows = []
-    for fl in sweep_values(cfg.F_L_range):
-        for fp in fixed_points(cfg.params, fl):
-            if fp.origin_flag:
-                continue
-            rep = stability_report(cfg.params, fp)
-            rows.append(
-                [
-                    fmt(fl),
-                    fmt(fp.p_star),
-                    fmt(rep.A),
-                    fmt(rep.B),
-                    fmt(rep.Gamma),
-                    fmt(rep.Delta),
-                    fmt(rep.h1),
-                    fmt(rep.h2),
-                    rep.classification.value,
-                ]
-            )
+    """Closed-form entries, invariants and saddle class at every latched fixed point but the origin."""
+    fl, p, l = fixed_point_sweep(cfg.params, sweep_values(cfg.F_L_range))
+    A, B, G, D = _latched_abgd(cfg.params, p, l, fl)
+    h1, h2 = characteristic_invariants(A, B, G, D)
+    labels = [classify(a, b).value for a, b in zip(h1.tolist(), h2.tolist())]
+    rows = list(zip(*_columns(fl, p, A, B, G, D, h1, h2), labels))
     out = _Artifacts(cfg)
     out.write("classification.csv", write_csv, CLASSIFY_HEADER, rows)
     return out.finish()
@@ -171,7 +169,8 @@ def cmd_trace(cfg: RunConfig) -> int:
     if not pts:
         raise ConfigError(f"no interior fixed point exists at F_L={cfg.F_L}")
     path = trace_path(cfg.params, (pts[0].p_star, cfg.F_L), F_L_end=0.0)
-    rows = [[fmt(s.F_L), fmt(s.p_star), flag(s.in_S)] for s in path.samples]
+    r = float.__repr__  # fmt without its call
+    rows = [[r(s.F_L), r(s.p_star), flag(s.in_S)] for s in path.samples]
     out = _Artifacts(cfg)
     out.write("path.csv", write_csv, PATH_HEADER, rows)
     # +/- sqrt(h2) is the saddle's real pair at the last sample; as F_L -> 0-

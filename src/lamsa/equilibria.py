@@ -33,8 +33,10 @@ that holds the saddle ends there.
 
 Squaring the balance gives the quartic D(p) of ``quartic_coefficients``,
 which also has the spurious roots of the squared sign.  No solver uses
-it: ``_newton_correct`` solves the balance in theta for ``fixed_points``
-and ``bifurcation.trace_path`` alike, and the quartic and its root scan
+it: ``_newton_correct`` solves the balance in theta, for a whole array of
+forces at once, for ``fixed_point_sweep`` (and so ``fixed_points``, a
+sweep of one force) and ``bifurcation.trace_path`` alike, and the
+quartic and its root scan
 ``roots_in_interval`` stay as an independent oracle and as ``quiver``'s
 direction field.
 
@@ -64,6 +66,7 @@ __all__ = [
     "roots_in_interval",
     "balance_residual",
     "fixed_points",
+    "fixed_point_sweep",
     "unlatched_fixed_point",
 ]
 
@@ -209,46 +212,61 @@ def _make_fp(
     return FixedPoint(p_star, l_star, F_L, Mode.LATCHED, False, vanishing)
 
 
-def _near_arc(params: SystemParams, F_L: float) -> tuple[float, float, float]:
-    """(c k, start, stop in tan theta) of Newton's near-arc solve at F_L <= 0 (c = m/M printed, 1 derived)."""
+def _near_arc(params: SystemParams, F_L):
+    """(c k, start, stop in tan theta) of Newton's near-arc solve at F_L <= 0 (c = m/M printed, 1 derived).
+
+    F_L may be a float or a numpy array; start and stop follow it.
+    """
     ck = params.k * (params.m / params.M if params.variant is _PRINTED else 1.0)
     return ck, -F_L / (ck * params.p0), -F_L / (ck * (params.p0 - params.R))
 
 
 def _newton_correct(
-    params: SystemParams, ck: float, F_L: float, sigma: float, u: float, stop: float
-) -> tuple[tuple[float, float], int]:
-    """((p, l), iterations) of the balance's root on one monotone piece of an arc.
+    params: SystemParams, ck: float, F_L: np.ndarray, sigma: float, u: np.ndarray, stop: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """((p, l), iterations) of the balance's roots on one monotone piece of an arc.
 
+    One solve per element of the arrays ``F_L``, ``u`` and ``stop``.
     ``sigma`` is +1 on the near arc (cos theta = 1/s) and -1 on the far arc
     (cos theta = -1/s), with u = |tan theta| and s = sqrt(1 + u^2); there
     the balance reads -c k (sigma a + R/s) u = F_L.  Newton's iteration
     starts at ``u`` and, the balance being convex in u, moves monotonically
-    towards the root, which lies between ``u`` and ``stop``; it ends when an
-    iterate stops moving on (the rounding floor).  ``iterations`` counts
-    the Newton steps tried, at least 1.  Raises EquilibriumBalanceError
-    when the balance residual at the result is not small against its terms.
+    towards the root, which lies between ``u`` and ``stop``; an element's
+    iteration ends when its iterate stops moving on (the rounding floor) or
+    its slope is zero, and the others go on.  Each element's arithmetic
+    is its own, so it gives the same root whatever array it is solved in.
+    ``iterations`` sums the Newton steps tried over the elements, at least
+    1.  Raises EquilibriumBalanceError, naming the first failing F_L, when
+    a balance residual at the result is not small against its terms.
     """
     R, sa = params.R, sigma * (params.p0 - params.R)
-    up = stop > u
-    for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        s = math.hypot(1.0, u)
-        slope = -ck * (sa + R / s**3)
-        if slope == 0.0:
-            break
-        u_new = u + (ck * (sa + R / s) * u + F_L) / slope
-        u_new = min(u_new, stop) if up else max(u_new, stop)
-        if (u_new - u) * (stop - u) <= 0.0:
-            break
-        u = u_new
-    s = math.hypot(1.0, u)
+    # clamping into [start, stop] is clamping towards stop: an iterate
+    # that falls back towards its start stops moving on either way
+    lo, hi = np.minimum(u, stop), np.maximum(u, stop)
+    u = np.array(u, dtype=float)
+    live = np.ones(u.shape, dtype=bool)
+    iterations = 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # the dead elements' steps
+        for _ in range(_NEWTON_MAX_ITER):
+            n_live = int(np.count_nonzero(live))
+            if not n_live:
+                break
+            iterations += n_live
+            s = np.hypot(1.0, u)
+            slope = -ck * (sa + R / (s * s * s))
+            u_new = np.minimum(np.maximum(u + (ck * (sa + R / s) * u + F_L) / slope, lo), hi)
+            live &= (slope != 0.0) & ~((u_new - u) * (stop - u) <= 0.0)
+            np.copyto(u, u_new, where=live)
+    s = np.hypot(1.0, u)
     residual = ck * (sa + R / s) * u + F_L
-    if not abs(residual) <= _BALANCE_RTOL * max(abs(F_L), ck * u * (abs(sa) + R / s)):
+    bad = ~(np.abs(residual) <= _BALANCE_RTOL * np.fmax(np.abs(F_L), ck * u * (abs(sa) + R / s)))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise EquilibriumBalanceError(
-            f"balance residual {residual:.3e} at tan(theta)={u!r}, F_L={F_L!r}"
+            f"balance residual {residual[i]:.3e} at tan(theta)={float(u[i])!r}, F_L={float(F_L[i])!r}"
         )
     l = R * (u / s)
-    return ((l * u / (1.0 + s) if sigma > 0.0 else R + R / s), l), iterations
+    return ((l * u / (1.0 + s) if sigma > 0.0 else R + R / s), l), max(iterations, 1)
 
 
 def _far_fold(params: SystemParams, ck: float) -> tuple[float, float] | None:
@@ -265,6 +283,39 @@ def _far_fold(params: SystemParams, ck: float) -> tuple[float, float] | None:
     return u, ck * (a - R / s) * u
 
 
+def fixed_point_sweep(params: SystemParams, F_L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F_L, p*, l*) of every latched equilibrium but the origin over a sweep of forces.
+
+    The rows follow ``F_L``'s order and, within one force, ascend in p:
+    for each F_L < 0 the near-arc point, then, when p0 < 2R and F_L >
+    F_min, the far pair (the single fold point at F_L = F_min).  A force
+    F_L >= 0 has no row.  The near arc is one Newton solve over the whole
+    sweep and the far arc another, so every row equals the matching point
+    of ``fixed_points``.
+    """
+    F_L = np.asarray(F_L, dtype=float).ravel()
+    fl = F_L[~(F_L >= 0.0)]  # a nan force fails the balance check
+    ck, u, stop = _near_arc(params, fl)
+    (p, l), _ = _newton_correct(params, ck, fl, 1.0, u, stop)
+    fold = _far_fold(params, ck)
+    if fold is None:
+        return fl, p, l
+    u_fold, f_min = fold
+    pair = fl > f_min
+    # columns: the near-arc point, the far pair's p0-side point (or the
+    # fold) and its 2R-side point
+    have = np.column_stack([np.ones(fl.size, dtype=bool), pair | (fl == f_min), pair])
+    far = have[:, 1:]
+    u_p0 = math.sqrt((params.R / (params.p0 - params.R)) ** 2 - 1.0)
+    u = np.column_stack([np.where(pair, u_p0, u_fold), np.zeros(fl.size)])[far]
+    ps, ls = np.zeros(have.shape), np.zeros(have.shape)
+    ps[:, 0], ls[:, 0] = p, l
+    (ps[:, 1:][far], ls[:, 1:][far]), _ = _newton_correct(
+        params, ck, np.repeat(fl, far.sum(axis=1)), -1.0, u, np.full(u.size, u_fold)
+    )
+    return np.repeat(fl, have.sum(axis=1)), ps[have], ls[have]
+
+
 def fixed_points(params: SystemParams, F_L: float) -> list[FixedPoint]:
     """Latched-mode equilibrium set for one latch force, in ascending p.
 
@@ -274,8 +325,9 @@ def fixed_points(params: SystemParams, F_L: float) -> list[FixedPoint]:
       one near-arc point in (0, R), and, when p0 < 2R and F_L > F_min, the
       far pair in (p0, 2R) (a single point at the fold F_L = F_min).
 
-    Each point is a Newton solve of the balance in the circle's angle (see
-    the module docstring); a residual that fails the postcondition raises
+    The points after the origin are ``fixed_point_sweep``'s rows for the
+    one force: Newton solves of the balance in the circle's angle (see the
+    module docstring); a residual that fails the postcondition raises
     EquilibriumBalanceError.
     """
     if F_L > 0.0:
@@ -287,21 +339,8 @@ def fixed_points(params: SystemParams, F_L: float) -> list[FixedPoint]:
     origin = FixedPoint(0.0, 0.0, F_L, Mode.LATCHED, True, rows)
     if F_L == 0.0:
         return [origin]
-
-    ck, u, stop = _near_arc(params, F_L)
-    a = params.p0 - params.R
-    arcs = [(1.0, u, stop)]
-    fold = _far_fold(params, ck)
-    if fold is not None and F_L == fold[1]:
-        arcs.append((-1.0, fold[0], fold[0]))
-    elif fold is not None and F_L > fold[1]:
-        u_p0 = math.sqrt((params.R / a) ** 2 - 1.0)
-        arcs += [(-1.0, u_p0, fold[0]), (-1.0, 0.0, fold[0])]
-    out = [origin]
-    for sigma, u, stop in arcs:
-        (p, l), _ = _newton_correct(params, ck, F_L, sigma, u, stop)
-        out.append(_make_fp(params, p, l, F_L, tol))
-    return out
+    _, p, l = fixed_point_sweep(params, F_L)
+    return [origin, *(_make_fp(params, pi, li, F_L, tol) for pi, li in zip(p.tolist(), l.tolist()))]
 
 
 def unlatched_fixed_point(params: SystemParams) -> FixedPoint:

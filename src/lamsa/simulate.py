@@ -21,6 +21,7 @@ the model stops describing the physics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,7 +58,8 @@ __all__ = [
 _MIN_STEP = 1e-14
 # Python 3.11 fetches Enum members through a Python-level descriptor
 _LATCHED, _UNLATCHED = Mode.LATCHED, Mode.UNLATCHED
-_new_state = SystemState._make
+# SystemState._make without its Python-level classmethod frame
+_new_state = functools.partial(tuple.__new__, SystemState)
 
 
 @dataclass(frozen=True)

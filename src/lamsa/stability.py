@@ -26,8 +26,9 @@ d = M derived), so the entries follow in closed form:
 
 with tau_p, tau_l the partials of N/W by the quotient rule.
 ``_latched_abgd`` evaluates them with plain arithmetic, for floats or for
-whole broadcast arrays of rest states; ``stability_report`` and the
-bifurcation module's raster and path use it.  Central finite
+whole broadcast arrays of rest states; ``stability_report``, the
+``classify`` command's sweep and the bifurcation module's raster and
+path use it.  Central finite
 differences of the field (``_fd_abgd``, ``jacobian_fd_at``) remain as
 its oracle and for the published design check.  The published
 closed-form entries are kept verbatim in ``closed_form_ABGD`` purely as a

@@ -12,7 +12,8 @@ concern (it shares the Dormand-Prince kernel, the field and the
 constraint projection with the package, not the loop bookkeeping, the
 step-size control or the event interpolation; ``simulate`` evaluates the
 unlatched flight in closed form where this oracle integrates it), and
-the flight oracle writes that closed form with ``harmonic_position``.
+the flight oracle writes that closed form with ``harmonic_position``,
+and the theta oracle is the equilibrium Newton loop in plain floats.
 """
 
 from __future__ import annotations
@@ -166,6 +167,30 @@ def jacobian_central_fd(
         J[1, j] = (fp[1] - fm[1]) / (2.0 * h)
         J[3, j] = (fp[3] - fm[3]) / (2.0 * h)
     return J
+
+
+def theta_newton_reference(params, ck: float, F_L: float, sigma: float, u: float, stop: float) -> tuple[float, float]:
+    """(p, l) of the theta balance's root on one monotone piece of an arc, one force in plain floats.
+
+    The scalar loop that ``equilibria._newton_correct`` runs per element
+    over numpy arrays, with ``math.hypot`` and ``s**3``, whose last bit can
+    differ from numpy's ``hypot`` and ``s * s * s``.
+    """
+    R, sa = params.R, sigma * (params.p0 - params.R)
+    up = stop > u
+    for _ in range(100):
+        s = math.hypot(1.0, u)
+        slope = -ck * (sa + R / s**3)
+        if slope == 0.0:
+            break
+        u_new = u + (ck * (sa + R / s) * u + F_L) / slope
+        u_new = min(u_new, stop) if up else max(u_new, stop)
+        if (u_new - u) * (stop - u) <= 0.0:
+            break
+        u = u_new
+    s = math.hypot(1.0, u)
+    l = R * (u / s)
+    return (l * u / (1.0 + s) if sigma > 0.0 else R + R / s), l
 
 
 QUARTIC_FOLD = "DenominatorSingular"  # the oracle's terminal where dD/dp is numerically zero

@@ -50,9 +50,13 @@ def test_nominal_rhs_negative_at_saddle(params):
 
 
 def test_nominal_rhs_zero_at_zero_force_any_p(params):
-    for p in (0.5, 2.0, 4.0):
-        assert nominal_rhs(params, p, 0.0) == 0.0
-        assert nominal_rhs(params, p, 0.0, formula=NominalFormula.PUBLISHED) == 0.0
+    # the soft spring's Sigma+Pi is ~4e-12, which only an absolute floor
+    # would take for zero
+    soft = SystemParams(m=1.0, M=1.0, R=1.0, k=1e-6, p0=2.0)
+    for prm, ps in ((params, (0.5, 2.0, 4.0)), (soft, (0.25, 0.75))):
+        for p in ps:
+            assert nominal_rhs(prm, p, 0.0) == 0.0
+            assert nominal_rhs(prm, p, 0.0, formula=NominalFormula.PUBLISHED) == 0.0
 
 
 def test_nominal_rhs_matches_root_finite_difference(params):

@@ -17,9 +17,11 @@ from lamsa import (
     ModelVariant,
     SystemParams,
     SystemState,
+    fixed_points,
     nominal_rhs,
     parse_config,
     simulate,
+    stability_report,
     sweep_values,
 )
 from lamsa.cli import (
@@ -328,6 +330,34 @@ def test_cmd_classify_schema(tmp_path):
     assert header == ["F_L", "p_star", "A", "B", "Gamma", "Delta", "h1", "h2", "class"]
     assert len(rows) == 3  # F_L in {-15, -10, -5}; no interior point at 0
     assert all(r[8] == "Saddle" for r in rows)
+
+
+@pytest.mark.parametrize("p0", [6.0, 8.0])
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_far_pair_sweeps_match_per_force_reference(tmp_path, variant, p0):
+    # p0 < 2R: the sweep crosses F_min, so its rows mix forces with one
+    # latched point (the near arc) and forces with three (the far pair too)
+    params = SystemParams(p0=p0, variant=variant)
+    (tmp_path / "p0.cfg").write_text(f"p0 = {p0!r}\n", encoding="utf-8")
+    argv = ["--config", str(tmp_path / "p0.cfg"), "--variant", variant.value, "--fl-range=-4:0.5:0.05"]
+    assert main(["equilibria", *argv, "--out", str(tmp_path / "eq")]) == 0
+    assert main(["classify", *argv, "--out", str(tmp_path / "cl")]) == 0
+    sweep = sweep_values(FLRange(-4.0, 0.5, 0.05))
+    points = {fl: fixed_points(params, fl) for fl in sweep}
+    assert {len(pts) for pts in points.values()} == {0, 1, 2, 4}  # F_L > 0, = 0, < F_min, > F_min
+
+    _, rows = _read_csv(tmp_path / "eq" / "fixedpoints.csv")
+    expect = [([p for p in pts if not p.origin_flag] or pts)[0] for pts in points.values() if pts]
+    assert [r[0] for r in rows] == [fmt(fp.F_L_star) for fp in expect]
+    assert [(float(r[1]), float(r[2]), r[3]) for r in rows] == [
+        (fp.p_star, fp.l_star, "1" if fp.origin_flag else "0") for fp in expect
+    ]
+
+    _, rows = _read_csv(tmp_path / "cl" / "classification.csv")
+    expect = [(fl, fp, stability_report(params, fp)) for fl, pts in points.items() for fp in pts if not fp.origin_flag]
+    assert [(r[0], r[8]) for r in rows] == [(fmt(fl), rep.classification.value) for fl, _, rep in expect]
+    for r, (_, fp, rep) in zip(rows, expect):
+        assert [float(c) for c in r[1:8]] == [fp.p_star, rep.A, rep.B, rep.Gamma, rep.Delta, rep.h1, rep.h2]
 
 
 def test_cmd_region_map_and_quiver_schema(tmp_path):

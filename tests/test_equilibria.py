@@ -16,6 +16,7 @@ from lamsa import (
     balance_residual,
     eval_quartic,
     eval_quartic_derivative,
+    fixed_point_sweep,
     fixed_points,
     latch_from_projectile,
     quartic_coefficients,
@@ -24,10 +25,11 @@ from lamsa import (
     vector_field,
 )
 from lamsa.equilibria import _VANISH_TOL, FixedPoint, _far_fold
+from lamsa.errors import EquilibriumBalanceError
 from lamsa.model import _field_arr
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
-from oracles import fine_grid_roots
+from oracles import fine_grid_roots, theta_newton_reference
 
 
 def test_quartic_coefficients_reference_values(params):
@@ -399,3 +401,66 @@ def test_no_far_pair_from_twice_the_radius(params):
     assert _far_fold(SystemParams(p0=12.0), 1.0) is None
     for fl in (-15.0, -1.0, -1e-8):
         assert all(f.p_star < params.R for f in fixed_points(params, fl))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    R=st.floats(1.0, 8.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    drawn=st.lists(st.floats(-20.0, 5.0), max_size=30),
+    var=st.sampled_from(list(ModelVariant)),
+)
+def test_fixed_point_sweep_equals_fixed_points(R, m, M, k, p0_ratio, drawn, var):
+    # criterion 11's parameter space: one batched solve gives, row for row,
+    # the points that one fixed_points call per force gives
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    forces = [*drawn, 1.0, 0.0, -0.0, -1e-3, -1e-12, -1e-300]
+    fold = _far_fold(params, _ck(params))
+    if fold is not None:
+        forces += [fold[1], 0.999 * fold[1], 1.001 * fold[1]]
+    per_force = {}
+    for f in forces:
+        try:
+            per_force[f] = [(f, fp.p_star, fp.l_star) for fp in fixed_points(params, f) if not fp.origin_flag]
+        except EquilibriumBalanceError:  # a subnormal force: its point is not representable
+            with pytest.raises(EquilibriumBalanceError):
+                fixed_point_sweep(params, forces)
+    forces = [f for f in forces if f in per_force]
+    fl, p, l = fixed_point_sweep(params, forces)
+    assert list(zip(fl.tolist(), p.tolist(), l.tolist())) == [row for f in forces for row in per_force[f]]
+
+
+def test_fixed_point_sweep_of_no_force_is_empty(params):
+    for forces in ([], [0.0, 2.0]):
+        assert [a.size for a in fixed_point_sweep(params, forces)] == [0, 0, 0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    R=st.floats(1.0, 8.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    log_fl=st.lists(st.floats(-12.0, math.log10(20.0)), min_size=1, max_size=30),
+    var=st.sampled_from(list(ModelVariant)),
+)
+def test_fixed_point_sweep_matches_the_scalar_loop_on_the_near_arc(R, m, M, k, p0_ratio, log_fl, var):
+    # the batched solve against the per-force loop in plain floats: the
+    # same iteration, so the same root up to numpy's last-bit differences
+    # in hypot and the cube.  (The far pair is ill-conditioned as p0 -> 2R,
+    # where the two differ by more; it is checked against the balance and
+    # the quartic instead.)
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    ck, a = _ck(params), params.p0 - R
+    forces = [-(10.0**e) for e in log_fl]
+    fl, p, l = fixed_point_sweep(params, forces)
+    near = p < R  # the far pair lies beyond p0 > R
+    assert fl[near].tolist() == forces
+    for f, got in zip(forces, zip(p[near].tolist(), l[near].tolist())):
+        want = theta_newton_reference(params, ck, f, 1.0, -f / (ck * params.p0), -f / (ck * a))
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 2e-15 * max(1.0, abs(y)), (f, x, y)

@@ -230,6 +230,7 @@ def test_simulate_pulling_force_unlatches_and_launches(params):
     assert traj.events[0].kind is EventKind.UNLATCH_TAU_ZERO
     assert traj.final.state.p >= params.p0 - 1e-6
     assert traj.final.state.p_dot > 0
+    assert all(type(x) is SystemState for x in [*traj.x, traj.events[0].state])
 
 
 def test_simulate_latched_segment_matches_fixed_stride_oracle(cc_params):
@@ -309,6 +310,8 @@ def test_trajectory_columns_and_views(params):
     # integer inputs come out as plain floats in every column
     assert all(type(v) is float for v in traj.t + traj.tau)
     assert all(type(c) is float for s in traj.x for c in s)
+    # states are built without SystemState._make, but stay SystemStates
+    assert all(type(x) is SystemState for x in traj.x)
 
 
 def test_simulate_conserves_energy_and_constraint(cc_params):
