@@ -3,7 +3,9 @@
 Simulates the two-mode (latched/unlatched) switched dynamics with event
 detection, solves and classifies the latched equilibria, traces the
 moving saddle as the latch force varies, and checks the design condition
-for the saddle-node disappearance at zero force.
+for the saddle-node disappearance at zero force.  The paper's printed
+formulas, some of them known to be wrong, are kept apart for comparison
+in ``lamsa.published``.
 """
 
 from .model import (
@@ -17,7 +19,6 @@ from .model import (
     mechanical_energy,
     mode_of,
     spring_force,
-    vector_field,
 )
 from .simulate import (
     Event,
@@ -29,44 +30,27 @@ from .simulate import (
     project_to_constraint,
     simulate,
 )
-from .equilibria import (
-    FixedPoint,
-    QuarticD,
-    balance_residual,
-    eval_quartic,
-    eval_quartic_derivative,
-    fixed_point_sweep,
-    fixed_points,
-    quartic_coefficients,
-    roots_in_interval,
-    unlatched_fixed_point,
-)
+from .equilibria import FixedPoint, balance_residual, fixed_point_sweep, fixed_points, unlatched_fixed_point
 from .stability import (
     Classification,
     StabilityReport,
     characteristic_invariants,
     classify,
-    closed_form_ABGD,
     eigenvalues_biquadratic,
     extract_ABGD,
-    jacobian_fd,
     jacobian_fd_at,
-    real_pair_exists,
     stability_report,
 )
 from .bifurcation import (
     ContinuationPath,
     DesignReport,
-    NominalFormula,
     PathTerminal,
     RegionMap,
     design_feasibility,
-    in_region_U,
-    nominal_rhs,
     saddle_region_map,
     trace_path,
 )
 from .config import FLRange, RunConfig, parse_config, sweep_values
-from . import errors
+from . import errors, published
 
 __version__ = "0.1.0"

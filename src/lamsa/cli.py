@@ -23,38 +23,26 @@ from typing import Callable, Iterable, NoReturn
 
 import numpy as np
 
-from .bifurcation import (
-    _implicit_slope,
-    design_feasibility,
-    in_region_U,
-    nominal_rhs,  # not called here; kept importable because perfbench/tracer.py wraps lamsa.cli.nominal_rhs
-    saddle_region_map,
-    trace_path,
-)
+from .bifurcation import design_feasibility, saddle_region_map, trace_path
 from .config import RunConfig, apply_overrides, build_config, parse_config, parse_fl_range, parse_grid, sweep_values
 from .equilibria import FixedPoint, fixed_point_sweep, fixed_points, unlatched_fixed_point
 from .errors import ConfigError, LamsaError
 from .io import flag, fmt, write_csv, write_events, write_manifest, write_trajectory
 from .model import ModelVariant, SystemState, latch_from_projectile
+from .published import (
+    _implicit_slope,
+    in_region_U,
+    nominal_rhs,  # not called here; kept importable because perfbench/tracer.py wraps lamsa.cli.nominal_rhs
+)
 from .simulate import simulate
 from .stability import (
+    _class_labels,
     _latched_abgd,
     characteristic_invariants,
-    classify,
     stability_report,  # not called here; kept importable because perfbench/tracer.py wraps lamsa.cli.stability_report
 )
 
-__all__ = [
-    "main",
-    "cmd_simulate",
-    "cmd_equilibria",
-    "cmd_classify",
-    "cmd_trace",
-    "cmd_region_map",
-    "cmd_quiver",
-    "cmd_design_check",
-    "phase_portrait",
-]
+__all__ = ["main"]  # the subcommands are the interface, through _COMMANDS
 
 FIXEDPOINT_HEADER = ["F_L", "p_star", "l_star", "origin_flag", "valid"]
 CLASSIFY_HEADER = ["F_L", "p_star", "A", "B", "Gamma", "Delta", "h1", "h2", "class"]
@@ -156,8 +144,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     fl, p, l = fixed_point_sweep(cfg.params, sweep_values(cfg.F_L_range))
     A, B, G, D = _latched_abgd(cfg.params, p, l, fl)
     h1, h2 = characteristic_invariants(A, B, G, D)
-    labels = [classify(a, b).value for a, b in zip(h1.tolist(), h2.tolist())]
-    rows = list(zip(*_columns(fl, p, A, B, G, D, h1, h2), labels))
+    rows = list(zip(*_columns(fl, p, A, B, G, D, h1, h2), _class_labels(h1, h2)))
     out = _Artifacts(cfg)
     out.write("classification.csv", write_csv, CLASSIFY_HEADER, rows)
     return out.finish()

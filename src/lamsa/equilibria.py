@@ -31,14 +31,12 @@ Points with p in (R, min(p0, 2R)) would need F_L > 0.  ``fixed_points``
 reports nothing for F_L > 0 and only the origin for F_L = 0: the branch
 that holds the saddle ends there.
 
-Squaring the balance gives the quartic D(p) of ``quartic_coefficients``,
-which also has the spurious roots of the squared sign.  No solver uses
-it: ``_newton_correct`` solves the balance in theta, for a whole array of
+``_newton_correct`` solves the balance in theta, for a whole array of
 forces at once, for ``fixed_point_sweep`` (and so ``fixed_points``, a
-sweep of one force) and ``bifurcation.trace_path`` alike, and the
-quartic and its root scan
-``roots_in_interval`` stay as an independent oracle and as ``quiver``'s
-direction field.
+sweep of one force) and ``bifurcation.trace_path`` alike.  Squaring the
+balance gives the paper's quartic D(p), which also has the spurious
+roots of the squared sign; no solver uses it, and it lives with the
+other printed formulas in ``lamsa.published``.
 
 Note that the origin (and, under AS_PRINTED, every other point) zeroes
 the projectile row of the vector field but leaves a latch acceleration
@@ -49,21 +47,16 @@ components actually vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EquilibriumBalanceError
 from .model import _PRINTED, Mode, SystemParams, SystemState, _field_arr, spring_force
+from .published import roots_in_interval  # not called here; kept importable because perfbench/tracer.py wraps lamsa.equilibria.roots_in_interval
 
 __all__ = [
-    "QuarticD",
     "FixedPoint",
-    "quartic_coefficients",
-    "eval_quartic",
-    "eval_quartic_derivative",
-    "roots_in_interval",
     "balance_residual",
     "fixed_points",
     "fixed_point_sweep",
@@ -73,20 +66,6 @@ __all__ = [
 _BALANCE_RTOL = 1e-9
 _NEWTON_MAX_ITER = 100
 _VANISH_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class QuarticD:
-    """Coefficients of the equilibrium quartic E p^4 + Z p^3 + H p^2 + Theta p + I."""
-
-    E: float
-    Z: float
-    H: float
-    Theta: float
-    I: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.E, self.Z, self.H, self.Theta, self.I)
 
 
 class FixedPoint(NamedTuple):
@@ -109,80 +88,6 @@ class FixedPoint(NamedTuple):
     def rest_state(self) -> SystemState:
         l = 0.0 if self.l_star is None else self.l_star
         return SystemState(self.p_star, 0.0, l, 0.0)
-
-
-def quartic_coefficients(params: SystemParams, F_L: float) -> QuarticD:
-    """Equilibrium quartic coefficients for a given latch force.
-
-    AS_PRINTED carries the published mass factors (1/M^2 on spring terms,
-    1/m^2 on latch-force terms); the constraint-consistent variant has
-    them cancelled.
-    """
-    m, M, R, k, p0 = params.m, params.M, params.R, params.k, params.p0
-    if params.variant is _PRINTED:
-        im2, iM2 = 1.0 / (m * m), 1.0 / (M * M)
-    else:
-        im2 = iM2 = 1.0
-    k2 = k * k
-    fl2 = F_L * F_L
-    return QuarticD(
-        E=-k2 * iM2,
-        Z=2.0 * R * k2 * iM2 + 2.0 * k2 * p0 * iM2,
-        H=-(fl2 * im2 + k2 * p0 * p0 * iM2 + 4.0 * R * k2 * p0 * iM2),
-        Theta=2.0 * fl2 * R * im2 + 2.0 * R * k2 * p0 * p0 * iM2,
-        I=-fl2 * R * R * im2,
-    )
-
-
-def eval_quartic(q: QuarticD, p: float) -> float:
-    """Horner evaluation of D(p)."""
-    return (((q.E * p + q.Z) * p + q.H) * p + q.Theta) * p + q.I
-
-
-def eval_quartic_derivative(q: QuarticD, p: float) -> float:
-    """Horner evaluation of D'(p)."""
-    return ((4.0 * q.E * p + 3.0 * q.Z) * p + 2.0 * q.H) * p + q.Theta
-
-
-def roots_in_interval(
-    q: QuarticD, lo: float, hi: float, tol: float = 1e-12
-) -> list[float]:
-    """All real roots of D in the open interval (lo, hi), sorted ascending.
-
-    A 1024-point grid scan brackets sign changes (the quartic has at most
-    four real roots, so the grid is far denser than needed); each bracket
-    is narrowed by bisection until its width is at most ``tol``.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    grid = np.linspace(lo, hi, 1024)
-    e, z, h, th, i = q.as_tuple()
-    vals = (((e * grid + z) * grid + h) * grid + th) * grid + i
-
-    roots: list[float] = []
-    for j in range(grid.size - 1):
-        a, b = float(grid[j]), float(grid[j + 1])
-        fa, fb = float(vals[j]), float(vals[j + 1])
-        if fa == 0.0:
-            if a != lo:
-                roots.append(a)
-            continue
-        if fa * fb >= 0.0:
-            continue
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = eval_quartic(q, mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    return roots
 
 
 def balance_residual(params: SystemParams, p: float, F_L: float) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "latch_from_projectile",
     "contact_force",
     "mode_of",
-    "vector_field",
     "mechanical_energy",
 ]
 
@@ -205,16 +204,6 @@ def _field_arr(
     else:
         lam = 0.0
     return (p_dot, (fs + (p - R) * lam) / m, l_dot, (F_L + l * lam) / M)
-
-
-def vector_field(params: SystemParams, state: SystemState, F_L: float, mode: Mode) -> np.ndarray:
-    """Time derivative of (p, p_dot, l, l_dot) in the given mode.
-
-    Latched mode substitutes the contact force; unlatched mode sets it to
-    zero, decoupling projectile (harmonic oscillator) and latch (constant
-    force F_L).
-    """
-    return np.array(_field_arr(params, state.as_array(), F_L, mode is Mode.LATCHED))
 
 
 def mechanical_energy(params: SystemParams, state: SystemState, F_L: float) -> float:

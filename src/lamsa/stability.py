@@ -31,8 +31,8 @@ whole broadcast arrays of rest states; ``stability_report``, the
 path use it.  Central finite
 differences of the field (``_fd_abgd``, ``jacobian_fd_at``) remain as
 its oracle and for the published design check.  The published
-closed-form entries are kept verbatim in ``closed_form_ABGD`` purely as a
-cross-check (they carry transcription artifacts and are not trusted).
+closed-form entries, which carry transcription artifacts, are in
+``lamsa.published`` with the paper's other printed formulas.
 
 A structural note that matters for tests: h1 vanishes identically at
 every equilibrium of either variant (the determinant of the position
@@ -57,14 +57,11 @@ from .equilibria import FixedPoint
 __all__ = [
     "Classification",
     "StabilityReport",
-    "jacobian_fd",
     "jacobian_fd_at",
     "extract_ABGD",
     "characteristic_invariants",
     "eigenvalues_biquadratic",
     "classify",
-    "real_pair_exists",
-    "closed_form_ABGD",
     "stability_report",
 ]
 
@@ -165,11 +162,6 @@ def jacobian_fd_at(
     )
 
 
-def jacobian_fd(params: SystemParams, fp: FixedPoint, fd_step: float | None = None) -> np.ndarray:
-    """Jacobian of the latched closed-loop field at a fixed point's rest state."""
-    return jacobian_fd_at(params, fp.rest_state(), fp.F_L_star, fd_step)
-
-
 def extract_ABGD(J: np.ndarray, tol: float = _STRUCTURE_TOL) -> tuple[float, float, float, float]:
     """Read (A, B, Gamma, Delta) out of a latched-mode Jacobian.
 
@@ -224,30 +216,17 @@ def eigenvalues_biquadratic(h1: float, h2: float) -> tuple[complex, complex, com
     return (r1, -r1, r2, -r2)
 
 
-def _saddle_eps(h1: float, h2: float) -> float:
-    """Default tolerance band of the saddle test.
+def _saddle_test(h1, h2, eps=None):
+    """(saddle, marginal) masks of the saddle test, for floats or arrays.
 
-    It scales with the invariants (1e-9 of the larger, at least 1e-9) to
-    absorb round-off.
+    Saddle iff h1 < -eps or h2 > eps; marginal iff both invariants lie
+    in [-eps, eps].  The default band, 1e-9 max(1, |h1|, |h2|), scales
+    with the invariants to absorb round-off; a NaN invariant makes it NaN,
+    which every test fails.
     """
-    return _SADDLE_RTOL * max(1.0, abs(h1), abs(h2))
-
-
-def _is_saddle(h1, h2, eps=None):
-    """The saddle set h1 < -eps or h2 > eps, for floats or arrays.
-
-    Without ``eps`` the band is ``_saddle_eps``'s, tested one term of its
-    max at a time: h1 < -eps iff h1 lies below each term's negative, and
-    h2 > eps iff h2 lies above each term.  That is the same test, a NaN
-    invariant included, and keeps numpy out of the scalar path.
-    """
-    if eps is not None:
-        return (h1 < -eps) | (h2 > eps)
-    below, above = h1 < -_SADDLE_RTOL, h2 > _SADDLE_RTOL
-    for term in (_SADDLE_RTOL * abs(h1), _SADDLE_RTOL * abs(h2)):
-        below = below & (h1 < -term)
-        above = above & (h2 > term)
-    return below | above
+    if eps is None:
+        eps = _SADDLE_RTOL * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
+    return (h1 < -eps) | (h2 > eps), (abs(h1) <= eps) & (abs(h2) <= eps)
 
 
 def classify(h1: float, h2: float, eps: float | None = None) -> Classification:
@@ -256,76 +235,21 @@ def classify(h1: float, h2: float, eps: float | None = None) -> Classification:
     Saddle iff h1 < -eps, or h1 >= -eps with h2 > eps; Marginal when both
     invariants sit inside the tolerance band (the boundary case is
     numerically undecidable); NonSaddle otherwise.  The default tolerance
-    is ``_saddle_eps``.
+    is ``_saddle_test``'s.
     """
     if eps is not None and eps < 0.0:
         raise ValueError("eps must be non-negative")
-    if _is_saddle(h1, h2, eps):
+    saddle, marginal = _saddle_test(h1, h2, eps)
+    if saddle:
         return Classification.SADDLE
-    if eps is None:
-        # a NaN invariant fails the band test whatever eps is
-        eps = _saddle_eps(h1, h2)
-    if abs(h1) <= eps and abs(h2) <= eps:
-        return Classification.MARGINAL
-    return Classification.NON_SADDLE
+    return Classification.MARGINAL if marginal else Classification.NON_SADDLE
 
 
-def real_pair_exists(
-    eigenvalues: tuple[complex, ...], rel_tol: float = 1e-9
-) -> bool:
-    """True when the spectrum contains a real pair +/-a with a > 0.
-
-    This is the eigenvalue-level definition of a saddle; used to
-    cross-check ``classify``.  An eigenvalue counts as real when its
-    imaginary part is negligible against its magnitude.
-    """
-    for lam in eigenvalues:
-        mag = abs(lam)
-        if mag == 0.0:
-            continue
-        if abs(lam.imag) <= rel_tol * mag and lam.real > rel_tol * mag:
-            return True
-    return False
-
-
-def closed_form_ABGD(
-    params: SystemParams, fp: FixedPoint, F_L: float | None = None
-) -> tuple[float, float, float, float]:
-    """Published closed-form Jacobian entries, transcribed verbatim.
-
-    Kept only for comparison output against ``jacobian_fd``: the printed
-    expressions contain probable transcription artifacts (A's
-    parenthesization is ambiguous, Delta's sign disagrees with finite
-    differences at the origin), so agreement is never asserted.
-    """
-    m, M, R, k, p0 = params.m, params.M, params.R, params.k, params.p0
-    p = fp.p_star
-    l = 0.0 if fp.l_star is None else fp.l_star
-    fl = fp.F_L_star if F_L is None else F_L
-    den = l * l * m + M * (p - R) ** 2
-
-    n1 = fl * l + 2.0 * k * p0 * p - k * (3.0 * p * p + 4.0 * p * R - 2.0 * p0 * R + R * R)
-    n2 = (
-        R * (-fl * l + k * p0 * R)
-        + p * (fl * l + k * (2.0 * p0 - R) * R)
-        + p * p * (k * (p0 - 2.0 * R))
-        - p**3 * k
-    )
-    A = (-1.0 / (m * m)) * (k * m + M * n1 / den + 2.0 * M * M * (p - R) * n2 / den**2)
-    B = fl * M * (l * l * m - M * (p - R) ** 2) * (p - R) / (m * den**2)
-    Delta = (
-        fl * l * (m - 2.0 * l * l * m - 2.0 * M * (p - R) ** 2)
-        + k * (p0 - p) * (-l * l * m + M * (p - R) ** 2) * (p - R)
-    ) / den**2
-    Gamma = (
-        l
-        * (
-            2.0 * fl * l * m * M * (p - R)
-            + k * (2.0 * m * M * (-p + p0) + m * M * (2.0 * p - p0 - R)) * (p - R) ** 2
-            + k * l * l * m * m * (2.0 * p - p0 - R)
-        )
-    ) / den**2
-    return float(A), float(B), float(Gamma), float(Delta)
+def _class_labels(h1: np.ndarray, h2: np.ndarray) -> list[str]:
+    """``classify(a, b).value`` for each pair of the invariant arrays, with the default band."""
+    saddle, marginal = _saddle_test(h1, h2)
+    labels = np.where(marginal, Classification.MARGINAL.value, Classification.NON_SADDLE.value)
+    return np.where(saddle, Classification.SADDLE.value, labels).tolist()
 
 
 def stability_report(

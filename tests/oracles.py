@@ -14,6 +14,9 @@ step-size control or the event interpolation; ``simulate`` evaluates the
 unlatched flight in closed form where this oracle integrates it), and
 the flight oracle writes that closed form with ``harmonic_position``,
 and the theta oracle is the equilibrium Newton loop in plain floats.
+``vector_field``, ``jacobian_fd`` and ``real_pair_exists`` are test
+helpers: the whole field as an array, the package's finite-difference
+Jacobian at a fixed point, and the eigenvalue-level saddle test.
 """
 
 from __future__ import annotations
@@ -169,6 +172,41 @@ def jacobian_central_fd(
     return J
 
 
+def vector_field(params, state, F_L: float, mode) -> np.ndarray:
+    """Time derivative of (p, p_dot, l, l_dot) in the given mode, as a numpy array.
+
+    Latched mode substitutes the contact force; unlatched mode sets it to
+    zero, decoupling projectile (harmonic oscillator) and latch (constant
+    force F_L).
+    """
+    from lamsa.model import Mode, _field_arr
+
+    return np.array(_field_arr(params, state.as_array(), F_L, mode is Mode.LATCHED))
+
+
+def jacobian_fd(params, fp, fd_step: float | None = None) -> np.ndarray:
+    """``jacobian_fd_at``, the package's central-difference Jacobian, at a fixed point's rest state."""
+    from lamsa.stability import jacobian_fd_at
+
+    return jacobian_fd_at(params, fp.rest_state(), fp.F_L_star, fd_step)
+
+
+def real_pair_exists(eigenvalues: tuple[complex, ...], rel_tol: float = 1e-9) -> bool:
+    """True when the spectrum contains a real pair +/-a with a > 0.
+
+    This is the eigenvalue-level definition of a saddle; used to
+    cross-check ``classify``.  An eigenvalue counts as real when its
+    imaginary part is negligible against its magnitude.
+    """
+    for lam in eigenvalues:
+        mag = abs(lam)
+        if mag == 0.0:
+            continue
+        if abs(lam.imag) <= rel_tol * mag and lam.real > rel_tol * mag:
+            return True
+    return False
+
+
 def theta_newton_reference(params, ck: float, F_L: float, sigma: float, u: float, stop: float) -> tuple[float, float]:
     """(p, l) of the theta balance's root on one monotone piece of an arc, one force in plain floats.
 
@@ -207,8 +245,8 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
     through ``classify`` with the band 1e-9 * max(1, |h1|, |h2|) computed
     by numpy, at l = latch_from_projectile(p).
     """
-    from lamsa.bifurcation import ContinuationPath, PathSample, PathTerminal, _dD_dFL, _dp_singular
-    from lamsa.equilibria import eval_quartic, eval_quartic_derivative, quartic_coefficients
+    from lamsa.bifurcation import ContinuationPath, PathSample, PathTerminal
+    from lamsa.published import _dD_dFL, _dp_singular, eval_quartic, eval_quartic_derivative, quartic_coefficients
     from lamsa.model import latch_from_projectile
     from lamsa.stability import Classification, _latched_abgd, characteristic_invariants, classify
 

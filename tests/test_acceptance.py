@@ -26,19 +26,16 @@ from lamsa import (
     design_feasibility,
     fixed_points,
     holonomic_h,
-    jacobian_fd,
     mechanical_energy,
-    quartic_coefficients,
-    real_pair_exists,
-    roots_in_interval,
     simulate,
     stability_report,
     trace_path,
 )
 from lamsa.cli import cmd_equilibria
 from lamsa.config import apply_overrides, build_config
+from lamsa.published import quartic_coefficients, roots_in_interval
 
-from oracles import fine_grid_roots, harmonic_position
+from oracles import fine_grid_roots, harmonic_position, jacobian_fd, real_pair_exists
 
 REF = SystemParams()  # reference set m=1, M=5, R=5, k=1, p0=10, printed contact force
 CC = SystemParams(variant=ModelVariant.CONSTRAINT_CONSISTENT)

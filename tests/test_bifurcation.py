@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 from lamsa import (
     Classification,
     ModelVariant,
-    NominalFormula,
     PathTerminal,
     SystemParams,
     design_feasibility,
     fixed_points,
-    in_region_U,
-    nominal_rhs,
-    quartic_coefficients,
-    roots_in_interval,
     saddle_region_map,
     trace_path,
 )
+from lamsa.bifurcation import PathSample
 from lamsa.equilibria import _far_fold
 from lamsa.errors import InvalidStartError, SingularBoundError
 from lamsa.model import latch_from_projectile
+from lamsa.published import in_region_U, nominal_rhs, printed_slope, quartic_coefficients, roots_in_interval
 from lamsa.stability import _latched_abgd, characteristic_invariants, classify
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
@@ -56,7 +53,7 @@ def test_nominal_rhs_zero_at_zero_force_any_p(params):
     for prm, ps in ((params, (0.5, 2.0, 4.0)), (soft, (0.25, 0.75))):
         for p in ps:
             assert nominal_rhs(prm, p, 0.0) == 0.0
-            assert nominal_rhs(prm, p, 0.0, formula=NominalFormula.PUBLISHED) == 0.0
+            assert printed_slope(prm, p, 0.0) == 0.0
 
 
 def test_nominal_rhs_matches_root_finite_difference(params):
@@ -198,6 +195,21 @@ def test_trace_path_far_arc_start_leaves_the_domain(var, p0):
         path = trace_path(params, start, F_L_end=0.0)
         assert path.terminal is PathTerminal.LEFT_DOMAIN
         assert [(s.p_star, s.F_L) for s in path.samples] == [start]
+
+
+def test_path_sample_record_api(params):
+    # an immutable named tuple, as FixedPoint is: keyword construction,
+    # attribute access, tuple equality and _replace
+    s = PathSample(F_L=-2.0, p_star=0.5, in_S=True, h2=0.25)
+    assert s == PathSample(-2.0, 0.5, True, 0.25) == (-2.0, 0.5, True, 0.25)
+    assert s._replace(in_S=False) == (-2.0, 0.5, False, 0.25)
+    assert s.in_S is True  # _replace made a copy
+    with pytest.raises(AttributeError):
+        s.p_star = 1.0
+    path = trace_path(params, (_interior_p(params, REF_SADDLE_FL), REF_SADDLE_FL))
+    for sample in path.samples:
+        assert type(sample) is PathSample
+        assert tuple(map(type, sample)) == (float, float, bool, float)
 
 
 def test_trace_path_rejects_bad_start(params):

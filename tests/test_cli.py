@@ -18,7 +18,6 @@ from lamsa import (
     SystemParams,
     SystemState,
     fixed_points,
-    nominal_rhs,
     parse_config,
     simulate,
     stability_report,
@@ -39,6 +38,7 @@ from lamsa.cli import (
 from lamsa.config import _KEYS, RunConfig, apply_overrides, build_config
 from lamsa.errors import ConfigError, SingularDenominatorError
 from lamsa.io import fmt, trajectory_rows, write_trajectory
+from lamsa.published import nominal_rhs
 
 from conftest import REF_SADDLE_P
 

@@ -14,22 +14,18 @@ from lamsa import (
     SystemParams,
     SystemState,
     balance_residual,
-    eval_quartic,
-    eval_quartic_derivative,
     fixed_point_sweep,
     fixed_points,
     latch_from_projectile,
-    quartic_coefficients,
-    roots_in_interval,
     unlatched_fixed_point,
-    vector_field,
 )
 from lamsa.equilibria import _VANISH_TOL, FixedPoint, _far_fold
 from lamsa.errors import EquilibriumBalanceError
 from lamsa.model import _field_arr
+from lamsa.published import eval_quartic, eval_quartic_derivative, quartic_coefficients, roots_in_interval
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
-from oracles import fine_grid_roots, theta_newton_reference
+from oracles import fine_grid_roots, theta_newton_reference, vector_field
 
 
 def test_quartic_coefficients_reference_values(params):

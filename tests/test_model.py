@@ -17,11 +17,11 @@ from lamsa import (
     mechanical_energy,
     mode_of,
     spring_force,
-    vector_field,
 )
 from lamsa.errors import SingularConfigurationError
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
+from oracles import vector_field
 
 
 def test_params_invariants_enforced():

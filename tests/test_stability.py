@@ -15,22 +15,20 @@ from lamsa import (
     SystemState,
     characteristic_invariants,
     classify,
-    closed_form_ABGD,
     eigenvalues_biquadratic,
     extract_ABGD,
     fixed_points,
-    jacobian_fd,
     jacobian_fd_at,
-    real_pair_exists,
     stability_report,
 )
 from lamsa.equilibria import FixedPoint
 from lamsa.errors import StructureViolationError
 from lamsa.model import ModelVariant, SystemParams, _field_arr, latch_from_projectile
-from lamsa.stability import _FD_BASE, _fd_abgd, _is_saddle, _latched_abgd
+from lamsa.published import closed_form_ABGD
+from lamsa.stability import _FD_BASE, _class_labels, _fd_abgd, _latched_abgd, _saddle_test
 
 from conftest import REF_SADDLE_FL
-from oracles import jacobian_central_fd
+from oracles import jacobian_central_fd, jacobian_fd, real_pair_exists
 
 
 def _interior(params, fl):
@@ -221,29 +219,39 @@ def test_classify_agrees_with_eigenvalue_test():
 
 
 def _band_rule(h1, h2):
-    """classify's verdict with the default band computed by numpy over both invariants."""
+    """The saddle test written out, with the default band computed by numpy over both invariants."""
     eps = 1e-9 * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
-    return classify(h1, h2, eps)
+    if h1 < -eps or h2 > eps:
+        return Classification.SADDLE
+    if abs(h1) <= eps and abs(h2) <= eps:
+        return Classification.MARGINAL
+    return Classification.NON_SADDLE
 
 
 def test_default_saddle_band_is_the_max_rule():
-    # the scalar path tests the band term by term; the verdict must be
-    # that of eps = 1e-9 max(1, |h1|, |h2|), at the band's edges and for
-    # NaN or infinite invariants too
+    # the verdict must be that of eps = 1e-9 max(1, |h1|, |h2|) for a
+    # float pair and, label by label, for whole arrays: at the band's
+    # edges and for NaN or infinite invariants too
+    edge = 1e-9 * 2.5  # the band at max |h| = 2.5
     specials = [0.0, -0.0, 1e-9, -1e-9, 1.0000000001e-9, 1.0, -1.0, 2.5, -2.5,
+                edge, -edge, math.nextafter(edge, 1.0), -math.nextafter(edge, 1.0),
                 1e300, -1e300, math.inf, -math.inf, math.nan]
     rng = np.random.default_rng(7)
     randoms = (rng.standard_normal(400) * 10.0 ** rng.integers(-12, 4, 400)).tolist()
     values = specials + randoms
     pairs = [(a, b) for a in specials for b in values] + [(a, b) for a in randoms for b in specials]
     pairs += list(zip(randoms, randoms[1:]))
-    for h1, h2 in pairs:
-        got = classify(h1, h2)
-        assert got is _band_rule(h1, h2), (h1, h2)
-        assert _is_saddle(h1, h2) is (got is Classification.SADDLE)
+    want = [_band_rule(a, b) for a, b in pairs]
+    assert set(want) == set(Classification)
+    for (h1, h2), w in zip(pairs, want):
+        assert classify(h1, h2) is w, (h1, h2)
+        saddle, marginal = _saddle_test(h1, h2)
+        assert (bool(saddle), bool(marginal)) == (w is Classification.SADDLE, w is Classification.MARGINAL)
     h1, h2 = (np.array(v) for v in zip(*pairs))
-    in_s = _is_saddle(h1, h2)
-    assert np.array_equal(in_s, [_band_rule(a, b) is Classification.SADDLE for a, b in pairs])
+    saddle, marginal = _saddle_test(h1, h2)
+    assert np.array_equal(saddle, [w is Classification.SADDLE for w in want])
+    assert np.array_equal(marginal, [w is Classification.MARGINAL for w in want])
+    assert _class_labels(h1, h2) == [w.value for w in want]
 
 
 def test_published_saddle_set_overstates_complex_quartets():
