@@ -182,27 +182,23 @@ def mode_of(params: SystemParams, state: SystemState, F_L: float) -> Mode:
     return Mode.UNLATCHED
 
 
-def _field_arr(
-    params: SystemParams, x: Sequence[float], F_L: float, latched: bool
-) -> tuple[float, float, float, float]:
-    """Vector field of any 4-sequence as a plain 4-tuple; the integrator's hot path.
+def _field_arr(params: SystemParams, x: Sequence[float], F_L: float) -> tuple[float, float, float, float]:
+    """Latched vector field of any 4-sequence as a plain 4-tuple; the integrator's hot path.
 
-    The contact force is computed inline with the arithmetic of
-    ``contact_force``.
+    The contact force is substituted, computed inline with the arithmetic
+    of ``contact_force``.  The unlatched flow is never integrated (the
+    flight has a closed form), so it has no field here.
     """
     p, p_dot, l, l_dot = x
     m, M, R = params.m, params.M, params.R
     fs = -params.k * (p - params.p0)
-    if latched:
-        w = (R - p) ** 2 / m + l * l / M
-        if w <= 0.0:
-            raise SingularConfigurationError(
-                f"contact-force denominator W={w} is not positive at p={p}, l={l}"
-            )
-        d = m if params.variant is _PRINTED else M
-        lam = (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
-    else:
-        lam = 0.0
+    w = (R - p) ** 2 / m + l * l / M
+    if w <= 0.0:
+        raise SingularConfigurationError(
+            f"contact-force denominator W={w} is not positive at p={p}, l={l}"
+        )
+    d = m if params.variant is _PRINTED else M
+    lam = (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
     return (p_dot, (fs + (p - R) * lam) / m, l_dot, (F_L + l * lam) / M)
 
 

@@ -26,6 +26,7 @@ They stay for comparison, for the ``quiver`` direction field and the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -148,19 +149,20 @@ def _dD_dFL(params: SystemParams, p: float, F_L: float) -> float:
     return (-2.0 * F_L * im2) * p * p + (4.0 * R * F_L * im2) * p - 2.0 * F_L * R * R * im2
 
 
-def _dp_singular(q: QuarticD, p, den):
-    """|dD/dp| < _DENOM_TOL * max |terms of dD/dp|, for floats or arrays.
+def _negligible(den, terms):
+    """|den| <= _DENOM_TOL * max |term|, for floats or arrays: a denominator zero against its own terms.
 
-    Relative to the terms only: at F_L = 0 every coefficient scales with
-    k^2, so an absolute floor would flag a soft spring's whole F_L = 0
-    line, and Theta > 0 keeps the bound positive.  Written as one comparison per term, which is the
-    same test and keeps numpy out of the scalar path.
+    Relative to the terms only: at F_L = 0 every term of dD/dp and of
+    Sigma+Pi scales with k^2, so an absolute floor would flag a soft
+    spring's whole F_L = 0 line.  ``<=`` keeps an all-zero denominator
+    singular.
     """
-    a = abs(den)
-    out = a < _DENOM_TOL * abs(q.Theta)
-    for term in (4.0 * q.E * p**3, 3.0 * q.Z * p * p, 2.0 * q.H * p):
-        out = out | (a < _DENOM_TOL * abs(term))
-    return out
+    return abs(den) <= _DENOM_TOL * functools.reduce(np.maximum, map(abs, terms))
+
+
+def _dp_singular(q: QuarticD, p, den):
+    """dD/dp = ``den`` at p is negligible against its terms (Theta > 0 keeps the bound positive)."""
+    return _negligible(den, (q.Theta, 4.0 * q.E * p**3, 3.0 * q.Z * p * p, 2.0 * q.H * p))
 
 
 def _implicit_slope(params: SystemParams, p, F_L):
@@ -200,12 +202,10 @@ def printed_slope(params: SystemParams, p: float, F_L: float) -> float:
     m, M, R, k, p0 = params.m, params.M, params.R, params.k, params.p0
     lam = -(M * M) * (p - R) ** 2 * F_L
     sig_pi = _sigma_plus_pi(params, p, F_L)
-    # singular against its own terms only, as in _dp_singular: at F_L = 0
-    # they all scale with k^2, so an absolute floor flags a soft spring
     mk2 = m * m * k * k
     terms = (F_L * F_L * M * M * (p - R), 2.0 * mk2 * k * k * p**3, mk2 * p * p0 * p0,
              3.0 * mk2 * p * p * (p0 + R), mk2 * (4.0 * R - p0) * p0 * R)
-    if abs(sig_pi) <= _DENOM_TOL * max(map(abs, terms)):
+    if _negligible(sig_pi, terms):
         raise SingularDenominatorError(f"Sigma+Pi ~ 0 at p={p}, F_L={F_L}")
     return lam / sig_pi
 

@@ -1,7 +1,7 @@
 """Event-detecting integration of the two-mode switched dynamics.
 
-The latched flow is integrated as the full 4-state field with the contact
-force substituted, optionally projecting each step back onto the
+The latched flow is the only flow integrated: the full 4-state field
+with the contact force substituted, each step projected back onto the
 constraint circle (the latched flow of the AS_PRINTED variant drifts off
 it; the CONSTRAINT_CONSISTENT one stays on it up to integration error).
 
@@ -75,14 +75,15 @@ class IntegratorConfig:
     bisection bracket of the release on the step's third-order Hermite
     interpolant, not the error against the flow: on the benchmark's release
     design the derived release times are 1.86e-9 off a DOP853 reference.
-    ``constraint_projection`` pulls each latched step back onto the circle.
+    The start, each latched step and the release state are projected onto
+    the constraint circle to |h| <= 1e-12 max(1, R^2), a bound no field
+    here sets.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = 1e-2
     event_time_tol: float = 1e-10
-    constraint_projection: bool = True
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "max_step", "event_time_tol"):
@@ -157,7 +158,6 @@ class Trajectory:
 def _step_raw(
     params: SystemParams,
     F_L: float,
-    latched: bool,
     y: Sequence[float],
     dt: float,
 ) -> tuple[SystemState, float]:
@@ -174,7 +174,7 @@ def _step_raw(
     f = _field_arr
     h = dt
     y0, y1, y2, y3 = y
-    k10, k11, k12, k13 = f(params, y, F_L, latched)
+    k10, k11, k12, k13 = f(params, y, F_L)
     k20, k21, k22, k23 = f(
         params,
         (
@@ -183,7 +183,7 @@ def _step_raw(
             y2 + h * (1 / 5 * k12),
             y3 + h * (1 / 5 * k13),
         ),
-        F_L, latched,
+        F_L,
     )
     k30, k31, k32, k33 = f(
         params,
@@ -193,7 +193,7 @@ def _step_raw(
             y2 + h * (3 / 40 * k12 + 9 / 40 * k22),
             y3 + h * (3 / 40 * k13 + 9 / 40 * k23),
         ),
-        F_L, latched,
+        F_L,
     )
     k40, k41, k42, k43 = f(
         params,
@@ -203,7 +203,7 @@ def _step_raw(
             y2 + h * (44 / 45 * k12 - 56 / 15 * k22 + 32 / 9 * k32),
             y3 + h * (44 / 45 * k13 - 56 / 15 * k23 + 32 / 9 * k33),
         ),
-        F_L, latched,
+        F_L,
     )
     k50, k51, k52, k53 = f(
         params,
@@ -217,7 +217,7 @@ def _step_raw(
             y3 + h * (19372 / 6561 * k13 - 25360 / 2187 * k23
                       + 64448 / 6561 * k33 - 212 / 729 * k43),
         ),
-        F_L, latched,
+        F_L,
     )
     k60, k61, k62, k63 = f(
         params,
@@ -231,7 +231,7 @@ def _step_raw(
             y3 + h * (9017 / 3168 * k13 - 355 / 33 * k23 + 46732 / 5247 * k33
                       + 49 / 176 * k43 - 5103 / 18656 * k53),
         ),
-        F_L, latched,
+        F_L,
     )
     y_new = _new_state((
         y0 + h * (35 / 384 * k10 + 500 / 1113 * k30 + 125 / 192 * k40
@@ -243,7 +243,7 @@ def _step_raw(
         y3 + h * (35 / 384 * k13 + 500 / 1113 * k33 + 125 / 192 * k43
                   - 2187 / 6784 * k53 + 11 / 84 * k63),
     ))
-    k70, k71, k72, k73 = f(params, y_new, F_L, latched)
+    k70, k71, k72, k73 = f(params, y_new, F_L)
     e0 = h * (71 / 57600 * k10 - 71 / 16695 * k30 + 71 / 1920 * k40
               - 17253 / 339200 * k50 + 22 / 525 * k60 - 1 / 40 * k70)
     e1 = h * (71 / 57600 * k11 - 71 / 16695 * k31 + 71 / 1920 * k41
@@ -259,11 +259,10 @@ def integrate_step(
     params: SystemParams,
     state: SystemState,
     F_L: float,
-    mode: Mode,
     dt_suggestion: float,
     config: IntegratorConfig | None = None,
 ) -> tuple[SystemState, float, float]:
-    """Take one accepted adaptive step of the active mode's field.
+    """Take one accepted adaptive step of the latched field, not projected.
 
     Shrinks the step until the embedded error estimate satisfies
     ``err <= max(rel_tol * |state|, abs_tol)``; raises
@@ -271,7 +270,6 @@ def integrate_step(
     Returns (new_state, dt_used, error_estimate).
     """
     cfg = config or IntegratorConfig()
-    latched = mode is _LATCHED
     p, p_dot, l, l_dot = state
     tol = max(cfg.rel_tol * math.sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot), cfg.abs_tol)
     dt = cfg.max_step if cfg.max_step < dt_suggestion else dt_suggestion
@@ -280,7 +278,7 @@ def integrate_step(
             raise StepSizeUnderflowError(
                 f"step size {dt:.3e} below floor {_MIN_STEP:.0e} without meeting tolerance"
             )
-        y_new, err = _step_raw(params, F_L, latched, state, dt)
+        y_new, err = _step_raw(params, F_L, state, dt)
         if err <= tol:
             return y_new, dt, err
         dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
@@ -295,19 +293,16 @@ def _locate_zero(
     y_hi: SystemState,
     g: Callable[[SystemState], float],
     cfg: IntegratorConfig,
-    mode: Mode,
 ) -> tuple[float, SystemState]:
     """(t, state) at a zero of the guard ``g`` inside one integration step.
 
-    The step from (t_lo, y_lo) to (t_hi, y_hi) of the field in ``mode`` is
-    reconstructed with cubic Hermite interpolation; bisection narrows the
-    crossing time to ``cfg.event_time_tol``.  ``g`` must change sign
-    across the step (else NoSignChangeError); a zero at either end is
-    returned as is.
+    The latched step from (t_lo, y_lo) to (t_hi, y_hi) is reconstructed
+    with cubic Hermite interpolation; bisection narrows the crossing time
+    to ``cfg.event_time_tol``.  ``g`` must change sign across the step
+    (else NoSignChangeError); a zero at either end is returned as is.
     """
-    latched = mode is _LATCHED
-    f_lo = _field_arr(params, y_lo, F_L, latched)
-    f_hi = _field_arr(params, y_hi, F_L, latched)
+    f_lo = _field_arr(params, y_lo, F_L)
+    f_hi = _field_arr(params, y_hi, F_L)
 
     g_lo = g(y_lo)
     g_hi = g(y_hi)
@@ -402,10 +397,10 @@ def _release_event(
     R = params.R
     events = []
     if unlatch:
-        t, y = _locate_zero(params, F_L, *bracket, tau_of, cfg, _LATCHED)
+        t, y = _locate_zero(params, F_L, *bracket, tau_of, cfg)
         events.append(Event(t, y, EventKind.UNLATCH_TAU_ZERO))
     if takeoff:
-        t, y = _locate_zero(params, F_L, *bracket, lambda s: s[0] - R, cfg, _LATCHED)
+        t, y = _locate_zero(params, F_L, *bracket, lambda s: s[0] - R, cfg)
         events.append(Event(t, y, EventKind.TAKEOFF_TANGENCY))
     if len(events) == 2:
         tau_ev, take_ev = events
@@ -467,15 +462,16 @@ def simulate(
 
     The starting mode is inferred from the state (on the circle with
     positive contact force -> latched).  At most one latched->unlatched
-    switch can occur; its event is recorded with the interpolated state.
-    While latched, the release guards are read on each step's integrated
-    end state and then on its projection onto the constraint, the state
-    the next step starts from; the first end that fires a guard closes the
-    event's bracket.  When both guards fire inside one step the earlier
-    one wins and a tie within the event tolerance resolves to tangency
-    takeoff.  The unlatched flight is appended in closed form.  ``F_L``
-    and ``t_end`` are taken as floats, so every sample holds plain floats;
-    a non-finite ``x0``, ``F_L`` or ``t_end`` raises ValueError.
+    switch can occur; its event is recorded with the interpolated state,
+    projected onto the constraint circle.  While latched, the release
+    guards are read on each step's integrated end state and then on its
+    projection onto the constraint, the state the next step starts from;
+    the first end that fires a guard closes the event's bracket.  When
+    both guards fire inside one step the earlier one wins and a tie within
+    the event tolerance resolves to tangency takeoff.  The unlatched
+    flight is appended in closed form.  ``F_L`` and ``t_end`` are taken as
+    floats, so every sample holds plain floats; a non-finite ``x0``,
+    ``F_L`` or ``t_end`` raises ValueError.
     """
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
@@ -490,14 +486,13 @@ def simulate(
     t = 0.0
     t_last = t_end - 1e-14 * max(1.0, t_end)
     y = SystemState(*map(float, x0))
-    project = cfg.constraint_projection
     rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     R, sqrt = params.R, math.sqrt
 
     def tau_of(s: SystemState) -> float:
         return contact_force(params, s, F_L)
 
-    if mode is _LATCHED and project:
+    if mode is _LATCHED:
         y = project_to_constraint(params, y)
         if tau_of(y) <= 0.0:
             mode = _UNLATCHED  # projection nudged a borderline tau past 0
@@ -512,21 +507,17 @@ def simulate(
     if mode is _LATCHED:
         while t < t_last:
             h = t_end - t
-            y_end, dt_used, err = integrate_step(
-                params, y, F_L, _LATCHED, h if h < dt else dt, cfg
-            )
+            y_end, dt_used, err = integrate_step(params, y, F_L, h if h < dt else dt, cfg)
             t_new = t + dt_used
-            y_new = project_to_constraint(params, y_end) if project else y_end
+            y_new = project_to_constraint(params, y_end)
             tau_new = tau_of(y_new)
 
             # a guard fires on the integrated end state, bracketed by the
             # step itself, or else on the projected end state, the state the
             # next step would start from
-            unlatch = takeoff = False
-            if project:
-                y_hi = y_end
-                unlatch = tau_of(y_end) <= 0.0
-                takeoff = y_end[0] - R >= 0.0 and y[0] - R < 0.0
+            y_hi = y_end
+            unlatch = tau_of(y_end) <= 0.0
+            takeoff = y_end[0] - R >= 0.0 and y[0] - R < 0.0
             if not (unlatch or takeoff):
                 y_hi = y_new
                 unlatch = tau_new <= 0.0
@@ -535,8 +526,7 @@ def simulate(
                 event = _release_event(
                     params, F_L, (t, y, t_new, y_hi), unlatch, takeoff, tau_of, cfg
                 )
-                if project:
-                    event = Event(event.t, project_to_constraint(params, event.state), event.kind)
+                event = Event(event.t, project_to_constraint(params, event.state), event.kind)
                 traj.events.append(event)
                 t, y, mode = event.t, event.state, _UNLATCHED
                 traj.append(t, y, mode, 0.0)

@@ -133,8 +133,8 @@ def _fd_abgd(
         (hl, (p, v, l + hl, w), (p, v, l - hl, w)),
         (hw, (p, v, l, w + hw), (p, v, l, w - hw)),
     ):
-        fp = _field_arr(params, xp, F_L, True)
-        fm = _field_arr(params, xm, F_L, True)
+        fp = _field_arr(params, xp, F_L)
+        fm = _field_arr(params, xm, F_L)
         cols.append(((fp[1] - fm[1]) / (2.0 * h), (fp[3] - fm[3]) / (2.0 * h)))
     (a, g), vel_p, (b, d), vel_l = cols
     scale = max(1.0, abs(a), abs(b), abs(g), abs(d))

@@ -8,10 +8,11 @@ on numpy arrays, the projection oracle uses the closed-form radial
 projection onto the circle, the continuation oracle rebuilds the
 quartic for each use and bands the saddle test with numpy, the
 simulation oracle integrates both phases in plain form, one helper per
-concern (it shares the Dormand-Prince kernel, the field and the
-constraint projection with the package, not the loop bookkeeping, the
-step-size control or the event interpolation; ``simulate`` evaluates the
-unlatched flight in closed form where this oracle integrates it), and
+concern (its latched phase shares the Dormand-Prince kernel, the field
+and the constraint projection with the package, not the loop
+bookkeeping, the step-size control or the event interpolation; it
+integrates the unlatched flight, which ``simulate`` evaluates in closed
+form, with ``dopri5_step`` on the field written out here), and
 the flight oracle writes that closed form with ``harmonic_position``,
 and the theta oracle is the equilibrium Newton loop in plain floats.
 ``vector_field``, ``jacobian_fd`` and ``real_pair_exists`` are test
@@ -173,15 +174,19 @@ def jacobian_central_fd(
 
 
 def vector_field(params, state, F_L: float, mode) -> np.ndarray:
-    """Time derivative of (p, p_dot, l, l_dot) in the given mode, as a numpy array.
+    """Time derivative of the 4-sequence (p, p_dot, l, l_dot) in the given mode, as a numpy array.
 
-    Latched mode substitutes the contact force; unlatched mode sets it to
-    zero, decoupling projectile (harmonic oscillator) and latch (constant
-    force F_L).
+    Latched mode is the package's field, with the contact force
+    substituted.  Unlatched mode is written out here: the projectile is a
+    harmonic oscillator about p0 and the latch moves under the constant
+    force F_L.
     """
     from lamsa.model import Mode, _field_arr
 
-    return np.array(_field_arr(params, state.as_array(), F_L, mode is Mode.LATCHED))
+    if mode is Mode.LATCHED:
+        return np.array(_field_arr(params, state, F_L))
+    p, p_dot, l, l_dot = state
+    return np.array([p_dot, -params.k * (p - params.p0) / params.m, l_dot, F_L / params.M])
 
 
 def jacobian_fd(params, fp, fd_step: float | None = None) -> np.ndarray:
@@ -308,10 +313,11 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
 
     It equals ``simulate`` sample for sample up to and including the
     release sample; after it, the unlatched loop integrates the flight
-    that ``simulate`` evaluates in closed form.
+    that ``simulate`` evaluates in closed form, with ``dopri5_step`` on
+    the unlatched ``vector_field``.
 
     Each accepted step goes through a plain copy of the adaptive-step
-    wrapper, the next step size comes from ``_suggest`` with the tolerance
+    wrapper, the next step size comes from ``suggest`` with the tolerance
     of the state the step ends in, every sample goes through
     ``Trajectory.append``, the latched guards are read in a loop over the
     (integrated, projected) step ends, and events are bisected on a
@@ -320,13 +326,26 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     release the result must match exactly.
     """
     from lamsa.errors import StepSizeUnderflowError
-    from lamsa.model import Mode, SystemState, contact_force, mode_of
+    from lamsa.model import Mode, SystemState, _field_arr, contact_force, mode_of
     from lamsa.simulate import (
         Event, EventKind, IntegratorConfig, Trajectory, _step_raw, project_to_constraint,
     )
 
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
+
+    def latched_field(y):
+        return _field_arr(params, y, F_L)
+
+    def flight_field(y):
+        return vector_field(params, y, F_L, Mode.UNLATCHED)
+
+    def latched_trial(y, dt):
+        return _step_raw(params, F_L, y, dt)
+
+    def flight_trial(y, dt):
+        y_new, err, _ = dopri5_step(flight_field, np.array(y), dt)
+        return SystemState(*y_new.tolist()), err
 
     def norm(y):
         p, p_dot, l, l_dot = y
@@ -335,14 +354,13 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     def tolerance(s):
         return max(cfg.rel_tol * norm(s), cfg.abs_tol)
 
-    def step(y, mode, dt_suggestion):
-        latched = mode is Mode.LATCHED
+    def step(trial, y, dt_suggestion):
         tol = tolerance(y)
         dt = min(dt_suggestion, cfg.max_step)
         while True:
             if dt < 1e-14:
                 raise StepSizeUnderflowError(f"step size {dt:.3e} below floor")
-            y_new, err = _step_raw(params, F_L, latched, y, dt)
+            y_new, err = trial(y, dt)
             if err <= tol:
                 return y_new, dt, err
             dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
@@ -351,8 +369,8 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
         return min(cfg.max_step, dt_used * factor)
 
-    def locate(t_lo, y_lo, t_hi, y_hi, g, latched):
-        return locate_zero_reference(params, F_L, cfg.event_time_tol, t_lo, y_lo, t_hi, y_hi, g, latched)
+    def locate(field, t_lo, y_lo, t_hi, y_hi, g):
+        return locate_zero_reference(field, cfg.event_time_tol, t_lo, y_lo, t_hi, y_hi, g)
 
     def tau_of(s):
         return contact_force(params, s, F_L)
@@ -360,11 +378,11 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     def release(t_lo, y_lo, t_hi, y_hi, unlatch, takeoff):
         events = []
         if unlatch:
-            events.append(Event(*locate(t_lo, y_lo, t_hi, y_hi, tau_of, True), EventKind.UNLATCH_TAU_ZERO))
+            t_ev, y_ev = locate(latched_field, t_lo, y_lo, t_hi, y_hi, tau_of)
+            events.append(Event(t_ev, y_ev, EventKind.UNLATCH_TAU_ZERO))
         if takeoff:
-            events.append(Event(
-                *locate(t_lo, y_lo, t_hi, y_hi, lambda s: s[0] - params.R, True), EventKind.TAKEOFF_TANGENCY,
-            ))
+            t_ev, y_ev = locate(latched_field, t_lo, y_lo, t_hi, y_hi, lambda s: s[0] - params.R)
+            events.append(Event(t_ev, y_ev, EventKind.TAKEOFF_TANGENCY))
         if len(events) == 2:
             tau_ev, take_ev = events
             return take_ev if take_ev.t <= tau_ev.t + cfg.event_time_tol else tau_ev
@@ -379,8 +397,7 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     t = 0.0
     t_last = t_end - 1e-14 * max(1.0, t_end)
     y = SystemState(*map(float, x0))
-    project = cfg.constraint_projection
-    if mode is Mode.LATCHED and project:
+    if mode is Mode.LATCHED:
         y = project_to_constraint(params, y)
         if tau_of(y) <= 0.0:
             mode = Mode.UNLATCHED
@@ -389,21 +406,19 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
 
     if mode is Mode.LATCHED:
         while t < t_last:
-            y_end, dt_used, err = step(y, Mode.LATCHED, min(dt, t_end - t, cfg.max_step))
+            y_end, dt_used, err = step(latched_trial, y, min(dt, t_end - t, cfg.max_step))
             t_new = t + dt_used
-            y_new = project_to_constraint(params, y_end) if project else y_end
+            y_new = project_to_constraint(params, y_end)
             tau_new = tau_of(y_new)
-            ends = ((y_end, tau_of(y_end)),) if project else ()
             event = None
-            for y_hi, tau_hi in (*ends, (y_new, tau_new)):
+            for y_hi, tau_hi in ((y_end, tau_of(y_end)), (y_new, tau_new)):
                 unlatch = tau_hi <= 0.0
                 takeoff = y_hi[0] - params.R >= 0.0 and y[0] - params.R < 0.0
                 if unlatch or takeoff:
                     event = release(t, y, t_new, y_hi, unlatch, takeoff)
                     break
             if event is not None:
-                if project:
-                    event = Event(event.t, project_to_constraint(params, event.state), event.kind)
+                event = Event(event.t, project_to_constraint(params, event.state), event.kind)
                 traj.events.append(event)
                 t, y, mode = event.t, event.state, Mode.UNLATCHED
                 traj.append(t, y, mode, 0.0)
@@ -417,10 +432,10 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
         if y[0] >= p0 and y[1] > 0.0:
             return traj
         while t < t_last:
-            y_new, dt_used, err = step(y, Mode.UNLATCHED, min(dt, t_end - t, cfg.max_step))
+            y_new, dt_used, err = step(flight_trial, y, min(dt, t_end - t, cfg.max_step))
             t_new = t + dt_used
             if y_new[0] >= p0 and y[0] < p0:
-                t_stop, y_stop = locate(t, y, t_new, y_new, lambda s: s[0] - p0, False)
+                t_stop, y_stop = locate(flight_field, t, y, t_new, y_new, lambda s: s[0] - p0)
                 if y_stop[1] > 0.0:
                     traj.append(t_stop, y_stop, Mode.UNLATCHED, 0.0)
                     return traj
@@ -430,18 +445,19 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     return traj
 
 
-def locate_zero_reference(params, F_L: float, event_time_tol: float, t_lo, y_lo, t_hi, y_hi, g, latched: bool):
-    """Bisect a guard zero on the cubic Hermite interpolant of one step.
+def locate_zero_reference(field, event_time_tol: float, t_lo, y_lo, t_hi, y_hi, g):
+    """Bisect a guard zero on the cubic Hermite interpolant of one step of ``field``.
 
-    The interpolant builds each state from a generator over the four
-    components; returns (t, state) and raises NoSignChangeError for a
-    bracket whose guard values share a sign.
+    ``field`` maps a state to its time derivative.  The interpolant builds
+    each state from a generator over the four components; returns
+    (t, state) and raises NoSignChangeError for a bracket whose guard
+    values share a sign.
     """
     from lamsa.errors import NoSignChangeError
-    from lamsa.model import SystemState, _field_arr
+    from lamsa.model import SystemState
 
-    f_lo = _field_arr(params, y_lo, F_L, latched)
-    f_hi = _field_arr(params, y_hi, F_L, latched)
+    f_lo = field(y_lo)
+    f_hi = field(y_hi)
 
     def interp(t):
         h = t_hi - t_lo

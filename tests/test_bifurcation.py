@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,17 @@ from lamsa import (
 )
 from lamsa.bifurcation import PathSample
 from lamsa.equilibria import _far_fold
-from lamsa.errors import InvalidStartError, SingularBoundError
+from lamsa.errors import InvalidStartError, SingularBoundError, SingularDenominatorError
 from lamsa.model import latch_from_projectile
-from lamsa.published import in_region_U, nominal_rhs, printed_slope, quartic_coefficients, roots_in_interval
+from lamsa.published import (
+    _DENOM_TOL,
+    _negligible,
+    in_region_U,
+    nominal_rhs,
+    printed_slope,
+    quartic_coefficients,
+    roots_in_interval,
+)
 from lamsa.stability import _latched_abgd, characteristic_invariants, classify
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
@@ -54,6 +64,27 @@ def test_nominal_rhs_zero_at_zero_force_any_p(params):
         for p in ps:
             assert nominal_rhs(prm, p, 0.0) == 0.0
             assert printed_slope(prm, p, 0.0) == 0.0
+            # Lambda = -M^2 (p - R)^2 F_L is -0.0 at F_L = 0, over a nonzero Sigma+Pi
+            assert math.copysign(1.0, printed_slope(prm, p, 0.0)) == -1.0
+
+
+def test_slope_denominators_are_singular_within_their_terms_band():
+    # one rule for dD/dp and Sigma+Pi, for floats and arrays alike:
+    # |den| <= 1e-10 max |term|, so the band's edge is singular, the next
+    # float out is not, and an all-zero denominator is
+    terms = (3.0, -8.0, 0.5)
+    edge = _DENOM_TOL * 8.0
+    dens = [edge, -edge, math.nextafter(edge, 1.0), -math.nextafter(edge, 1.0), 0.0]
+    want = [True, True, False, False, True]
+    assert [bool(_negligible(d, terms)) for d in dens] == want
+    assert _negligible(np.array(dens), tuple(np.full(len(dens), t) for t in terms)).tolist() == want
+    assert _negligible(0.0, (0.0, -0.0))
+    # dD/dp vanishes exactly at p = 2.5, F_L = 0; at p = 0, F_L = 0 with
+    # p0 = 4R, Sigma+Pi and each of its terms do
+    with pytest.raises(SingularDenominatorError, match="dD/dp"):
+        nominal_rhs(SystemParams(), 2.5, 0.0)
+    with pytest.raises(SingularDenominatorError, match="Sigma"):
+        printed_slope(SystemParams(R=5.0, p0=20.0), 0.0, 0.0)
 
 
 def test_nominal_rhs_matches_root_finite_difference(params):

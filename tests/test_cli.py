@@ -71,9 +71,18 @@ def test_config_rejects_natural_length_inside_radius():
         parse_config("p0 = 3\n")
 
 
-def test_config_line_diagnostics():
+def test_config_line_diagnostics(tmp_path, capsys):
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("m = 1\nbogus_key = 3\n")
+    # projection is no longer optional: a file that still switches it is rejected
+    old = "m = 1\nconstraint_projection = on\n"
+    with pytest.raises(ConfigError, match=r"^line 2: unknown key 'constraint_projection'$"):
+        parse_config(old)
+    (tmp_path / "old.cfg").write_text(old)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(tmp_path / "old.cfg"), "--out", str(out)]) == 1
+    assert "line 2: unknown key 'constraint_projection'" in capsys.readouterr().err
+    assert not out.exists()
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("m = abc\n")
     with pytest.raises(ConfigError, match="line 3"):
@@ -87,7 +96,7 @@ def test_config_line_diagnostics():
 @pytest.mark.parametrize(
     "line",
     ["variant = sideways", "seed = 1.5", "x0 = 1, 2", "x0 = 1, 0, l, 0", "jitter = maybe",
-     "constraint_projection = 2", "fl_range = a:0:1", "grid = 3", "t_end = soon"],
+     "rel_tol = tight", "fl_range = a:0:1", "grid = 3", "t_end = soon"],
 )
 def test_every_unreadable_value_names_its_line(line):
     with pytest.raises(ConfigError, match=r"^line 3: "):
@@ -97,9 +106,7 @@ def test_every_unreadable_value_names_its_line(line):
 def test_every_config_key_round_trips_through_the_manifest_echo():
     off = RunConfig(
         params=SystemParams(m=2.0, M=3.0, R=4.0, k=0.5, p0=9.0, variant=ModelVariant.CONSTRAINT_CONSISTENT),
-        integrator=IntegratorConfig(
-            rel_tol=1e-7, abs_tol=1e-9, max_step=0.02, event_time_tol=1e-11, constraint_projection=False
-        ),
+        integrator=IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9, max_step=0.02, event_time_tol=1e-11),
         F_L=-7.5,
         F_L_range=FLRange(-10.0, -1.0, 0.5),
         grid=(8, 4),
@@ -111,7 +118,7 @@ def test_every_config_key_round_trips_through_the_manifest_echo():
         jitter=True,
     )
     echo = off.echo()
-    assert list(echo) == list(_KEYS) and len(echo) == 20
+    assert list(echo) == list(_KEYS) and len(echo) == 19
     assert all(echo[key] != value for key, value in RunConfig().echo().items())
     text = "".join(f"{key} = {','.join(map(str, v)) if key == 'x0' else v}\n" for key, v in echo.items())
     assert parse_config(text) == off
@@ -138,7 +145,6 @@ def test_config_full_document(tmp_path):
     p0 = 10
     variant = derived
     rel_tol = 1e-9
-    constraint_projection = off
     fl = -7.5
     fl_range = -10:0:2
     grid = 8x4
@@ -151,7 +157,6 @@ def test_config_full_document(tmp_path):
     cfg = parse_config(text)
     assert cfg.params.variant is ModelVariant.CONSTRAINT_CONSISTENT
     assert cfg.integrator.rel_tol == 1e-9
-    assert not cfg.integrator.constraint_projection
     assert cfg.F_L == -7.5
     assert cfg.F_L_range == FLRange(-10.0, 0.0, 2.0)
     assert cfg.grid == (8, 4)

@@ -16,6 +16,7 @@ from lamsa import (
     latch_from_projectile,
     mechanical_energy,
     mode_of,
+    simulate,
     spring_force,
 )
 from lamsa.errors import SingularConfigurationError
@@ -138,18 +139,17 @@ def test_mode_of_examples(params):
     assert mode_of(params, SystemState(2, 0, 1, 0), 0.0) is Mode.UNLATCHED
 
 
-def test_vector_field_unlatched_equilibrium(params):
-    f = vector_field(params, SystemState(10, 0, 3, 0), 0.0, Mode.UNLATCHED)
-    assert np.all(f == 0.0)
+def test_unlatched_projectile_ignores_latch(params):
+    # the free projectile's (p, p_dot) do not depend on the latch's state
+    # or radius
+    def projectile(prm, x0):
+        traj = simulate(prm, x0, 0.0, 2.0)
+        assert set(traj.mode) == {Mode.UNLATCHED}
+        return traj.t, [x[:2] for x in traj.x]
 
-
-def test_vector_field_unlatched_projectile_rows_ignore_latch(params):
-    f1 = vector_field(params, SystemState(7, 2, 1, 5), 0.0, Mode.UNLATCHED)
-    f2 = vector_field(params, SystemState(7, 2, 4, -1), 0.0, Mode.UNLATCHED)
-    assert f1[0] == f2[0] and f1[1] == f2[1]
-    other_r = SystemParams(R=2.0)
-    f3 = vector_field(other_r, SystemState(7, 2, 1, 5), 0.0, Mode.UNLATCHED)
-    assert f1[0] == f3[0] and f1[1] == f3[1]
+    ref = projectile(params, SystemState(7, 2, 1, 5))
+    assert projectile(params, SystemState(7, 2, 4, -1)) == ref
+    assert projectile(SystemParams(R=2.0), SystemState(7, 2, 1, 5)) == ref
 
 
 def test_vector_field_origin_is_stationary_at_zero_force(params):
