@@ -26,7 +26,6 @@ from .simulate import (
     IntegratorConfig,
     Trajectory,
     TrajectorySample,
-    integrate_step,
     project_to_constraint,
     simulate,
 )

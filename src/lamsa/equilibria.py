@@ -112,7 +112,7 @@ def _make_fp(
     params: SystemParams, p_star: float, l_star: float, F_L: float, tol: float
 ) -> FixedPoint:
     """The latched rest point (p*, l*), with the field rows that vanish there within ``tol``."""
-    res = _field_arr(params, (p_star, 0.0, l_star, 0.0), F_L)
+    res = _field_arr(params, (p_star, 0.0, l_star, 0.0), F_L)[:4]
     vanishing = tuple([i for i, r in enumerate(res) if abs(r) <= tol])
     return FixedPoint(p_star, l_star, F_L, Mode.LATCHED, False, vanishing)
 

@@ -155,18 +155,9 @@ def contact_force(params: SystemParams, state: Sequence[float], F_L: float) -> f
     (CONSTRAINT_CONSISTENT).  The expression is even in the velocities and
     independent of F_L wherever l = 0.  Meaningful as a physical force
     only near the constraint circle, but defined for any state (any
-    4-sequence) with W > 0.
+    4-sequence) with W > 0; ``_field_arr`` holds the formula.
     """
-    p, p_dot, l, l_dot = state
-    m, M, R = params.m, params.M, params.R
-    w = (R - p) ** 2 / m + l * l / M
-    if w <= 0.0:
-        raise SingularConfigurationError(
-            f"contact-force denominator W={w} is not positive at p={p}, l={l}"
-        )
-    d = m if params.variant is _PRINTED else M
-    fs = spring_force(params, p)
-    return (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
+    return _field_arr(params, state, F_L)[4]
 
 
 def mode_of(params: SystemParams, state: SystemState, F_L: float) -> Mode:
@@ -182,12 +173,14 @@ def mode_of(params: SystemParams, state: SystemState, F_L: float) -> Mode:
     return Mode.UNLATCHED
 
 
-def _field_arr(params: SystemParams, x: Sequence[float], F_L: float) -> tuple[float, float, float, float]:
-    """Latched vector field of any 4-sequence as a plain 4-tuple; the integrator's hot path.
+def _field_arr(params: SystemParams, x: Sequence[float], F_L: float) -> tuple[float, float, float, float, float]:
+    """Latched field of any 4-sequence and its contact force: (p_dot, p_ddot, l_dot, l_ddot, tau).
 
-    The contact force is substituted, computed inline with the arithmetic
-    of ``contact_force``.  The unlatched flow is never integrated (the
-    flight has a closed form), so it has no field here.
+    The package's one implementation of tau (``contact_force`` reads it
+    here), acting along the constraint gradient: m p_ddot = F_s + (p - R)
+    tau and M l_ddot = F_L + l tau.  The integrator's hot path.  The
+    unlatched flow is never integrated (the flight has a closed form), so
+    it has no field here.
     """
     p, p_dot, l, l_dot = x
     m, M, R = params.m, params.M, params.R
@@ -199,7 +192,7 @@ def _field_arr(params: SystemParams, x: Sequence[float], F_L: float) -> tuple[fl
         )
     d = m if params.variant is _PRINTED else M
     lam = (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
-    return (p_dot, (fs + (p - R) * lam) / m, l_dot, (F_L + l * lam) / M)
+    return (p_dot, (fs + (p - R) * lam) / m, l_dot, (F_L + l * lam) / M, lam)
 
 
 def mechanical_energy(params: SystemParams, state: SystemState, F_L: float) -> float:

@@ -50,7 +50,6 @@ __all__ = [
     "Event",
     "TrajectorySample",
     "Trajectory",
-    "integrate_step",
     "project_to_constraint",
     "simulate",
 ]
@@ -159,23 +158,24 @@ def _step_raw(
     params: SystemParams,
     F_L: float,
     y: Sequence[float],
+    f_y: Sequence[float],
     dt: float,
-) -> tuple[SystemState, float]:
-    """One Dormand-Prince 5(4) trial step from ``y``: returns (y_new, error_norm).
+) -> tuple[SystemState, tuple[float, float, float, float, float], float]:
+    """One Dormand-Prince 5(4) trial step from ``y``: returns (y_new, f_new, error_norm).
 
     The tableau is unrolled over the four state components in float
     arithmetic; ``kSC`` is stage S's derivative of component C.  The fields
-    are autonomous, so the stage nodes are not needed.  The fifth-order
-    solution is propagated; it is also where the seventh stage is
+    are autonomous, so the stage nodes are not needed.  The first stage is
+    the caller's field ``f_y`` at ``y``.  The fifth-order solution is
+    propagated; it is also where the seventh stage, ``f_new``, is
     evaluated (b equals the last row of A), and the b5 - b4 weights give
-    the local error estimate.  All seven stages are evaluated on every
-    trial.
+    the local error estimate.
     """
     f = _field_arr
     h = dt
     y0, y1, y2, y3 = y
-    k10, k11, k12, k13 = f(params, y, F_L)
-    k20, k21, k22, k23 = f(
+    k10, k11, k12, k13, _ = f_y
+    k20, k21, k22, k23, _ = f(
         params,
         (
             y0 + h * (1 / 5 * k10),
@@ -185,7 +185,7 @@ def _step_raw(
         ),
         F_L,
     )
-    k30, k31, k32, k33 = f(
+    k30, k31, k32, k33, _ = f(
         params,
         (
             y0 + h * (3 / 40 * k10 + 9 / 40 * k20),
@@ -195,7 +195,7 @@ def _step_raw(
         ),
         F_L,
     )
-    k40, k41, k42, k43 = f(
+    k40, k41, k42, k43, _ = f(
         params,
         (
             y0 + h * (44 / 45 * k10 - 56 / 15 * k20 + 32 / 9 * k30),
@@ -205,7 +205,7 @@ def _step_raw(
         ),
         F_L,
     )
-    k50, k51, k52, k53 = f(
+    k50, k51, k52, k53, _ = f(
         params,
         (
             y0 + h * (19372 / 6561 * k10 - 25360 / 2187 * k20
@@ -219,7 +219,7 @@ def _step_raw(
         ),
         F_L,
     )
-    k60, k61, k62, k63 = f(
+    k60, k61, k62, k63, _ = f(
         params,
         (
             y0 + h * (9017 / 3168 * k10 - 355 / 33 * k20 + 46732 / 5247 * k30
@@ -243,7 +243,8 @@ def _step_raw(
         y3 + h * (35 / 384 * k13 + 500 / 1113 * k33 + 125 / 192 * k43
                   - 2187 / 6784 * k53 + 11 / 84 * k63),
     ))
-    k70, k71, k72, k73 = f(params, y_new, F_L)
+    f_new = f(params, y_new, F_L)
+    k70, k71, k72, k73, _ = f_new
     e0 = h * (71 / 57600 * k10 - 71 / 16695 * k30 + 71 / 1920 * k40
               - 17253 / 339200 * k50 + 22 / 525 * k60 - 1 / 40 * k70)
     e1 = h * (71 / 57600 * k11 - 71 / 16695 * k31 + 71 / 1920 * k41
@@ -252,22 +253,24 @@ def _step_raw(
               - 17253 / 339200 * k52 + 22 / 525 * k62 - 1 / 40 * k72)
     e3 = h * (71 / 57600 * k13 - 71 / 16695 * k33 + 71 / 1920 * k43
               - 17253 / 339200 * k53 + 22 / 525 * k63 - 1 / 40 * k73)
-    return y_new, math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
+    return y_new, f_new, math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
 
 
 def integrate_step(
     params: SystemParams,
     state: SystemState,
+    f_state: Sequence[float],
     F_L: float,
     dt_suggestion: float,
     config: IntegratorConfig | None = None,
-) -> tuple[SystemState, float, float]:
+) -> tuple[SystemState, tuple[float, float, float, float, float], float, float]:
     """Take one accepted adaptive step of the latched field, not projected.
 
+    ``f_state`` is ``_field_arr`` at ``state``, every trial's first stage.
     Shrinks the step until the embedded error estimate satisfies
     ``err <= max(rel_tol * |state|, abs_tol)``; raises
     StepSizeUnderflowError if that requires a step below the floor.
-    Returns (new_state, dt_used, error_estimate).
+    Returns (new_state, field_at_new_state, dt_used, error_estimate).
     """
     cfg = config or IntegratorConfig()
     p, p_dot, l, l_dot = state
@@ -278,32 +281,30 @@ def integrate_step(
             raise StepSizeUnderflowError(
                 f"step size {dt:.3e} below floor {_MIN_STEP:.0e} without meeting tolerance"
             )
-        y_new, err = _step_raw(params, F_L, state, dt)
+        y_new, f_new, err = _step_raw(params, F_L, state, f_state, dt)
         if err <= tol:
-            return y_new, dt, err
+            return y_new, f_new, dt, err
         dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
 
 
 def _locate_zero(
-    params: SystemParams,
-    F_L: float,
     t_lo: float,
     y_lo: SystemState,
+    f_lo: Sequence[float],
     t_hi: float,
     y_hi: SystemState,
+    f_hi: Sequence[float],
     g: Callable[[SystemState], float],
     cfg: IntegratorConfig,
 ) -> tuple[float, SystemState]:
     """(t, state) at a zero of the guard ``g`` inside one integration step.
 
-    The latched step from (t_lo, y_lo) to (t_hi, y_hi) is reconstructed
-    with cubic Hermite interpolation; bisection narrows the crossing time
-    to ``cfg.event_time_tol``.  ``g`` must change sign across the step
-    (else NoSignChangeError); a zero at either end is returned as is.
+    The latched step from (t_lo, y_lo) to (t_hi, y_hi), with fields f_lo
+    and f_hi there, is reconstructed with cubic Hermite interpolation;
+    bisection narrows the crossing time to ``cfg.event_time_tol``.  ``g``
+    must change sign across the step (else NoSignChangeError); a zero at
+    either end is returned as is.
     """
-    f_lo = _field_arr(params, y_lo, F_L)
-    f_hi = _field_arr(params, y_hi, F_L)
-
     g_lo = g(y_lo)
     g_hi = g(y_hi)
     if g_lo == 0.0:
@@ -367,10 +368,10 @@ def project_to_constraint(params: SystemParams, state: SystemState) -> SystemSta
             raise ProjectionFailureError("constraint gradient vanished (p=R, l=0)")
         p -= h * gp / n2
         l -= h * gl / n2
-    if abs(holonomic_h(params, p, l)) > tol:
-        raise ProjectionFailureError(
-            f"projection did not converge in 25 iterations (|h|={abs(holonomic_h(params, p, l))})"
-        )
+    else:
+        h = holonomic_h(params, p, l)
+        if abs(h) > tol:
+            raise ProjectionFailureError(f"projection did not converge in 25 iterations (|h|={abs(h)})")
 
     if abs(l) >= abs(R - p):
         l_dot = (R - p) * p_dot / l if l != 0.0 else 0.0
@@ -382,25 +383,25 @@ def project_to_constraint(params: SystemParams, state: SystemState) -> SystemSta
 def _release_event(
     params: SystemParams,
     F_L: float,
-    bracket: tuple[float, SystemState, float, SystemState],
+    bracket: tuple[float, SystemState, Sequence[float], float, SystemState, Sequence[float]],
     unlatch: bool,
     takeoff: bool,
-    tau_of: Callable[[SystemState], float],
     cfg: IntegratorConfig,
 ) -> Event:
     """Locate the release inside a latched step whose end fired a guard.
 
-    When both guards fire the earlier wins, and a tie within the event
-    tolerance means tangency: at p = R no contact force can hold the
-    projectile regardless of tau.
+    ``bracket`` is (t, state, field) at the step's start and at the end
+    that fired.  When both guards fire the earlier wins, and a tie within
+    the event tolerance means tangency: at p = R no contact force can hold
+    the projectile regardless of tau.
     """
     R = params.R
     events = []
     if unlatch:
-        t, y = _locate_zero(params, F_L, *bracket, tau_of, cfg)
+        t, y = _locate_zero(*bracket, lambda s: contact_force(params, s, F_L), cfg)
         events.append(Event(t, y, EventKind.UNLATCH_TAU_ZERO))
     if takeoff:
-        t, y = _locate_zero(params, F_L, *bracket, lambda s: s[0] - R, cfg)
+        t, y = _locate_zero(*bracket, lambda s: s[0] - R, cfg)
         events.append(Event(t, y, EventKind.TAKEOFF_TANGENCY))
     if len(events) == 2:
         tau_ev, take_ev = events
@@ -466,12 +467,16 @@ def simulate(
     projected onto the constraint circle.  While latched, the release
     guards are read on each step's integrated end state and then on its
     projection onto the constraint, the state the next step starts from;
-    the first end that fires a guard closes the event's bracket.  When
-    both guards fire inside one step the earlier one wins and a tie within
-    the event tolerance resolves to tangency takeoff.  The unlatched
-    flight is appended in closed form.  ``F_L`` and ``t_end`` are taken as
-    floats, so every sample holds plain floats; a non-finite ``x0``,
-    ``F_L`` or ``t_end`` raises ValueError.
+    the first end that fires a guard closes the event's bracket.  The
+    latched field is evaluated once at the projected start and once at
+    each projected step end, and that one value is the sample's tau, the
+    guard's tau there, the next step's first stage and the event
+    interpolant's slope; the integrated end's tau is its step's last
+    stage.  When both guards fire inside one step the earlier one wins and
+    a tie within the event tolerance resolves to tangency takeoff.  The
+    unlatched flight is appended in closed form.  ``F_L`` and ``t_end`` are
+    taken as floats, so every sample holds plain floats; a non-finite
+    ``x0``, ``F_L`` or ``t_end`` raises ValueError.
     """
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
@@ -489,14 +494,12 @@ def simulate(
     rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     R, sqrt = params.R, math.sqrt
 
-    def tau_of(s: SystemState) -> float:
-        return contact_force(params, s, F_L)
-
     if mode is _LATCHED:
         y = project_to_constraint(params, y)
-        if tau_of(y) <= 0.0:
+        f = _field_arr(params, y, F_L)
+        if f[4] <= 0.0:
             mode = _UNLATCHED  # projection nudged a borderline tau past 0
-    traj.append(t, y, mode, tau_of(y) if mode is _LATCHED else 0.0)
+    traj.append(t, y, mode, f[4] if mode is _LATCHED else 0.0)
 
     # The loop tries min(dt, t_end - t) (dt never exceeds max_step), then
     # scales dt by 0.9 (tol / err)^(1/5), kept in [0.2, 5], with tol taken at
@@ -507,24 +510,24 @@ def simulate(
     if mode is _LATCHED:
         while t < t_last:
             h = t_end - t
-            y_end, dt_used, err = integrate_step(params, y, F_L, h if h < dt else dt, cfg)
+            y_end, f_end, dt_used, err = integrate_step(params, y, f, F_L, h if h < dt else dt, cfg)
             t_new = t + dt_used
             y_new = project_to_constraint(params, y_end)
-            tau_new = tau_of(y_new)
+            f_new = _field_arr(params, y_new, F_L)
 
             # a guard fires on the integrated end state, bracketed by the
             # step itself, or else on the projected end state, the state the
             # next step would start from
-            y_hi = y_end
-            unlatch = tau_of(y_end) <= 0.0
+            y_hi, f_hi = y_end, f_end
+            unlatch = f_end[4] <= 0.0
             takeoff = y_end[0] - R >= 0.0 and y[0] - R < 0.0
             if not (unlatch or takeoff):
-                y_hi = y_new
-                unlatch = tau_new <= 0.0
+                y_hi, f_hi = y_new, f_new
+                unlatch = f_new[4] <= 0.0
                 takeoff = y_new[0] - R >= 0.0 and y[0] - R < 0.0
             if unlatch or takeoff:
                 event = _release_event(
-                    params, F_L, (t, y, t_new, y_hi), unlatch, takeoff, tau_of, cfg
+                    params, F_L, (t, y, f, t_new, y_hi, f_hi), unlatch, takeoff, cfg
                 )
                 event = Event(event.t, project_to_constraint(params, event.state), event.kind)
                 traj.events.append(event)
@@ -532,11 +535,11 @@ def simulate(
                 traj.append(t, y, mode, 0.0)
                 break
 
-            t, y = t_new, y_new
+            t, y, f = t_new, y_new, f_new
             add_t(t)
             add_x(y)
             add_mode(_LATCHED)
-            add_tau(tau_new)
+            add_tau(f[4])
             p, p_dot, l, l_dot = y
             tol = rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
             g = 0.9 * ((abs_tol if abs_tol > tol else tol) / err) ** 0.2 if err else 5.0

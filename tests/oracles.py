@@ -14,10 +14,12 @@ bookkeeping, the step-size control or the event interpolation; it
 integrates the unlatched flight, which ``simulate`` evaluates in closed
 form, with ``dopri5_step`` on the field written out here), and
 the flight oracle writes that closed form with ``harmonic_position``,
-and the theta oracle is the equilibrium Newton loop in plain floats.
-``vector_field``, ``jacobian_fd`` and ``real_pair_exists`` are test
-helpers: the whole field as an array, the package's finite-difference
-Jacobian at a fixed point, and the eigenvalue-level saddle test.
+the theta oracle is the equilibrium Newton loop in plain floats, and
+the field oracle (``vector_field`` with ``latched_contact_force``) writes
+both modes' fields and the contact force out from the model's formulas.
+``jacobian_fd`` and ``real_pair_exists`` are test helpers: the package's
+finite-difference Jacobian at a fixed point, and the eigenvalue-level
+saddle test.
 """
 
 from __future__ import annotations
@@ -173,20 +175,40 @@ def jacobian_central_fd(
     return J
 
 
+def latched_contact_force(params, state, F_L: float) -> float:
+    """The contact force tau of the model's docstring, for any 4-sequence.
+
+    tau = W^-1 [-(p_dot^2 + l_dot^2) + (R - p) F_s / m - l F_L / d], with
+    W = (R - p)^2/m + l^2/M, F_s = -k (p - p0), and d = m for the printed
+    variant and M for the derived one.
+    """
+    from lamsa.model import ModelVariant
+
+    p, p_dot, l, l_dot = state
+    m, M, R = params.m, params.M, params.R
+    W = (R - p) * (R - p) / m + l * l / M
+    F_s = -params.k * (p - params.p0)
+    d = m if params.variant is ModelVariant.AS_PRINTED else M
+    return (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * F_s / m - l * F_L / d) / W
+
+
 def vector_field(params, state, F_L: float, mode) -> np.ndarray:
     """Time derivative of the 4-sequence (p, p_dot, l, l_dot) in the given mode, as a numpy array.
 
-    Latched mode is the package's field, with the contact force
-    substituted.  Unlatched mode is written out here: the projectile is a
-    harmonic oscillator about p0 and the latch moves under the constant
-    force F_L.
+    Both modes are written out here.  Latched, the contact force tau of
+    ``latched_contact_force`` acts along the constraint gradient:
+    m p_ddot = F_s + (p - R) tau and M l_ddot = F_L + l tau.  Unlatched
+    (tau = 0), the projectile is a harmonic oscillator about p0 and the
+    latch moves under the constant force F_L.
     """
-    from lamsa.model import Mode, _field_arr
+    from lamsa.model import Mode
 
-    if mode is Mode.LATCHED:
-        return np.array(_field_arr(params, state, F_L))
     p, p_dot, l, l_dot = state
-    return np.array([p_dot, -params.k * (p - params.p0) / params.m, l_dot, F_L / params.M])
+    F_s = -params.k * (p - params.p0)
+    if mode is not Mode.LATCHED:
+        return np.array([p_dot, F_s / params.m, l_dot, F_L / params.M])
+    tau = latched_contact_force(params, state, F_L)
+    return np.array([p_dot, (F_s + (p - params.R) * tau) / params.m, l_dot, (F_L + l * tau) / params.M])
 
 
 def jacobian_fd(params, fp, fd_step: float | None = None) -> np.ndarray:
@@ -317,13 +339,16 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     the unlatched ``vector_field``.
 
     Each accepted step goes through a plain copy of the adaptive-step
-    wrapper, the next step size comes from ``suggest`` with the tolerance
-    of the state the step ends in, every sample goes through
+    wrapper, each trial evaluates its own first stage, every tau comes
+    from ``contact_force`` and every Hermite slope from a fresh field
+    evaluation, the next step size comes from ``suggest`` with the
+    tolerance of the state the step ends in, every sample goes through
     ``Trajectory.append``, the latched guards are read in a loop over the
     (integrated, projected) step ends, and events are bisected on a
     generator-built cubic Hermite interpolant.  The float arithmetic of the
     latched phase is the package's, in the same order, so up to the
-    release the result must match exactly.
+    release the result must match exactly; that ``simulate`` reuses each
+    field value it has changes no bit.
     """
     from lamsa.errors import StepSizeUnderflowError
     from lamsa.model import Mode, SystemState, _field_arr, contact_force, mode_of
@@ -341,7 +366,8 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
         return vector_field(params, y, F_L, Mode.UNLATCHED)
 
     def latched_trial(y, dt):
-        return _step_raw(params, F_L, y, dt)
+        y_new, _, err = _step_raw(params, F_L, y, latched_field(y), dt)
+        return y_new, err
 
     def flight_trial(y, dt):
         y_new, err, _ = dopri5_step(flight_field, np.array(y), dt)

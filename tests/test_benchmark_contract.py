@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` replaces lamsa module globals with counting
 wrappers, and a traced benchmark run aborts when a workload's expected
 counter reads 0.  These tests run the tracer on the benchmark's own
-smoke portrait and smoke analysis so that a refactor which renames or
-bypasses a traced name fails here and not only under
-``perfbench/run.py --trace 1``.  The
+smoke portrait and smoke analysis, and on the derived portrait whose
+profile ``perfbench/smoke_check.py`` pins, so that a refactor which
+renames or bypasses a traced name, or changes that profile, fails here
+and not only under ``perfbench/run.py --trace 1`` or the smoke check.  The
 benchmark files are read and executed in memory: nothing is written under
 ``perfbench/``.
 """
@@ -92,3 +93,18 @@ def test_traced_unjittered_portrait_integrates_nothing(tracer, tmp_path):
     assert metrics["simulate.calls"][0] == 9
     assert metrics["simulate.step_trials"][0] == 0
     assert trace.count("model.field_evals_in_simulate") == 0
+
+
+def test_traced_unjittered_derived_portrait_profile(tracer, tmp_path):
+    # the profile perfbench/smoke_check.py pins on the derived 20x20
+    # portrait at F_L = -15: every step accepted at the first trial, and
+    # seven field evaluations per accepted step
+    trace = tracer.Trace()
+    with tracer.Tracer(trace):
+        rc = main(["phase-portrait", "--variant", "derived", "--grid", "20x20",
+                   "--fl", "-15", "--t-end", "10", "--out", str(tmp_path)])
+    assert rc == 0
+    metrics = {name: value for name, (value, _) in tracer.layer_metrics(trace).items()}
+    assert metrics["simulate.calls"] == 400
+    assert metrics["simulate.accept_ratio"] == 1.0
+    assert metrics["model.evals_per_step"] == pytest.approx(7.0, abs=0.05)

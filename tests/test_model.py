@@ -20,9 +20,10 @@ from lamsa import (
     spring_force,
 )
 from lamsa.errors import SingularConfigurationError
+from lamsa.model import _field_arr
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
-from oracles import vector_field
+from oracles import latched_contact_force, vector_field
 
 
 def test_params_invariants_enforced():
@@ -129,6 +130,31 @@ def test_contact_force_singular_configuration_guard():
     # W = l^2/M at p=R; force l=0 to hit the defensive branch
     with pytest.raises(SingularConfigurationError):
         contact_force(params, state, 0.0)
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_latched_field_and_tau_match_the_written_out_oracle(variant):
+    # _field_arr holds the package's only tau formula: all five entries
+    # against the model's formulas written out independently, on the
+    # circle and off it, and contact_force is exactly its last entry
+    params = SystemParams(variant=variant)
+    rng = np.random.default_rng(19)
+    R = params.R
+    states = []
+    for _ in range(50):
+        p = float(rng.uniform(0.05, 2.0 * R - 0.05))
+        l = latch_from_projectile(params, p) * float(rng.choice([-1.0, 1.0]))
+        pd, ld = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+        states.append(SystemState(p, pd, l, ld))
+        states.append(SystemState(*(float(v) for v in rng.uniform([-2, -3, -6, -3], [12, 3, 6, 3]))))
+    assert any(abs(holonomic_h(params, s.p, s.l)) > 1.0 for s in states)
+    for st in states:
+        F_L = float(rng.uniform(-20.0, 5.0))
+        got = _field_arr(params, st, F_L)
+        want = (*vector_field(params, st, F_L, Mode.LATCHED), latched_contact_force(params, st, F_L))
+        assert len(got) == 5
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert contact_force(params, st, F_L) == got[4]
 
 
 def test_mode_of_examples(params):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from lamsa import (
     SystemState,
     fixed_points,
     holonomic_h,
-    integrate_step,
     latch_from_projectile,
     mechanical_energy,
     project_to_constraint,
@@ -27,7 +27,7 @@ from lamsa.cli import _portrait_initial_states
 from lamsa.config import RunConfig
 from lamsa.errors import LamsaError, NoSignChangeError, StepSizeUnderflowError
 from lamsa.model import _field_arr, mode_of
-from lamsa.simulate import _locate_zero, _step_raw
+from lamsa.simulate import _locate_zero, _step_raw, integrate_step
 
 from oracles import (
     dopri5_step,
@@ -43,6 +43,12 @@ def _latched_start(params: SystemParams, p: float, p_dot: float = 0.0) -> System
     l = latch_from_projectile(params, p)
     l_dot = (params.R - p) * p_dot / l if l > 0 else 0.0
     return SystemState(p, p_dot, l, l_dot)
+
+
+def _step(params, st, F_L, dt_suggestion, cfg=None):
+    """(new_state, dt_used, err) of ``integrate_step`` from ``st``, its field evaluated here."""
+    new, _, dt, err = integrate_step(params, st, _field_arr(params, st, F_L), F_L, dt_suggestion, cfg)
+    return new, dt, err
 
 
 def test_integrator_config_invariants():
@@ -64,8 +70,9 @@ def test_integrator_config_rejects_non_finite_values(name, bad):
 
 def test_step_at_fixed_point_is_stationary(params):
     st = SystemState(0.0, 0.0, 0.0, 0.0)
-    new, dt, err = integrate_step(params, st, 0.0, 1e-3)
-    assert new == st
+    f = _field_arr(params, st, 0.0)
+    new, f_new, dt, err = integrate_step(params, st, f, 0.0, 1e-3)
+    assert new == st and f_new == f
     assert err == 0.0
     assert dt == 1e-3
 
@@ -76,7 +83,7 @@ def test_step_preserves_latched_energy_within_local_tolerance(cc_params):
     # the step's error allowance
     cfg = IntegratorConfig()
     st, F_L = _latched_start(cc_params, 2.0, 1.5), -5.0
-    new, dt, err = integrate_step(cc_params, st, F_L, 1e-2, cfg)
+    new, dt, err = _step(cc_params, st, F_L, 1e-2, cfg)
     assert dt > 0.0 and new != st
     tol = max(cfg.rel_tol * np.linalg.norm(st.as_array()), cfg.abs_tol)
     assert err <= tol
@@ -87,7 +94,7 @@ def test_step_preserves_latched_energy_within_local_tolerance(cc_params):
 def test_step_error_estimate_meets_contract(params):
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     st = _latched_start(params, 1.0, 1.5)
-    new, dt, err = integrate_step(params, st, -5.0, 1e-2, cfg)
+    new, dt, err = _step(params, st, -5.0, 1e-2, cfg)
     assert err <= max(cfg.rel_tol * np.linalg.norm(st.as_array()), cfg.abs_tol)
     assert 0 < dt <= cfg.max_step
 
@@ -99,10 +106,11 @@ def test_step_raw_matches_tableau_oracle(variant, start):
     p, p_dot, F_L = start
     st = _latched_start(params, p, p_dot)
     dt = 0.05
-    y_new, err = _step_raw(params, F_L, st, dt)
+    y_new, f_new, err = _step_raw(params, F_L, st, _field_arr(params, st, F_L), dt)
+    assert f_new == _field_arr(params, y_new, F_L)
 
     def f(y: np.ndarray) -> np.ndarray:
-        return np.array(_field_arr(params, y, F_L))
+        return np.array(_field_arr(params, y, F_L)[:4])
 
     ref_y, ref_err, err_scale = dopri5_step(f, st.as_array(), dt)
     assert err > 0.0
@@ -116,7 +124,7 @@ def test_step_size_underflow_reported(params):
     cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
     st = _latched_start(params, 1.0, 1.5)
     with pytest.raises(StepSizeUnderflowError):
-        integrate_step(params, st, -5.0, 1e-2, cfg)
+        _step(params, st, -5.0, 1e-2, cfg)
 
 
 # --- event location (_locate_zero) ------------------------------------------
@@ -134,17 +142,18 @@ def test_locate_event_tau_crossing(cc_params):
     F_L = -5.0
     st = _latched_start(cc_params, 3.4, 3.6)
     t = 0.0
+    f = _field_arr(cc_params, st, F_L)
     for _ in range(2000):
-        new, dt, _ = integrate_step(cc_params, st, F_L, 5e-3, cfg)
+        new, f_new, dt, _ = integrate_step(cc_params, st, f, F_L, 5e-3, cfg)
         if _tau_fn(cc_params, F_L)(new) < 0:
-            t_ev, y_ev = _locate_zero(cc_params, F_L, t, st, t + dt, new, _tau_fn(cc_params, F_L), cfg)
+            t_ev, y_ev = _locate_zero(t, st, f, t + dt, new, f_new, _tau_fn(cc_params, F_L), cfg)
             tau_lo = _tau_fn(cc_params, F_L)(st)
             tau_hi = _tau_fn(cc_params, F_L)(new)
             derived_tol = 4.0 * abs(tau_hi - tau_lo) / dt * cfg.event_time_tol + 1e-12
             assert t < t_ev <= t + dt
             assert abs(_tau_fn(cc_params, F_L)(y_ev)) <= derived_tol
             return
-        st, t = new, t + dt
+        st, f, t = new, f_new, t + dt
     pytest.fail("tau never crossed zero")
 
 
@@ -152,16 +161,18 @@ def test_locate_event_position_crossing(params):
     # a latched step through the tangency p = R with monotone p
     cfg = IntegratorConfig()
     st = _latched_start(params, 4.99, 2.0)
-    new, dt, _ = integrate_step(params, st, -5.0, 1e-2, cfg)
+    f = _field_arr(params, st, -5.0)
+    new, f_new, dt, _ = integrate_step(params, st, f, -5.0, 1e-2, cfg)
     assert new.p > params.R
-    _, y_ev = _locate_zero(params, -5.0, 0.0, st, dt, new, lambda s: s.p - params.R, cfg)
+    _, y_ev = _locate_zero(0.0, st, f, dt, new, f_new, lambda s: s.p - params.R, cfg)
     assert abs(y_ev.p - params.R) <= 2.0 * abs(new.p_dot) * cfg.event_time_tol + 1e-12
 
 
 def test_locate_event_requires_sign_change(params):
     st = SystemState(1.0, 0.0, 3.0, 0.0)
+    f = _field_arr(params, st, 0.0)
     with pytest.raises(NoSignChangeError):
-        _locate_zero(params, 0.0, 0.0, st, 0.1, st, lambda s: 1.0, IntegratorConfig())
+        _locate_zero(0.0, st, f, 0.1, st, f, lambda s: 1.0, IntegratorConfig())
 
 
 # --- project_to_constraint --------------------------------------------------
@@ -234,13 +245,13 @@ def test_simulate_latched_segment_matches_fixed_stride_oracle(variant):
     t_probe, max_step = 1.5, IntegratorConfig().max_step
     t, states = 0.0, [x0]
     while t_probe - t > 1e-12:
-        y, dt, _ = integrate_step(params, states[-1], -5.0, min(max_step, t_probe - t))
+        y, dt, _ = _step(params, states[-1], -5.0, min(max_step, t_probe - t))
         t += dt
         states.append(y)
     assert t == pytest.approx(t_probe, abs=1e-12)
 
     def f(y: np.ndarray) -> np.ndarray:
-        return np.array(_field_arr(params, y, -5.0))
+        return np.array(_field_arr(params, y, -5.0)[:4])
 
     ref = rk4_fixed(f, x0.as_array(), t_probe, 60000)
     assert np.max(np.abs(np.array(states[-1]) - ref)) <= 1e-7
@@ -272,6 +283,47 @@ def test_simulate_event_state_and_mode_monotonicity(cc_params):
             assert s.tau > 0
         else:
             assert s.tau == 0.0
+
+
+# the default steps are all accepted; long, loose steps get rejected
+_NO_REJECTION, _REJECTIONS = IntegratorConfig(), IntegratorConfig(rel_tol=1e-6, max_step=0.5)
+
+
+@pytest.mark.parametrize("cfg", [_NO_REJECTION, _REJECTIONS], ids=["accepted", "rejected"])
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_simulate_evaluates_each_latched_state_once(monkeypatch, variant, cfg):
+    # every trial evaluates six stages (its first is the field at its start
+    # state, its last the field at its end state), and the projected start
+    # and each projected step end one field more, which serves as their
+    # tau, guard, next first stage and event slope; the event bisection
+    # evaluates no field (its tau guard is contact_force's)
+    sim = importlib.import_module("lamsa.simulate")
+    calls = dict.fromkeys(("_field_arr", "_step_raw", "integrate_step"), 0)
+    fields_in_locate = []
+    locate_zero = sim._locate_zero
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    def locate(*args):
+        before = calls["_field_arr"]
+        out = locate_zero(*args)
+        fields_in_locate.append(calls["_field_arr"] - before)
+        return out
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counting(name, getattr(sim, name)))
+    monkeypatch.setattr(sim, "_locate_zero", locate)
+    params = SystemParams(variant=variant)
+    traj = simulate(params, _latched_start(params, 3.0), -5.0, 10.0, cfg)
+    assert [e.kind for e in traj.events] == [EventKind.UNLATCH_TAU_ZERO]
+    assert fields_in_locate == [0]
+    trials, steps = calls["_step_raw"], calls["integrate_step"]
+    assert (trials > steps) is (cfg is _REJECTIONS)
+    assert calls["_field_arr"] == 6 * trials + steps + 1
 
 
 def test_simulate_takeoff_by_tangency(cc_params):
@@ -674,7 +726,8 @@ def test_locate_zero_equals_reference(variant):
     cfg = IntegratorConfig()
     F_L = -5.0
     y_lo = _latched_start(params, 4.99, 2.0)
-    y_hi, dt, _ = integrate_step(params, y_lo, F_L, 1e-2, cfg)
+    f_lo = _field_arr(params, y_lo, F_L)
+    y_hi, f_hi, dt, _ = integrate_step(params, y_lo, f_lo, F_L, 1e-2, cfg)
     assert y_hi.p > params.R
 
     def g(s):
@@ -683,9 +736,9 @@ def test_locate_zero_equals_reference(variant):
     def field(y):
         return _field_arr(params, y, F_L)
 
-    got = _locate_zero(params, F_L, 0.0, y_lo, dt, y_hi, g, cfg)
+    got = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, g, cfg)
     assert got == locate_zero_reference(field, cfg.event_time_tol, 0.0, y_lo, dt, y_hi, g)
     with pytest.raises(NoSignChangeError):
-        _locate_zero(params, F_L, 0.0, y_hi, dt, y_hi, g, cfg)
+        _locate_zero(0.0, y_hi, f_hi, dt, y_hi, f_hi, g, cfg)
     with pytest.raises(NoSignChangeError):
         locate_zero_reference(field, cfg.event_time_tol, 0.0, y_hi, dt, y_hi, g)
