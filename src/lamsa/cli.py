@@ -15,8 +15,8 @@ import argparse
 import dataclasses
 import functools
 import itertools
-import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn
@@ -24,11 +24,12 @@ from typing import Callable, Iterable, NoReturn
 import numpy as np
 
 from .bifurcation import design_feasibility, saddle_region_map, trace_path
-from .config import RunConfig, apply_overrides, build_config, parse_config, parse_fl_range, parse_grid, sweep_values
+from .config import _KEYS, RunConfig, apply_overrides, build_config, parse_config, sweep_values
+from .config import parse_fl_range, parse_grid  # not called; kept importable because perfbench/tracer.py wraps them
 from .equilibria import FixedPoint, fixed_point_sweep, fixed_points, unlatched_fixed_point
 from .errors import ConfigError, LamsaError
-from .io import flag, fmt, write_csv, write_events, write_manifest, write_trajectory
-from .model import ModelVariant, SystemState, latch_from_projectile
+from .io import _write_json, flag, fmt, write_csv, write_events, write_manifest, write_trajectory
+from .model import SystemState, latch_from_projectile
 from .published import (
     _implicit_slope,
     in_region_U,
@@ -72,11 +73,6 @@ class _Artifacts:
         """Write the manifest (config echo and row counts) and return the exit status."""
         write_manifest(self.cfg.output_dir, self.cfg.echo(), self.outputs, results=results)
         return 0
-
-
-def _write_json(path: Path, payload: dict) -> int:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return 1
 
 
 def _fixed_point_row(fp: FixedPoint) -> list[str]:
@@ -265,8 +261,17 @@ _COMMANDS = {
 }
 
 
+# each override flag and the config key it sets; its text is read as that key's config-file value
+_OVERRIDES = {"--out": "out_dir", "--variant": "variant", "--fl": "fl", "--fl-range": "fl_range",
+              "--grid": "grid", "--seed": "seed", "--t-end": "t_end"}
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ConfigError (exit 1), not SystemExit(2)."""
+    """Usage errors raise ConfigError (exit 1), not SystemExit(2); ``-1e-3``, ``-.5``, ``-15:0:1`` are values."""
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str) -> NoReturn:
         raise ConfigError(message)
@@ -287,17 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, help="flat key=value config file")
-        p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--variant", choices=[v.value for v in ModelVariant])
-        p.add_argument("--fl", type=float, help="latch force for single-force commands")
-        p.add_argument("--fl-range", help="sweep as start:stop:step")
-        p.add_argument("--grid", help="grid dimensions as NxM")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--t-end", type=float)
+        for option, key in _OVERRIDES.items():
+            p.add_argument(option, dest=key, help=f"sets config key '{key}'")
     return parser
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file (or the defaults) with each given flag's key set, its text read as in a config file."""
+    values = {}
+    for option, key in _OVERRIDES.items():
+        raw = getattr(args, key)
+        if raw is not None:
+            try:
+                values[key] = _KEYS[key].read(raw, key)
+            except ConfigError as exc:
+                raise ConfigError(f"argument {option}: {exc}") from None
     if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
@@ -306,16 +315,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg = parse_config(text)
     else:
         cfg = build_config({})
-    return apply_overrides(
-        cfg,
-        variant=ModelVariant(args.variant) if args.variant else None,
-        F_L=args.fl,
-        F_L_range=parse_fl_range(args.fl_range) if args.fl_range else None,
-        grid=parse_grid(args.grid) if args.grid else None,
-        output_dir=args.out,
-        seed=args.seed,
-        t_end=args.t_end,
-    )
+    return apply_overrides(cfg, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,9 +5,10 @@ The config format is one ``key = value`` pair per line, ``#`` comments.
 field of :class:`~lamsa.model.SystemParams`, of
 :class:`~lamsa.simulate.IntegratorConfig` or of :class:`RunConfig`
 (``fl``, ``fl_range`` and ``out_dir`` set ``F_L``, ``F_L_range`` and
-``output_dir``).  Every omitted key keeps its field's default; in
-particular the default physical parameters are the reference set m=1,
-M=5, R=5, k=1, p0=10 used throughout the test suite.
+``output_dir``); the CLI's override flags set keys too.  Every omitted
+key keeps its field's default; in particular the default physical
+parameters are the reference set m=1, M=5, R=5, k=1, p0=10 used
+throughout the test suite.
 """
 
 from __future__ import annotations
@@ -214,33 +215,23 @@ def parse_config(text: str) -> RunConfig:
 
 
 def build_config(values: dict[str, object]) -> RunConfig:
-    """Assemble a RunConfig from a partial key dict; omitted keys keep their field defaults.
+    """Assemble a RunConfig from a partial key dict; omitted keys keep their field defaults."""
+    return apply_overrides(RunConfig(), **values)
 
-    A number given for a float key is stored as a float, as a config file
-    would give it.
+
+def apply_overrides(cfg: RunConfig, **values: object) -> RunConfig:
+    """Return a copy of ``cfg`` with the given config keys set (``fl=-5.0``, ``out_dir=...``).
+
+    Each key is routed to its ``_KEYS`` field.  A number given for a float
+    key is stored as a float, as a config file would give it.
     """
     by_holder: dict[str, dict[str, object]] = {"params": {}, "integrator": {}, "": {}}
     for key, value in values.items():
         spec = _KEYS[key]
         by_holder[spec.holder][spec.field] = float(value) if spec.read is _number else value
     try:
-        params = SystemParams(**by_holder["params"])
-        integrator = IntegratorConfig(**by_holder["integrator"])
+        params = replace(cfg.params, **by_holder["params"])
+        integrator = replace(cfg.integrator, **by_holder["integrator"])
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    return RunConfig(params=params, integrator=integrator, **by_holder[""])
-
-
-def apply_overrides(cfg: RunConfig, **overrides: object) -> RunConfig:
-    """Return a copy of ``cfg`` with non-None override values applied."""
-    out = cfg
-    if overrides.get("variant") is not None:
-        out = replace(out, params=replace(out.params, variant=overrides["variant"]))
-    simple = {
-        name: overrides[name]
-        for name in ("F_L", "F_L_range", "grid", "output_dir", "seed", "t_end")
-        if overrides.get(name) is not None
-    }
-    if simple:
-        out = replace(out, **simple)
-    return out
+    return replace(cfg, params=params, integrator=integrator, **by_holder[""])

@@ -63,6 +63,12 @@ def write_trajectory(path: Path, traj: Trajectory) -> int:
     return write_csv(path, TRAJECTORY_HEADER, trajectory_rows(traj))
 
 
+def _write_json(path: Path, payload: object) -> int:
+    """Write ``payload`` as indented JSON ending in a newline; one document counts one row."""
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return 1
+
+
 def write_events(path: Path, traj: Trajectory) -> int:
     """Sibling JSON document listing the mode-switch events."""
     payload = [
@@ -73,7 +79,7 @@ def write_events(path: Path, traj: Trajectory) -> int:
         }
         for ev in traj.events
     ]
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, payload)
     return len(payload)
 
 
@@ -96,7 +102,7 @@ def write_manifest(
     if results is not None:
         manifest["results"] = results
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, manifest)
     return path
 
 

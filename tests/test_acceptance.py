@@ -239,10 +239,10 @@ def test_criterion_11_root_oracle_equivalence():
 
 
 def test_criterion_12_deterministic_output(tmp_path):
-    cfg_a = apply_overrides(build_config({}), output_dir=tmp_path / "a",
-                            F_L_range=FLRange(-15.0, 0.0, 1.0))
-    cfg_b = apply_overrides(build_config({}), output_dir=tmp_path / "b",
-                            F_L_range=FLRange(-15.0, 0.0, 1.0))
+    cfg_a = apply_overrides(build_config({}), out_dir=tmp_path / "a",
+                            fl_range=FLRange(-15.0, 0.0, 1.0))
+    cfg_b = apply_overrides(build_config({}), out_dir=tmp_path / "b",
+                            fl_range=FLRange(-15.0, 0.0, 1.0))
     cmd_equilibria(cfg_a)
     cmd_equilibria(cfg_b)
     body_a = (tmp_path / "a" / "fixedpoints.csv").read_bytes()

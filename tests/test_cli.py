@@ -23,6 +23,7 @@ from lamsa import (
     stability_report,
     sweep_values,
 )
+from lamsa import cli
 from lamsa.cli import (
     cmd_classify,
     cmd_design_check,
@@ -45,7 +46,7 @@ from conftest import REF_SADDLE_P
 
 def _cfg(tmp_path: Path, **overrides) -> RunConfig:
     cfg = build_config({})
-    return apply_overrides(cfg, output_dir=tmp_path, **overrides)
+    return apply_overrides(cfg, out_dir=tmp_path, **overrides)
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -198,7 +199,7 @@ def test_non_finite_values_rejected(bad):
         with pytest.raises(ConfigError, match="fl_range .* must be finite"):
             parse_config(f"fl_range = {text}\n")
     cfg = build_config({})
-    for name in ("F_L", "t_end"):
+    for name in ("fl", "t_end"):
         with pytest.raises(ConfigError, match="must be finite"):
             apply_overrides(cfg, **{name: float(bad)})
 
@@ -207,7 +208,7 @@ def test_non_finite_values_rejected(bad):
 
 
 def test_cmd_equilibria_row_layout(tmp_path, params):
-    cfg = _cfg(tmp_path, F_L_range=FLRange(-15.0, 0.0, 1.0))
+    cfg = _cfg(tmp_path, fl_range=FLRange(-15.0, 0.0, 1.0))
     assert cmd_equilibria(cfg) == 0
     header, rows = _read_csv(tmp_path / "fixedpoints.csv")
     assert header == ["F_L", "p_star", "l_star", "origin_flag", "valid"]
@@ -244,7 +245,7 @@ def test_cmd_equilibria_deterministic(tmp_path):
 
 
 def test_cmd_trace_final_row(tmp_path):
-    cfg = _cfg(tmp_path, F_L=-15.0)
+    cfg = _cfg(tmp_path, fl=-15.0)
     assert cmd_trace(cfg) == 0
     header, rows = _read_csv(tmp_path / "path.csv")
     assert header == ["F_L", "p_star", "in_S"]
@@ -274,7 +275,7 @@ def test_cmd_design_check_manifest(tmp_path):
 
 
 def test_cmd_simulate_outputs(tmp_path):
-    cfg = _cfg(tmp_path, F_L=-5.0)
+    cfg = _cfg(tmp_path, fl=-5.0)
     cfg = apply_overrides(cfg, variant=ModelVariant.CONSTRAINT_CONSISTENT)
     assert cmd_simulate(cfg) == 0
     header, rows = _read_csv(tmp_path / "trajectory.csv")
@@ -329,7 +330,7 @@ def test_trajectory_rows_format_each_cell_like_fmt():
 
 
 def test_cmd_classify_schema(tmp_path):
-    cfg = _cfg(tmp_path, F_L_range=FLRange(-15.0, 0.0, 5.0))
+    cfg = _cfg(tmp_path, fl_range=FLRange(-15.0, 0.0, 5.0))
     assert cmd_classify(cfg) == 0
     header, rows = _read_csv(tmp_path / "classification.csv")
     assert header == ["F_L", "p_star", "A", "B", "Gamma", "Delta", "h1", "h2", "class"]
@@ -366,7 +367,7 @@ def test_far_pair_sweeps_match_per_force_reference(tmp_path, variant, p0):
 
 
 def test_cmd_region_map_and_quiver_schema(tmp_path):
-    cfg = _cfg(tmp_path / "rm", grid=(4, 3), F_L_range=FLRange(-15.0, 0.0, 1.0))
+    cfg = _cfg(tmp_path / "rm", grid=(4, 3), fl_range=FLRange(-15.0, 0.0, 1.0))
     assert cmd_region_map(cfg) == 0
     header, rows = _read_csv(tmp_path / "rm" / "region.csv")
     assert header == ["p", "F_L", "h1", "h2", "in_S", "in_U"]
@@ -376,7 +377,7 @@ def test_cmd_region_map_and_quiver_schema(tmp_path):
             float(cell)
         assert r[4] in "01" and r[5] in "01"
 
-    cfg = _cfg(tmp_path / "qv", grid=(3, 3), F_L_range=FLRange(-15.0, 0.0, 1.0))
+    cfg = _cfg(tmp_path / "qv", grid=(3, 3), fl_range=FLRange(-15.0, 0.0, 1.0))
     assert cmd_quiver(cfg) == 0
     header, rows = _read_csv(tmp_path / "qv" / "quiver.csv")
     assert header == ["p", "F_L", "dp_dFL"]
@@ -390,7 +391,7 @@ def test_cmd_region_map_and_quiver_schema(tmp_path):
 
 @pytest.mark.parametrize("variant", list(ModelVariant))
 def test_quiver_rows_are_per_node_nominal_rhs(tmp_path, variant):
-    cfg = _cfg(tmp_path, variant=variant, grid=(7, 5), F_L_range=FLRange(-15.0, 0.0, 1.0))
+    cfg = _cfg(tmp_path, variant=variant, grid=(7, 5), fl_range=FLRange(-15.0, 0.0, 1.0))
     assert cmd_quiver(cfg) == 0
     _, rows = _read_csv(tmp_path / "quiver.csv")
     assert len(rows) == 35
@@ -410,7 +411,7 @@ def test_quiver_soft_spring_has_no_false_fold(tmp_path, variant):
     # every quartic coefficient scales with k^2 at F_L = 0, so only a fold
     # test relative to dD/dp's terms leaves that column finite: the slope is 0
     soft = build_config({"m": 1.0, "M": 1.0, "R": 1.0, "k": 1e-6, "p0": 2.0, "variant": variant})
-    cfg = apply_overrides(soft, output_dir=tmp_path, grid=(60, 40), F_L_range=FLRange(-15.5, 0.0, 0.05))
+    cfg = apply_overrides(soft, out_dir=tmp_path, grid=(60, 40), fl_range=FLRange(-15.5, 0.0, 0.05))
     assert cmd_quiver(cfg) == 0
     _, rows = _read_csv(tmp_path / "quiver.csv")
     assert not [row for row in rows if math.isnan(float(row[2]))]
@@ -420,7 +421,7 @@ def test_quiver_soft_spring_has_no_false_fold(tmp_path, variant):
 
 
 def test_phase_portrait_bundle(tmp_path):
-    cfg = _cfg(tmp_path, grid=(2, 2), t_end=0.2, F_L=-15.0)
+    cfg = _cfg(tmp_path, grid=(2, 2), t_end=0.2, fl=-15.0)
     assert phase_portrait(cfg) == 0
     files = sorted(p.name for p in tmp_path.iterdir())
     assert [f for f in files if f.startswith("traj_")] == [
@@ -505,7 +506,7 @@ def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["equilibria", "--fl-range=-inf:0:1"], "fl_range start must be finite, got -inf"),
+        (["equilibria", "--fl-range=-inf:0:1"], "argument --fl-range: fl_range start must be finite, got -inf"),
         (["trace", "--fl", "nan"], "fl must be finite, got nan"),
         (["simulate", "--t-end", "nan"], "t_end must be finite, got nan"),
     ],
@@ -527,16 +528,16 @@ def test_main_bad_argument_exits_1_on_every_call(capsys):
     for _ in range(2):
         assert main(["trace", "--fl", "not-a-number"]) == 1
         err = capsys.readouterr().err
-        assert err == "lamsa: configuration error: argument --fl: invalid float value: 'not-a-number'\n"
+        assert err == "lamsa: configuration error: argument --fl: key 'fl' expects a number, got 'not-a-number'\n"
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--fl", "abc"], "argument --fl: invalid float value: 'abc'"),
-        (["--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
-        (["--t-end", "soon"], "argument --t-end: invalid float value: 'soon'"),
-        (["--variant", "x"], "argument --variant: invalid choice: 'x'"),
+        (["--fl", "abc"], "argument --fl: key 'fl' expects a number, got 'abc'"),
+        (["--seed", "1.5"], "argument --seed: key 'seed' expects an integer, got '1.5'"),
+        (["--t-end", "soon"], "argument --t-end: key 't_end' expects a number, got 'soon'"),
+        (["--variant", "x"], "argument --variant: key 'variant' expects 'printed' or 'derived', got 'x'"),
         (["--no-such-option"], "unrecognized arguments: --no-such-option"),
     ],
 )
@@ -546,6 +547,88 @@ def test_main_malformed_argument_is_configuration_error(tmp_path, capsys, argv, 
     assert main(["simulate", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"lamsa: configuration error: {message}")
     assert not out.exists()
+
+
+def test_negative_values_in_exponent_and_range_form_are_values(tmp_path, capsys):
+    # argparse alone takes only -<digits> and -<digits>.<digits> for numbers
+    assert main(["trace", "--fl", "-1e-3", "--out", str(tmp_path / "tr")]) == 0
+    assert json.loads((tmp_path / "tr" / "manifest.json").read_text())["config"]["fl"] == -1e-3
+    assert main(["trace", "--fl", "-.5", "--out", str(tmp_path / "half")]) == 0
+    for i, argv in enumerate((["--fl-range", "-15:0:1"], ["--fl-range=-15:0:1"])):
+        assert main(["equilibria", *argv, "--out", str(tmp_path / f"eq{i}")]) == 0
+    assert (tmp_path / "eq0" / "fixedpoints.csv").read_bytes() == (tmp_path / "eq1" / "fixedpoints.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["trace", "--fl", "-inf", "--out", str(tmp_path / "inf")]) == 1
+    assert capsys.readouterr().err == "lamsa: configuration error: argument --fl: expected one argument\n"
+    assert not (tmp_path / "inf").exists()
+
+
+# override flag -> (a value that reads, values that do not read as the key's type)
+_FLAG_VALUES = {
+    "--out": ("elsewhere", []),
+    "--variant": ("derived", ["sideways"]),
+    "--fl": ("-7.5", ["abc", "1,5"]),
+    "--fl-range": ("-10:-1:0.5", ["1:2", "a:0:1", "0:-15:1", "-15:0:0"]),
+    "--grid": ("8x4", ["3", "1x"]),
+    "--seed": ("3", ["1.5"]),
+    "--t-end": ("2.5", ["soon"]),
+}
+
+
+def test_every_override_flag_names_a_config_key():
+    assert list(cli._OVERRIDES) == list(_FLAG_VALUES)
+    assert set(cli._OVERRIDES.values()) <= set(_KEYS)
+    # each flag's value lands under its key: the parser has no other option but --config
+    assert set(vars(build_parser().parse_args(["simulate"]))) == {"command", "config", *cli._OVERRIDES.values()}
+
+
+def _load(*argv: str) -> RunConfig:
+    return cli._load_config(build_parser().parse_args(["simulate", *argv]))
+
+
+@pytest.mark.parametrize("option", list(_FLAG_VALUES))
+def test_override_flag_equals_its_config_key(tmp_path, option):
+    key, text = cli._OVERRIDES[option], _FLAG_VALUES[option][0]
+    (tmp_path / "one.cfg").write_text(f"{key} = {text}\n")
+    from_file = _load("--config", str(tmp_path / "one.cfg"))
+    assert _load(option, text) == from_file == parse_config(f"{key} = {text}\n") != RunConfig()
+
+
+@pytest.mark.parametrize("option, text", [(o, bad) for o, (_, bads) in _FLAG_VALUES.items() for bad in bads])
+def test_malformed_flag_and_config_value_fail_with_the_same_text(tmp_path, capsys, option, text):
+    key, out = cli._OVERRIDES[option], tmp_path / "x"
+    (tmp_path / "bad.cfg").write_text(f"{key} = {text}\n")
+    assert main(["simulate", "--config", str(tmp_path / "bad.cfg"), "--out", str(out)]) == 1
+    from_file = capsys.readouterr().err
+    assert main(["simulate", option, text, "--out", str(out)]) == 1
+    from_flag = capsys.readouterr().err
+    head = "lamsa: configuration error: "
+    assert from_file.startswith(f"{head}line 1: ") and from_flag.startswith(f"{head}argument {option}: ")
+    assert from_file.removeprefix(f"{head}line 1: ") == from_flag.removeprefix(f"{head}argument {option}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, text", [("--fl", "nan"), ("--grid", "1x9"), ("--seed", "-1"), ("--t-end", "-1"), ("--t-end", "inf")]
+)
+def test_out_of_range_flag_and_config_value_fail_alike(tmp_path, capsys, option, text):
+    # a value that reads but breaks a RunConfig invariant is named by key, from either source
+    (tmp_path / "bad.cfg").write_text(f"{cli._OVERRIDES[option]} = {text}\n")
+    assert main(["simulate", "--config", str(tmp_path / "bad.cfg")]) == 1
+    from_file = capsys.readouterr().err
+    assert main(["simulate", option, text]) == 1
+    assert capsys.readouterr().err == from_file
+    assert cli._OVERRIDES[option] in from_file
+
+
+def test_apply_overrides_sets_config_keys_on_any_config():
+    base = parse_config("m = 2\nrel_tol = 1e-9\nfl = -3\n")
+    cfg = apply_overrides(base, M=6, variant=ModelVariant.CONSTRAINT_CONSISTENT, seed=4, fl=-1)
+    assert cfg == parse_config("m = 2\nM = 6\nvariant = derived\nrel_tol = 1e-9\nfl = -1\nseed = 4\n")
+    assert type(cfg.params.M) is float and type(cfg.F_L) is float
+    assert apply_overrides(base) == base
+    with pytest.raises(ConfigError, match=r"^invalid configuration: .*p0"):
+        apply_overrides(base, p0=3)
 
 
 def test_main_without_a_subcommand_is_configuration_error(capsys):
