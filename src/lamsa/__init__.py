@@ -26,7 +26,6 @@ from .simulate import (
     IntegratorConfig,
     Trajectory,
     TrajectorySample,
-    project_to_constraint,
     simulate,
 )
 from .equilibria import FixedPoint, balance_residual, fixed_point_sweep, fixed_points, unlatched_fixed_point

@@ -48,6 +48,10 @@ class FLRange:
             raise ConfigError(
                 f"fl_range is empty: start={self.start} > stop={self.stop}"
             )
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ConfigError(
+                f"fl_range step count (stop - start)/step must be finite, got {self.start}:{self.stop}:{self.step}"
+            )
 
 
 def sweep_values(r: FLRange) -> list[float]:

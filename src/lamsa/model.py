@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import SingularConfigurationError
 
 __all__ = [
@@ -73,7 +71,8 @@ class SystemParams:
 
     ``m``: projectile mass, ``M``: latch mass, ``R``: latch radius,
     ``k``: spring stiffness, ``p0``: spring natural length (must exceed
-    the latch radius).  ``variant`` selects the contact-force flavour.
+    the latch radius).  ``variant`` selects the contact-force flavour; it
+    must be a ModelVariant member, not its text ("printed").
     It is set here and only here: every routine of the package reads it
     from the params it is given, and ``dataclasses.replace(params,
     variant=...)`` gives the same actuator under the other variant.
@@ -87,6 +86,8 @@ class SystemParams:
     variant: ModelVariant = ModelVariant.AS_PRINTED
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variant, ModelVariant):
+            raise ValueError(f"variant must be a ModelVariant, got {self.variant!r}")
         for name in ("m", "M", "R", "k"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
@@ -103,20 +104,13 @@ class SystemState(NamedTuple):
     """One point (p, p_dot, l, l_dot) of the 4-dimensional state space.
 
     A state is the 4-tuple itself: it unpacks, indexes and converts to an
-    array directly.
+    array directly (``np.array(state)``).
     """
 
     p: float
     p_dot: float
     l: float
     l_dot: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "SystemState":
-        return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
     def is_finite(self) -> bool:
         return all(math.isfinite(v) for v in self)

@@ -50,7 +50,6 @@ __all__ = [
     "Event",
     "TrajectorySample",
     "Trajectory",
-    "project_to_constraint",
     "simulate",
 ]
 
@@ -115,10 +114,10 @@ class Trajectory:
     """Time-ordered samples, stored as columns, plus the mode-switch events.
 
     ``t``, ``x`` (the states), ``mode`` and ``tau`` are parallel lists with
-    one entry per sample; ``samples`` and ``final`` build TrajectorySample
-    views of them on demand.  Samples carry the contact force while
-    latched and tau = 0 once unlatched; the sample recorded at a switch
-    event is already unlatched.
+    one entry per sample: read a sample's fields at one index of each.
+    ``final`` gathers the last one into a TrajectorySample.  The contact
+    force is the sample's tau while latched and 0 once unlatched; the
+    sample recorded at a switch event is already unlatched.
     """
 
     __slots__ = ("t", "x", "mode", "tau", "events")
@@ -140,18 +139,8 @@ class Trajectory:
         self.tau.append(tau)
 
     @property
-    def samples(self) -> list[TrajectorySample]:
-        return list(map(TrajectorySample, self.t, self.x, self.mode, self.tau))
-
-    @property
     def final(self) -> TrajectorySample:
         return TrajectorySample(self.t[-1], self.x[-1], self.mode[-1], self.tau[-1])
-
-    def states(self) -> np.ndarray:
-        return np.array(self.x, dtype=float)
-
-    def times(self) -> np.ndarray:
-        return np.array(self.t)
 
 
 def _step_raw(

@@ -156,10 +156,10 @@ def test_criterion_07_jacobian_structure():
 
 def test_criterion_08_latched_conservation():
     traj = simulate(CC, SystemState(1.0, 0.0, 3.0, 0.0), -5.0, 10.0)
-    e0 = mechanical_energy(CC, traj.samples[0].state, -5.0)
-    drift = max(abs(mechanical_energy(CC, s.state, -5.0) - e0) for s in traj.samples)
+    e0 = mechanical_energy(CC, traj.x[0], -5.0)
+    drift = max(abs(mechanical_energy(CC, x, -5.0) - e0) for x in traj.x)
     h_max = max(
-        (abs(holonomic_h(CC, s.state.p, s.state.l)) for s in traj.samples if s.mode.value == "L"),
+        (abs(holonomic_h(CC, x.p, x.l)) for x, mode in zip(traj.x, traj.mode) if mode.value == "L"),
         default=0.0,
     )
     ok = drift <= 1e-6 * abs(e0) and h_max <= 1e-8 * CC.R**2
@@ -176,12 +176,12 @@ def test_criterion_09_unlatched_decoupling():
     el0 = 0.5 * REF.M * x0.l_dot**2 - fl * x0.l
     omega = np.sqrt(REF.k / REF.m)
     worst_e = worst_match = 0.0
-    for s in traj.samples:
-        ep = 0.5 * REF.m * s.state.p_dot**2 + 0.5 * REF.k * (s.state.p - REF.p0) ** 2
-        el = 0.5 * REF.M * s.state.l_dot**2 - fl * s.state.l
+    for t, x in zip(traj.t, traj.x):
+        ep = 0.5 * REF.m * x.p_dot**2 + 0.5 * REF.k * (x.p - REF.p0) ** 2
+        el = 0.5 * REF.M * x.l_dot**2 - fl * x.l
         worst_e = max(worst_e, abs(ep - ep0) / ep0, abs(el - el0) / el0)
-        ref = harmonic_position(REF.p0, x0.p, x0.p_dot, omega, s.t)
-        worst_match = max(worst_match, abs(s.state.p - ref))
+        ref = harmonic_position(REF.p0, x0.p, x0.p_dot, omega, t)
+        worst_match = max(worst_match, abs(x.p - ref))
     ok = worst_e <= 1e-6 and worst_match <= 1e-6
     _line(9, "unlatched energies decouple; harmonic solution reproduced", ok,
           f"energy {worst_e:.2e} rel, |p-analytic| {worst_match:.2e}")

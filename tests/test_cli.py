@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamsa import (
     FLRange,
@@ -204,6 +206,26 @@ def test_non_finite_values_rejected(bad):
             apply_overrides(cfg, **{name: float(bad)})
 
 
+# words a value is made of: edge numbers, each key's well-formed shapes and near misses
+_WORDS = ["nan", "inf", "-inf", "1e400", "-1e308", "1e308", "1e-320", "0x5", "0", "-1", "2", "0.5", "-15",
+          "printed", "derived", "true", "maybe", "3x4", "1x9", "-1e308:1e308:1", "-15:0:1", "1,0,3,0"]
+_VALUES = st.one_of(
+    st.sampled_from(_WORDS),
+    st.builds(str.join, st.sampled_from([":", ",", "x", " "]), st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5)),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lines=st.lists(st.tuples(st.sampled_from(list(_KEYS)), _VALUES), max_size=4))
+def test_parse_config_raises_only_config_error(lines):
+    try:
+        cfg = parse_config("\n".join(f"{key} = {value}" for key, value in lines))
+    except ConfigError:
+        return
+    json.dumps(cfg.echo())
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -294,7 +316,8 @@ def test_write_trajectory_rows_are_fmt_of_samples(tmp_path):
     traj = simulate(params, SystemState(1, 0, 3, 0), -5.0, 4.0)
     n = write_trajectory(tmp_path / "t.csv", traj)
     expected = ["t,p,p_dot,l,l_dot,mode,tau"] + [
-        ",".join([fmt(s.t), *map(fmt, s.state), s.mode.value, fmt(s.tau)]) for s in traj.samples
+        ",".join([fmt(t), *map(fmt, x), mode.value, fmt(tau)])
+        for t, x, mode, tau in zip(traj.t, traj.x, traj.mode, traj.tau)
     ]
     assert n == len(traj)
     assert (tmp_path / "t.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
@@ -306,8 +329,10 @@ def test_write_trajectory_numpy_scalar_inputs(tmp_path):
     params = SystemParams(variant=ModelVariant.CONSTRAINT_CONSISTENT)
     x0 = SystemState(1, 0, 3, 0)
     traj = simulate(params, x0, np.float64(-5.0), np.float64(4.0))
-    assert traj.samples == simulate(params, x0, -5.0, 4.0).samples
-    assert all(type(v) is float for s in traj.samples for v in (s.t, *s.state, s.tau))
+    plain = simulate(params, x0, -5.0, 4.0)
+    assert (traj.t, traj.x, traj.mode, traj.tau) == (plain.t, plain.x, plain.mode, plain.tau)
+    assert all(type(v) is float for v in traj.t + traj.tau)
+    assert all(type(c) is float for x in traj.x for c in x)
     write_trajectory(tmp_path / "t.csv", traj)
     header, rows = _read_csv(tmp_path / "t.csv")
     assert len(rows) == len(traj)
@@ -507,6 +532,10 @@ def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     "argv, message",
     [
         (["equilibria", "--fl-range=-inf:0:1"], "argument --fl-range: fl_range start must be finite, got -inf"),
+        (
+            ["equilibria", "--fl-range=-1e308:1e308:1"],
+            "argument --fl-range: fl_range step count (stop - start)/step must be finite, got -1e+308:1e+308:1.0",
+        ),
         (["trace", "--fl", "nan"], "fl must be finite, got nan"),
         (["simulate", "--t-end", "nan"], "t_end must be finite, got nan"),
     ],
@@ -538,6 +567,7 @@ def test_main_bad_argument_exits_1_on_every_call(capsys):
         (["--seed", "1.5"], "argument --seed: key 'seed' expects an integer, got '1.5'"),
         (["--t-end", "soon"], "argument --t-end: key 't_end' expects a number, got 'soon'"),
         (["--variant", "x"], "argument --variant: key 'variant' expects 'printed' or 'derived', got 'x'"),
+        (["--fl-range=-1e308:1e308:1"], "argument --fl-range: fl_range step count (stop - start)/step must be finite"),
         (["--no-such-option"], "unrecognized arguments: --no-such-option"),
     ],
 )
@@ -629,6 +659,10 @@ def test_apply_overrides_sets_config_keys_on_any_config():
     assert apply_overrides(base) == base
     with pytest.raises(ConfigError, match=r"^invalid configuration: .*p0"):
         apply_overrides(base, p0=3)
+    # the config file and --variant read the text into a ModelVariant; a
+    # stored string would break the manifest echo
+    with pytest.raises(ConfigError, match=r"^invalid configuration: variant must be a ModelVariant, got 'printed'$"):
+        apply_overrides(build_config({}), variant="printed")
 
 
 def test_main_without_a_subcommand_is_configuration_error(capsys):

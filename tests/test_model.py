@@ -47,6 +47,14 @@ def test_params_reject_non_finite_values(name, bad):
         SystemParams(**{name: bad})
 
 
+@pytest.mark.parametrize("bad", ["printed", "bogus", None])
+def test_params_reject_a_variant_that_is_not_a_model_variant(bad):
+    # every formula tests the variant by identity: its text would run the
+    # derived physics without a word
+    with pytest.raises(ValueError, match=rf"^variant must be a ModelVariant, got {bad!r}$"):
+        SystemParams(variant=bad)
+
+
 def test_spring_force_examples(params):
     assert spring_force(params, 10.0) == 0.0
     assert spring_force(params, 0.0) == 10.0
@@ -223,12 +231,6 @@ def test_mechanical_energy_examples(params):
     assert mechanical_energy(params, SystemState(10, 0, 0, 0), 0.0) == 0.0
     assert mechanical_energy(params, SystemState(0, 0, 0, 0), 0.0) == 50.0
     assert mechanical_energy(params, SystemState(0, 0, 0, 0), -15.0) == 50.0
-
-
-def test_state_array_round_trip():
-    st = SystemState(1.0, -2.0, 3.5, 0.25)
-    assert SystemState.from_array(st.as_array()) == st
-    assert not SystemState(math.nan, 0, 0, 0).is_finite()
 
 
 def test_no_routine_takes_a_variant_argument():

@@ -20,14 +20,13 @@ from lamsa import (
     holonomic_h,
     latch_from_projectile,
     mechanical_energy,
-    project_to_constraint,
     simulate,
 )
 from lamsa.cli import _portrait_initial_states
 from lamsa.config import RunConfig
 from lamsa.errors import LamsaError, NoSignChangeError, StepSizeUnderflowError
 from lamsa.model import _field_arr, mode_of
-from lamsa.simulate import _locate_zero, _step_raw, integrate_step
+from lamsa.simulate import _locate_zero, _step_raw, integrate_step, project_to_constraint
 
 from oracles import (
     dopri5_step,
@@ -85,7 +84,7 @@ def test_step_preserves_latched_energy_within_local_tolerance(cc_params):
     st, F_L = _latched_start(cc_params, 2.0, 1.5), -5.0
     new, dt, err = _step(cc_params, st, F_L, 1e-2, cfg)
     assert dt > 0.0 and new != st
-    tol = max(cfg.rel_tol * np.linalg.norm(st.as_array()), cfg.abs_tol)
+    tol = max(cfg.rel_tol * np.linalg.norm(st), cfg.abs_tol)
     assert err <= tol
     e0 = mechanical_energy(cc_params, st, F_L)
     assert abs(mechanical_energy(cc_params, new, F_L) - e0) <= 10.0 * tol * max(1.0, abs(e0))
@@ -95,7 +94,7 @@ def test_step_error_estimate_meets_contract(params):
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     st = _latched_start(params, 1.0, 1.5)
     new, dt, err = _step(params, st, -5.0, 1e-2, cfg)
-    assert err <= max(cfg.rel_tol * np.linalg.norm(st.as_array()), cfg.abs_tol)
+    assert err <= max(cfg.rel_tol * np.linalg.norm(st), cfg.abs_tol)
     assert 0 < dt <= cfg.max_step
 
 
@@ -112,7 +111,7 @@ def test_step_raw_matches_tableau_oracle(variant, start):
     def f(y: np.ndarray) -> np.ndarray:
         return np.array(_field_arr(params, y, F_L)[:4])
 
-    ref_y, ref_err, err_scale = dopri5_step(f, st.as_array(), dt)
+    ref_y, ref_err, err_scale = dopri5_step(f, np.array(st), dt)
     assert err > 0.0
     assert np.max(np.abs(np.array(y_new) - ref_y)) <= 1e-13 * np.linalg.norm(ref_y)
     # the estimate is a cancelling sum: compare relative to its terms' size
@@ -213,14 +212,14 @@ def test_simulate_constant_at_unlatched_equilibrium():
             assert not traj.events
             assert traj.final.t == pytest.approx(1.0)
             assert len(traj) > 2 and set(traj.x) == {x0}
-            assert all(s.mode is Mode.UNLATCHED for s in traj.samples)
+            assert set(traj.mode) == {Mode.UNLATCHED}
 
 
 def test_simulate_constant_at_latched_origin(params):
     traj = simulate(params, SystemState(0, 0, 0, 0), 0.0, 1.0)
     assert not traj.events
-    assert all(s.mode is Mode.LATCHED for s in traj.samples)
-    assert np.max(np.abs(traj.final.state.as_array())) <= 1e-12
+    assert set(traj.mode) == {Mode.LATCHED}
+    assert np.max(np.abs(traj.x[-1])) <= 1e-12
 
 
 def test_simulate_pulling_force_unlatches_and_launches(params):
@@ -253,7 +252,7 @@ def test_simulate_latched_segment_matches_fixed_stride_oracle(variant):
     def f(y: np.ndarray) -> np.ndarray:
         return np.array(_field_arr(params, y, -5.0)[:4])
 
-    ref = rk4_fixed(f, x0.as_array(), t_probe, 60000)
+    ref = rk4_fixed(f, np.array(x0), t_probe, 60000)
     assert np.max(np.abs(np.array(states[-1]) - ref)) <= 1e-7
     drift = max(abs(holonomic_h(params, y.p, y.l)) for y in states)
     if variant is ModelVariant.AS_PRINTED:
@@ -269,20 +268,19 @@ def test_simulate_event_state_and_mode_monotonicity(cc_params):
     assert t_ev == pytest.approx(2.934182, abs=1e-4)
 
     # strictly increasing times, exactly one L->U switch, no U->L
-    times = traj.times()
-    assert np.all(np.diff(times) > 0)
-    modes = [s.mode for s in traj.samples]
+    assert np.all(np.diff(traj.t) > 0)
+    modes = traj.mode
     switches = [(a, b) for a, b in zip(modes, modes[1:]) if a is not b]
     assert switches == [(Mode.LATCHED, Mode.UNLATCHED)]
     i_switch = modes.index(Mode.UNLATCHED)
-    assert traj.samples[i_switch].t == t_ev
+    assert traj.t[i_switch] == t_ev
 
     # tau bookkeeping per sample
-    for s in traj.samples:
-        if s.mode is Mode.LATCHED:
-            assert s.tau > 0
+    for mode, tau in zip(traj.mode, traj.tau):
+        if mode is Mode.LATCHED:
+            assert tau > 0
         else:
-            assert s.tau == 0.0
+            assert tau == 0.0
 
 
 # the default steps are all accepted; long, loose steps get rejected
@@ -354,14 +352,8 @@ def test_trajectory_columns_and_views(params):
     traj = simulate(params, SystemState(1, 0, 3, 0), -5.0, 3.0)
     n = len(traj)
     assert n > 2 and len(traj.t) == len(traj.x) == len(traj.mode) == len(traj.tau) == n
-    samples = traj.samples
-    assert len(samples) == n
-    assert [s.t for s in samples] == traj.t
-    assert [s.state for s in samples] == traj.x
-    assert traj.final == samples[-1]
-    assert traj.times().shape == (n,)
-    assert traj.states().shape == (n, 4)
-    assert np.array_equal(traj.states()[-1], traj.final.state.as_array())
+    assert traj.final == (traj.t[-1], traj.x[-1], traj.mode[-1], traj.tau[-1])
+    assert np.array(traj.x).shape == (n, 4)
     # integer inputs come out as plain floats in every column
     assert all(type(v) is float for v in traj.t + traj.tau)
     assert all(type(c) is float for s in traj.x for c in s)
@@ -380,11 +372,11 @@ def test_simulate_conserves_energy_and_constraint(variant):
     for x0 in (SystemState(1, 0, 3, 0), _saddle_starts(params, F_L, (-0.5,))[0]):
         traj = simulate(params, x0, F_L, 10.0)
         e0 = mechanical_energy(params, traj.x[0], F_L)
-        for s in traj.samples:
+        for x, mode in zip(traj.x, traj.mode):
             if variant is ModelVariant.CONSTRAINT_CONSISTENT:
-                assert abs(mechanical_energy(params, s.state, F_L) - e0) <= 1e-6 * abs(e0)
-            if s.mode is Mode.LATCHED:
-                assert abs(holonomic_h(params, s.state.p, s.state.l)) <= h_tol
+                assert abs(mechanical_energy(params, x, F_L) - e0) <= 1e-6 * abs(e0)
+            if mode is Mode.LATCHED:
+                assert abs(holonomic_h(params, x.p, x.l)) <= h_tol
         for ev in traj.events:
             assert abs(holonomic_h(params, ev.state.p, ev.state.l)) <= h_tol
         events += len(traj.events)
@@ -394,12 +386,12 @@ def test_simulate_conserves_energy_and_constraint(variant):
 def test_simulate_unlatched_energies_decouple(params):
     traj = simulate(params, SystemState(9.0, 0.5, 2.0, 0.3), -2.0, 5.0)
     assert not traj.events
-    s0 = traj.samples[0].state
+    s0 = traj.x[0]
     ep0 = 0.5 * params.m * s0.p_dot**2 + 0.5 * params.k * (s0.p - params.p0) ** 2
     el0 = 0.5 * params.M * s0.l_dot**2 - (-2.0) * s0.l
-    for s in traj.samples:
-        ep = 0.5 * params.m * s.state.p_dot**2 + 0.5 * params.k * (s.state.p - params.p0) ** 2
-        el = 0.5 * params.M * s.state.l_dot**2 - (-2.0) * s.state.l
+    for s in traj.x:
+        ep = 0.5 * params.m * s.p_dot**2 + 0.5 * params.k * (s.p - params.p0) ** 2
+        el = 0.5 * params.M * s.l_dot**2 - (-2.0) * s.l
         assert abs(ep - ep0) <= 1e-6 * max(1.0, abs(ep0))
         assert abs(el - el0) <= 1e-6 * max(1.0, abs(el0))
 
@@ -415,8 +407,8 @@ def test_simulate_tolerance_halving_convergence(cc_params):
     x0 = _latched_start(cc_params, 0.5, 0.0)
     coarse = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     fine = IntegratorConfig(rel_tol=5e-9, abs_tol=5e-11)
-    a = simulate(cc_params, x0, -5.0, 2.0, coarse).final.state.as_array()
-    b = simulate(cc_params, x0, -5.0, 2.0, fine).final.state.as_array()
+    a = np.array(simulate(cc_params, x0, -5.0, 2.0, coarse).final.state)
+    b = np.array(simulate(cc_params, x0, -5.0, 2.0, fine).final.state)
     bound = max(coarse.rel_tol * float(np.linalg.norm(a)), coarse.abs_tol)
     assert float(np.linalg.norm(a - b)) < bound
 
@@ -428,8 +420,8 @@ def test_simulate_time_reversal_returns_start(params):
     back_start = SystemState(fwd.p, -fwd.p_dot, fwd.l, -fwd.l_dot)
     back = simulate(params, back_start, -2.0, 0.8, cfg).final.state
     recovered = np.array([back.p, -back.p_dot, back.l, -back.l_dot])
-    bound = 10.0 * max(cfg.rel_tol * float(np.linalg.norm(x0.as_array())), cfg.abs_tol)
-    assert float(np.linalg.norm(recovered - x0.as_array())) <= bound
+    bound = 10.0 * max(cfg.rel_tol * float(np.linalg.norm(x0)), cfg.abs_tol)
+    assert float(np.linalg.norm(recovered - np.array(x0))) <= bound
 
 
 def test_simulate_rejects_invalid_initial_state(params):
@@ -519,7 +511,7 @@ def test_flight_matches_dop853_and_stops_at_the_outward_crossing(
     assert traj.x[0] == x0 and not traj.events
     _assert_flight(params, traj, F_L, 0, max_step)
     if len(traj) > 1:
-        ref = _dop853_flight(params, x0, F_L, traj.times())
+        ref = _dop853_flight(params, x0, F_L, np.array(traj.t))
         for x, y in zip(traj.x, ref):
             assert _rel_err(x, y) <= 1e-9
     s_star = _mp_outward_stop(params, x0)

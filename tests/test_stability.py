@@ -82,7 +82,7 @@ def test_fd_kernel_bit_equal_to_numpy_oracle():
             x = SystemState(float(p), 0.0, latch_from_projectile(params, float(p)), 0.0)
             for fl in (-15.0, -3.25, -1e-6, 0.0):
                 J = jacobian_central_fd(
-                    lambda y: _field_arr(params, y, fl), x.as_array(), _FD_BASE
+                    lambda y: _field_arr(params, y, fl), np.array(x), _FD_BASE
                 )
                 assert _fd_abgd(params, x, fl) == extract_ABGD(J), (var, p, fl)
                 assert np.array_equal(jacobian_fd_at(params, x, fl), J)
