@@ -35,7 +35,6 @@ from .stability import (
     characteristic_invariants,
     classify,
     eigenvalues_biquadratic,
-    extract_ABGD,
     jacobian_fd_at,
     stability_report,
 )

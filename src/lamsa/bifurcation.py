@@ -26,7 +26,7 @@ from .errors import InvalidStartError
 from .model import SystemParams, SystemState, latch_from_projectile
 from .equilibria import _near_arc, _newton_correct, balance_residual
 from .published import design_closed_form
-from .stability import _latched_abgd, _saddle_test, characteristic_invariants, extract_ABGD, jacobian_fd_at
+from .stability import _latched_abgd, _saddle_test, characteristic_invariants, jacobian_fd_at
 
 __all__ = [
     "PathTerminal",
@@ -100,10 +100,9 @@ class DesignReport:
 
 
 def _in_S_at(params: SystemParams, p, l, F_L):
-    """(h2, saddle?) at on-circle rest states (p, l) under F_L, for floats or arrays."""
-    A, B, G, D = _latched_abgd(params, p, l, F_L)
-    h1, h2 = characteristic_invariants(A, B, G, D)
-    return h2, _saddle_test(h1, h2)[0]
+    """(h1, h2, saddle?) at on-circle rest states (p, l) under F_L, for floats or arrays."""
+    h1, h2 = characteristic_invariants(*_latched_abgd(params, p, l, F_L))
+    return h1, h2, _saddle_test(h1, h2)[0]
 
 
 def trace_path(
@@ -148,7 +147,7 @@ def trace_path(
     (p, l), _ = _newton_correct(params, ck, F_L[1:], 1.0, u, stop)
     p = np.concatenate(([p_start], p))
     l = np.concatenate(([latch_from_projectile(params, p_start)], l))
-    h2, in_s = _in_S_at(params, p, l, F_L)
+    _, h2, in_s = _in_S_at(params, p, l, F_L)
     samples = tuple(map(PathSample, fls, p.tolist(), in_s.tolist(), h2.tolist()))
     terminal = PathTerminal.REACHED_ZERO_FORCE if near else PathTerminal.LEFT_DOMAIN
     return ContinuationPath(samples, terminal)
@@ -176,9 +175,7 @@ def saddle_region_map(params: SystemParams, p_grid: np.ndarray, F_L_grid: np.nda
     p = p_grid[:, None]
     rp = params.R - p
     l = np.sqrt(params.R * params.R - rp * rp)  # latch_from_projectile, node by node
-    A, B, G, D = _latched_abgd(params, p, l, F_L_grid[None, :])
-    h1, h2 = characteristic_invariants(A, B, G, D)
-    in_s, _ = _saddle_test(h1, h2)
+    h1, h2, in_s = _in_S_at(params, p, l, F_L_grid[None, :])
     return RegionMap(p_grid=p_grid, F_L_grid=F_L_grid, h1=h1, h2=h2, in_S=in_s)
 
 
@@ -195,8 +192,7 @@ def design_feasibility(params: SystemParams) -> DesignReport:
     bound_ok = params.p0 > bound
 
     J = jacobian_fd_at(params, SystemState(0.0, 0.0, 0.0, 0.0), 0.0)
-    A, B, G, D = extract_ABGD(J)
-    h1_fd, _ = characteristic_invariants(A, B, G, D)
+    h1_fd = float(characteristic_invariants(J[1, 0], J[1, 2], J[3, 0], J[3, 2])[0])
 
     return DesignReport(
         p0_window_ok=window_ok,

@@ -6,7 +6,7 @@
 Every subcommand writes its CSV/JSON artifacts plus a ``manifest.json``
 into the output directory, which it creates at its first write.  Exit status: 0 on success, 1 on a
 configuration/validation problem (a malformed argument or a nan or
-infinite number included), 2 on a numerical failure.
+infinite number included), 2 on a numerical failure (overflow included).
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from typing import Callable, Iterable, NoReturn
 
 import numpy as np
 
-from .bifurcation import design_feasibility, saddle_region_map, trace_path
-from .config import _KEYS, RunConfig, apply_overrides, build_config, parse_config, sweep_values
+from .bifurcation import _FL_STEP, design_feasibility, saddle_region_map, trace_path
+from .config import _KEYS, _MAX_ITEMS, RunConfig, apply_overrides, build_config, parse_config, sweep_values
 from .config import parse_fl_range, parse_grid  # not called; kept importable because perfbench/tracer.py wraps them
 from .equilibria import FixedPoint, fixed_point_sweep, fixed_points, unlatched_fixed_point
-from .errors import ConfigError, LamsaError
+from .errors import ConfigError, LamsaError, NumericalError
 from .io import _write_json, flag, fmt, write_csv, write_events, write_manifest, write_trajectory
 from .model import SystemState, latch_from_projectile
 from .published import (
@@ -116,7 +116,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _columns(*columns: np.ndarray) -> list[Iterable[str]]:
-    """Each float column formatted cell by cell as ``fmt`` would."""
+    """Each float column formatted cell by cell as ``fmt`` would; a nan or
+    infinite cell, as from a latch force near 1e308, raises NumericalError."""
+    if not all(np.isfinite(c).all() for c in columns):
+        raise NumericalError("a result overflowed to a non-finite value")
     return [map(float.__repr__, c.tolist()) for c in columns]
 
 
@@ -148,6 +151,8 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_trace(cfg: RunConfig) -> int:
     """Continue the saddle from the interior fixed point at the configured F_L."""
+    if -cfg.F_L / _FL_STEP > _MAX_ITEMS - 1:  # ceil(-F_L / step) + 1 samples
+        raise ConfigError(f"a trace from F_L={cfg.F_L} would take more than {_MAX_ITEMS} samples")
     pts = [p for p in fixed_points(cfg.params, cfg.F_L) if not p.origin_flag]
     if not pts:
         raise ConfigError(f"no interior fixed point exists at F_L={cfg.F_L}")
@@ -169,8 +174,7 @@ def cmd_region_map(cfg: RunConfig) -> int:
     rows = _raster_rows(
         p_grid,
         fl_grid,
-        map(fmt, rmap.h1.ravel().tolist()),
-        map(fmt, rmap.h2.ravel().tolist()),
+        *_columns(rmap.h1.ravel(), rmap.h2.ravel()),
         map(flag, rmap.in_S.ravel().tolist()),
         map(flag, u.in_u.ravel().tolist()),
     )
@@ -239,7 +243,7 @@ def phase_portrait(cfg: RunConfig) -> int:
             out.write(name, write_trajectory, traj)
             status, detail = "ok", ""
             n_samples, n_events = len(traj), len(traj.events)
-        except LamsaError as exc:
+        except (LamsaError, OverflowError) as exc:
             status, detail = "error", str(exc)
             n_samples = n_events = 0
         index_rows.append([str(i), *map(fmt, x0), name, status, str(n_samples), str(n_events), detail])
@@ -326,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"lamsa: configuration error: {exc}", file=sys.stderr)
         return 1
-    except LamsaError as exc:
+    except (LamsaError, OverflowError) as exc:
         print(f"lamsa: numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

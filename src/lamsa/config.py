@@ -24,6 +24,9 @@ from .simulate import IntegratorConfig
 
 __all__ = ["FLRange", "RunConfig", "parse_config", "sweep_values"]
 
+# most sweep values, raster nodes, trajectory or trace samples one run may ask for
+_MAX_ITEMS = 10**6
+
 
 def _require_finite(values: dict[str, float]) -> None:
     """Raise ConfigError naming the first value that is nan or infinite."""
@@ -52,6 +55,8 @@ class FLRange:
             raise ConfigError(
                 f"fl_range step count (stop - start)/step must be finite, got {self.start}:{self.stop}:{self.step}"
             )
+        if (self.stop - self.start) / self.step > _MAX_ITEMS - 1:  # else sweep_values gives <= _MAX_ITEMS
+            raise ConfigError(f"fl_range has more than {_MAX_ITEMS} values: {self.start}:{self.stop}:{self.step}")
 
 
 def sweep_values(r: FLRange) -> list[float]:
@@ -89,8 +94,13 @@ class RunConfig:
         )
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ConfigError(f"grid dimensions must be >= 2, got {self.grid}")
+        if self.grid[0] * self.grid[1] > _MAX_ITEMS:
+            raise ConfigError(f"grid has {self.grid[0] * self.grid[1]} nodes, more than {_MAX_ITEMS}")
         if self.t_end < 0.0:
             raise ConfigError("t_end must be non-negative")
+        ratio = self.t_end / self.integrator.max_step  # a trajectory holds up to ceil(ratio) + 1 samples
+        if ratio > _MAX_ITEMS - 1:
+            raise ConfigError(f"t_end / max_step = {ratio:.6g} gives more than {_MAX_ITEMS} samples")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.v_max <= 0.0:

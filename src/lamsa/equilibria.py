@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EquilibriumBalanceError
-from .model import _PRINTED, Mode, SystemParams, SystemState, _field_arr, spring_force
+from .model import _PRINTED, Mode, SystemParams, SystemState, _check_contact_window, _field_arr, spring_force
 from .published import roots_in_interval  # not called here; kept importable because perfbench/tracer.py wraps lamsa.equilibria.roots_in_interval
 
 __all__ = [
@@ -96,10 +96,10 @@ def balance_residual(params: SystemParams, p: float, F_L: float) -> float:
     Zero (to round-off) exactly at genuine equilibria; the squared quartic
     cannot distinguish the sign of the two sides, this can.  The latch
     position is l = sqrt(p (2R - p)), which, unlike sqrt(R^2 - (R - p)^2),
-    keeps its digits as p -> 0.  Raises ValueError for p outside [0, 2R].
+    keeps its digits as p -> 0.  Raises ContactWindowError for p outside
+    [0, 2R].
     """
-    if p < 0.0 or p > 2.0 * params.R:
-        raise ValueError(f"p={p} outside the contact window [0, {2.0 * params.R}]")
+    _check_contact_window(params, p)
     l = math.sqrt(p * (2.0 * params.R - p))
     if params.variant is _PRINTED:
         c1, c2 = 1.0 / params.M, 1.0 / params.m

@@ -23,6 +23,10 @@ class SingularConfigurationError(NumericalError):
     """Contact-force denominator W = (R-p)^2/m + l^2/M is not positive."""
 
 
+class ContactWindowError(NumericalError):
+    """A projectile position lies outside the contact window [0, 2R], where no latch position touches it."""
+
+
 class StepSizeUnderflowError(NumericalError):
     """Adaptive step shrank below the minimum without meeting tolerance (only while latched)."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .errors import SingularConfigurationError
+from .errors import ContactWindowError, SingularConfigurationError
 
 __all__ = [
     "ModelVariant",
@@ -127,14 +127,19 @@ def holonomic_h(params: SystemParams, p: float, l: float) -> float:
     return l * l + rp * rp - params.R * params.R
 
 
+def _check_contact_window(params: SystemParams, p: float) -> None:
+    """Raise ContactWindowError for p outside [0, 2R], where the circle has no latch position."""
+    if p < 0.0 or p > 2.0 * params.R:
+        raise ContactWindowError(f"p={p} outside the contact window [0, {2.0 * params.R}]")
+
+
 def latch_from_projectile(params: SystemParams, p: float) -> float:
     """Non-negative latch position on the constraint circle for a given p.
 
     Solves h(p, l) = 0 for l >= 0.  Defined for p in [0, 2R]; raises
-    ValueError outside that window.
+    ContactWindowError outside that window.
     """
-    if p < 0.0 or p > 2.0 * params.R:
-        raise ValueError(f"p={p} outside the contact window [0, {2.0 * params.R}]")
+    _check_contact_window(params, p)
     rp = params.R - p
     # clamp round-off when p is within eps of 0 or 2R
     return math.sqrt(max(0.0, params.R * params.R - rp * rp))

@@ -28,9 +28,8 @@ with tau_p, tau_l the partials of N/W by the quotient rule.
 ``_latched_abgd`` evaluates them with plain arithmetic, for floats or for
 whole broadcast arrays of rest states; ``stability_report``, the
 ``classify`` command's sweep and the bifurcation module's raster and
-path use it.  Central finite
-differences of the field (``_fd_abgd``, ``jacobian_fd_at``) remain as
-its oracle and for the published design check.  The published
+path use it.  ``jacobian_fd_at``, the central-difference Jacobian of the
+field, serves only the published design check.  The published
 closed-form entries, which carry transcription artifacts, are in
 ``lamsa.published`` with the paper's other printed formulas.
 
@@ -46,8 +45,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
 import numpy as np
 
 from .errors import StructureViolationError
@@ -58,7 +55,6 @@ __all__ = [
     "Classification",
     "StabilityReport",
     "jacobian_fd_at",
-    "extract_ABGD",
     "characteristic_invariants",
     "eigenvalues_biquadratic",
     "classify",
@@ -107,87 +103,28 @@ def _latched_abgd(params: SystemParams, p, l, F_L):
     return (-k + tau - rp * tau_p) / m, -rp * tau_l / m, l * tau_p / M, (tau + l * tau_l) / M
 
 
-def _fd_abgd(
-    params: SystemParams,
-    x: Sequence[float],
-    F_L: float,
-    fd_step: float | None = None,
-) -> tuple[float, float, float, float]:
-    """(A, B, Gamma, Delta) of the latched closed-loop field at a rest state x.
-
-    Central differences of the acceleration rows in all four coordinates,
-    with step ``fd_step * max(1, |x_j|)`` (default eps^(1/3)).  Raises
-    StructureViolationError when a velocity column of those rows does not
-    vanish within ``extract_ABGD``'s default tolerance, as at a moving
-    state.
-    """
-    base = _FD_BASE if fd_step is None else fd_step
-    if not base > 0.0:
-        raise ValueError("fd_step must be positive")
-    p, v, l, w = x
-    hp, hv, hl, hw = (base * max(1.0, abs(c)) for c in x)
-    cols = []
-    for h, xp, xm in (
-        (hp, (p + hp, v, l, w), (p - hp, v, l, w)),
-        (hv, (p, v + hv, l, w), (p, v - hv, l, w)),
-        (hl, (p, v, l + hl, w), (p, v, l - hl, w)),
-        (hw, (p, v, l, w + hw), (p, v, l, w - hw)),
-    ):
-        fp = _field_arr(params, xp, F_L)
-        fm = _field_arr(params, xm, F_L)
-        cols.append(((fp[1] - fm[1]) / (2.0 * h), (fp[3] - fm[3]) / (2.0 * h)))
-    (a, g), vel_p, (b, d), vel_l = cols
-    scale = max(1.0, abs(a), abs(b), abs(g), abs(d))
-    if max(map(abs, (*vel_p, *vel_l))) > _STRUCTURE_TOL * scale:
-        raise StructureViolationError(
-            f"velocity columns (J[2,2], J[4,2]) = {vel_p}, (J[2,4], J[4,4]) = {vel_l} "
-            "exceed tolerance"
-        )
-    return a, b, g, d
-
-
-def jacobian_fd_at(
-    params: SystemParams, state: SystemState, F_L: float, fd_step: float | None = None
-) -> np.ndarray:
+def jacobian_fd_at(params: SystemParams, state: SystemState, F_L: float) -> np.ndarray:
     """Central-difference Jacobian of the latched closed-loop field at a rest state.
 
-    Rows 1 and 3 are (0,1,0,0) and (0,0,0,1) by construction; the
-    acceleration rows carry ``_fd_abgd``'s entries, and their velocity
-    columns are zero (a state where they are not raises
-    StructureViolationError).
+    The acceleration rows are differenced in every coordinate x_j with step
+    eps^(1/3) max(1, |x_j|); rows 1 and 3 are (0,1,0,0) and (0,0,0,1).  The
+    velocity columns of the acceleration rows are returned as exact zeros;
+    where their differences exceed 1e-6 of the largest position entry, as
+    at a moving state, StructureViolationError is raised.
     """
-    A, B, G, D = _fd_abgd(params, state, F_L, fd_step)
-    return np.array(
-        [[0.0, 1.0, 0.0, 0.0], [A, 0.0, B, 0.0], [0.0, 0.0, 0.0, 1.0], [G, 0.0, D, 0.0]]
-    )
-
-
-def extract_ABGD(J: np.ndarray, tol: float = _STRUCTURE_TOL) -> tuple[float, float, float, float]:
-    """Read (A, B, Gamma, Delta) out of a latched-mode Jacobian.
-
-    Raises StructureViolationError when the matrix does not have the
-    expected sparsity within ``tol`` (relative to the position-column
-    magnitudes): rows 1 and 3 must be the unit-velocity template and the
-    velocity columns of rows 2 and 4 must vanish.
-    """
-    J = np.asarray(J, dtype=float)
-    if J.shape != (4, 4):
-        raise StructureViolationError(f"expected a 4x4 matrix, got shape {J.shape}")
-    a, b = J[1, 0], J[1, 2]
-    g, d = J[3, 0], J[3, 2]
-    scale = max(1.0, abs(a), abs(b), abs(g), abs(d))
-    template = np.zeros((4, 4))
-    template[0, 1] = 1.0
-    template[2, 3] = 1.0
-    for i in (0, 2):
-        if np.max(np.abs(J[i] - template[i])) > tol * scale:
-            raise StructureViolationError(f"row {i + 1} deviates from the (0,1,0,0) template: {J[i]}")
-    for (i, j) in ((1, 1), (1, 3), (3, 1), (3, 3)):
-        if abs(J[i, j]) > tol * scale:
-            raise StructureViolationError(
-                f"velocity-column entry J[{i + 1},{j + 1}]={J[i, j]} exceeds tolerance"
-            )
-    return float(a), float(b), float(g), float(d)
+    J = np.zeros((4, 4))
+    J[0, 1] = J[2, 3] = 1.0
+    for j, c in enumerate(state):
+        h = _FD_BASE * max(1.0, abs(c))
+        xp, xm = list(state), list(state)
+        xp[j], xm[j] = c + h, c - h
+        fp, fm = _field_arr(params, xp, F_L), _field_arr(params, xm, F_L)
+        J[1, j], J[3, j] = (fp[1] - fm[1]) / (2.0 * h), (fp[3] - fm[3]) / (2.0 * h)
+    velocity = J[1::2, 1::2]  # (J[2,2], J[2,4]; J[4,2], J[4,4]), a view
+    if np.abs(velocity).max() > _STRUCTURE_TOL * max(1.0, np.abs(J[1::2, ::2]).max()):
+        raise StructureViolationError(f"velocity columns {velocity.tolist()} exceed tolerance")
+    velocity[:] = 0.0
+    return J
 
 
 def characteristic_invariants(
@@ -252,9 +189,7 @@ def _class_labels(h1: np.ndarray, h2: np.ndarray) -> list[str]:
     return np.where(saddle, Classification.SADDLE.value, labels).tolist()
 
 
-def stability_report(
-    params: SystemParams, fp: FixedPoint, eps: float | None = None
-) -> StabilityReport:
+def stability_report(params: SystemParams, fp: FixedPoint) -> StabilityReport:
     """Full linearization record at a fixed point: closed-form entries,
     invariants, spectrum and classification."""
     p, _, l, _ = fp.rest_state()
@@ -269,5 +204,5 @@ def stability_report(
         h1=h1,
         h2=h2,
         eigenvalues=eigs,
-        classification=classify(h1, h2, eps),
+        classification=classify(h1, h2),
     )

@@ -211,11 +211,11 @@ def vector_field(params, state, F_L: float, mode) -> np.ndarray:
     return np.array([p_dot, (F_s + (p - params.R) * tau) / params.m, l_dot, (F_L + l * tau) / params.M])
 
 
-def jacobian_fd(params, fp, fd_step: float | None = None) -> np.ndarray:
+def jacobian_fd(params, fp) -> np.ndarray:
     """``jacobian_fd_at``, the package's central-difference Jacobian, at a fixed point's rest state."""
     from lamsa.stability import jacobian_fd_at
 
-    return jacobian_fd_at(params, fp.rest_state(), fp.F_L_star, fd_step)
+    return jacobian_fd_at(params, fp.rest_state(), fp.F_L_star)
 
 
 def real_pair_exists(eigenvalues: tuple[complex, ...], rel_tol: float = 1e-9) -> bool:

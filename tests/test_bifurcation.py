@@ -331,6 +331,16 @@ def test_design_feasibility_reference_values(params):
     assert abs(rep.h1_fd_origin) <= 1e-8
 
 
+@pytest.mark.parametrize("var", list(ModelVariant))
+def test_design_feasibility_fd_h1_is_pinned(var):
+    # the published design check's finite-difference evidence, to the bit:
+    # a plain float, equal for both variants (the variant enters the field
+    # only through l F_L, and the check sets F_L = 0)
+    h1 = design_feasibility(SystemParams(variant=var)).h1_fd_origin
+    assert type(h1) is float
+    assert h1 == 5.866964579999925e-11
+
+
 def test_design_feasibility_window_violation():
     rep = design_feasibility(SystemParams(p0=25.0))  # outside (R, 4R)
     assert not rep.p0_window_ok

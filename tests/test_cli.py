@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +43,7 @@ from lamsa.cli import (
     main,
     phase_portrait,
 )
-from lamsa.config import _KEYS, RunConfig, apply_overrides, build_config
+from lamsa.config import _KEYS, _MAX_ITEMS, RunConfig, apply_overrides, build_config
 from lamsa.errors import ConfigError, SingularDenominatorError
 from lamsa.io import fmt, trajectory_rows, write_trajectory
 from lamsa.published import nominal_rhs
@@ -183,6 +188,13 @@ def test_bad_range_and_grid_rejected():
         parse_config("fl_range = 0:-15:1\n")
     with pytest.raises(ConfigError):
         parse_config("grid = 1x9\n")
+
+
+def test_run_size_bound_admits_a_million_items():
+    assert _MAX_ITEMS == 10**6
+    assert len(sweep_values(FLRange(0.0, 999_999.0, 1.0))) == _MAX_ITEMS
+    RunConfig(grid=(1000, 1000))
+    RunConfig(t_end=9999.99)  # t_end / max_step = 999,999: a million samples
 
 
 _FLOAT_KEYS = ("m", "M", "R", "k", "p0", "rel_tol", "abs_tol", "max_step", "event_time_tol", "fl", "t_end", "v_max")
@@ -547,6 +559,90 @@ def test_main_non_finite_option_is_configuration_error(tmp_path, capsys, argv, m
     assert rc == 1
     assert err == f"lamsa: configuration error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equilibria", "--fl-range=0:1e6:1"], "argument --fl-range: fl_range has more than 1000000 values: 0.0:1000000.0:1.0"),
+        (["region-map", "--grid", "101x9901"], "grid has 1000001 nodes, more than 1000000"),
+        # from an unlatched rest start every max_step of t_end is one sample
+        (["simulate", "--t-end", "1e4"], "t_end / max_step = 1e+06 gives more than 1000000 samples"),
+        (["simulate", "--t-end", "1e9"], "t_end / max_step = 1e+11 gives more than 1000000 samples"),
+        (["trace", "--fl=-50000"], "a trace from F_L=-50000.0 would take more than 1000000 samples"),
+        (["trace", "--fl=-1e20"], "a trace from F_L=-1e+20 would take more than 1000000 samples"),
+    ],
+)
+def test_oversized_run_is_refused_before_it_allocates(tmp_path, capsys, argv, message):
+    # one item past the bound: refused at exit 1, while a million floats would take 8 MB
+    out = tmp_path / "x"
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert capsys.readouterr().err == f"lamsa: configuration error: {message}\n"
+    assert peak < 1_000_000
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", "--fl-range=-1e308:0:1e307"], ["equilibria", "--fl-range=-1e308:0:1e308"]]
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input's point
+def test_overflowing_sweep_is_a_numerical_failure(tmp_path, capsys, argv):
+    # at a latch force near 1e308 the closed forms overflow to nan or inf,
+    # which no artifact may carry
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "lamsa: numerical failure: a result overflowed to a non-finite value\n"
+    assert not out.exists()
+
+
+def test_overflowing_simulation_is_a_numerical_failure(tmp_path, capsys):
+    # the squared contact-force denominator raises OverflowError, not a traceback
+    assert main(["simulate", "--fl=-1e44", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("lamsa: numerical failure: ")
+    assert not (tmp_path / "x").exists()
+
+
+_EDGE = ["-15", "-5", "-1", "0", "0.5", "2", "-1e-3", "1e-3", "1e308", "-1e308", "1e-320", "nan", "inf", "1e400", "0x5"]
+_CLI_FLAGS = {
+    "--variant": st.sampled_from(["printed", "derived", "sideways"]),
+    "--fl": st.one_of(st.sampled_from(_EDGE), st.text(max_size=6)),
+    "--fl-range": st.one_of(
+        st.sampled_from(["-15:0:1", "-3:0:0.5", "0:1e6:1", "-1e308:1e308:1"]),
+        st.builds(":".join, st.lists(st.sampled_from(_EDGE), min_size=1, max_size=4)),
+        st.text(max_size=8),
+    ),
+    # grids and run lengths stay small or past the bound, so a run takes milliseconds
+    "--grid": st.sampled_from(["2x2", "6x4", "3x7", "1x9", "101x9901"]),
+    "--seed": st.sampled_from(["0", "7", "-1"]),
+    "--t-end": st.sampled_from(["0", "0.5", "1", "2", "-1", "1e4"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # edge forces overflow numpy kernels; exit 2 reports it
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["equilibria", "classify", "region-map", "quiver", "simulate"]),
+    flags=st.fixed_dictionaries({}, optional=_CLI_FLAGS),
+)
+def test_cli_never_ends_in_a_traceback(command, flags):
+    argv = [command, *(f"{flag}={text}" for flag, text in flags.items())]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        out = Path(tmp) / "run"
+        rc = main([*argv, "--out", str(out)])
+        assert rc in (0, 1, 2), argv
+        if rc != 0:
+            assert not out.exists(), argv
+            return
+        for path in out.iterdir():
+            # quiver.csv documents nan where dD/dp is numerically zero
+            if path.name != "quiver.csv":
+                assert not re.search(r"(?i)\bnan\b", path.read_text()), (argv, path.name)
 
 
 def test_build_parser_is_built_once():

@@ -21,7 +21,7 @@ from lamsa import (
     unlatched_fixed_point,
 )
 from lamsa.equilibria import _VANISH_TOL, FixedPoint, _far_fold
-from lamsa.errors import EquilibriumBalanceError
+from lamsa.errors import ContactWindowError, EquilibriumBalanceError, NumericalError
 from lamsa.model import _field_arr
 from lamsa.published import eval_quartic, eval_quartic_derivative, quartic_coefficients, roots_in_interval
 
@@ -209,6 +209,16 @@ def test_unique_interior_point_and_balance_over_sweep(params):
         res = balance_residual(params, p_star, float(fl))
         lhs = params.k * (params.p0 - p_star) * interior[0].l_star / params.M
         assert abs(res) <= 1e-9 * max(1.0, abs(lhs))
+
+
+def test_balance_residual_is_defined_on_the_contact_window(params):
+    assert balance_residual(params, 0.0, 0.0) == 0.0
+    # outside [0, 2R] no latch position touches the projectile: a numerical
+    # failure (CLI exit 2), as for latch_from_projectile
+    for p in (-0.01, 10.01):
+        with pytest.raises(ContactWindowError, match="outside the contact window"):
+            balance_residual(params, p, -1.0)
+    assert issubclass(ContactWindowError, NumericalError) and not issubclass(ContactWindowError, ValueError)
 
 
 def test_spurious_root_rejected_by_sign_check(params):

@@ -19,7 +19,7 @@ from lamsa import (
     simulate,
     spring_force,
 )
-from lamsa.errors import SingularConfigurationError
+from lamsa.errors import ContactWindowError, SingularConfigurationError
 from lamsa.model import _field_arr
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
@@ -71,9 +71,9 @@ def test_latch_from_projectile_examples(params):
     assert latch_from_projectile(params, 0.0) == 0.0
     assert latch_from_projectile(params, 5.0) == 5.0
     assert latch_from_projectile(params, 4.64383) == pytest.approx(4.98730, abs=1e-5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContactWindowError):
         latch_from_projectile(params, -0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContactWindowError):
         latch_from_projectile(params, 10.01)
 
 
