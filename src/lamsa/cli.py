@@ -6,7 +6,7 @@
 Every subcommand writes its CSV/JSON artifacts plus a ``manifest.json``
 into the output directory, which it creates at its first write.  Exit status: 0 on success, 1 on a
 configuration/validation problem (a malformed argument or a nan or
-infinite number included), 2 on a numerical failure (overflow included).
+infinite number included), 2 on a numerical failure (overflow and division by zero included).
 """
 
 from __future__ import annotations
@@ -75,8 +75,18 @@ class _Artifacts:
         return 0
 
 
+def _check_finite(*values: float) -> None:
+    """Raise NumericalError for a nan or infinite result, as from a latch force near 1e308."""
+    if not all(map(math.isfinite, values)):
+        raise NumericalError("a result overflowed to a non-finite value")
+
+
 def _fixed_point_row(fp: FixedPoint) -> list[str]:
-    """One ``fixedpoints.csv``/``overlay.csv`` row; the unlatched point has no l_star (nan)."""
+    """One ``fixedpoints.csv``/``overlay.csv`` row; the unlatched point has no l_star (nan).
+
+    Any other nan or infinite cell raises NumericalError.
+    """
+    _check_finite(fp.F_L_star, fp.p_star, 0.0 if fp.l_star is None else fp.l_star)
     l_star = math.nan if fp.l_star is None else fp.l_star
     return [fmt(fp.F_L_star), fmt(fp.p_star), fmt(l_star), flag(fp.origin_flag), flag(True)]
 
@@ -157,13 +167,14 @@ def cmd_trace(cfg: RunConfig) -> int:
     if not pts:
         raise ConfigError(f"no interior fixed point exists at F_L={cfg.F_L}")
     path = trace_path(cfg.params, (pts[0].p_star, cfg.F_L), F_L_end=0.0)
+    # +/- sqrt(h2) is the saddle's real pair at the last sample; as F_L -> 0-
+    # it tends to sqrt(k p0/(M R)), not to zero (no eigenvalue vanishes there)
+    h2 = path.final.h2
+    _check_finite(h2)  # as from a latch mass near 1e-320
     r = float.__repr__  # fmt without its call
     rows = [[r(s.F_L), r(s.p_star), flag(s.in_S)] for s in path.samples]
     out = _Artifacts(cfg)
     out.write("path.csv", write_csv, PATH_HEADER, rows)
-    # +/- sqrt(h2) is the saddle's real pair at the last sample; as F_L -> 0-
-    # it tends to sqrt(k p0/(M R)), not to zero (no eigenvalue vanishes there)
-    h2 = path.final.h2
     return out.finish({"terminal": path.terminal.value, "terminal_lambda": math.sqrt(h2) if h2 > 0.0 else None})
 
 
@@ -194,10 +205,11 @@ def cmd_quiver(cfg: RunConfig) -> int:
 
 
 def cmd_design_check(cfg: RunConfig) -> int:
-    report = design_feasibility(cfg.params)
+    report = dataclasses.asdict(design_feasibility(cfg.params))
+    _check_finite(*report.values())  # as from a mass near 1e-320
     out = _Artifacts(cfg)
-    out.write("design.json", _write_json, dataclasses.asdict(report))
-    return out.finish({"feasible": report.feasible})
+    out.write("design.json", _write_json, report)
+    return out.finish({"feasible": report["feasible"]})
 
 
 def _portrait_initial_states(cfg: RunConfig) -> list[SystemState]:
@@ -233,7 +245,14 @@ def phase_portrait(cfg: RunConfig) -> int:
     Emits ``traj_NNNN.csv`` files, an ``index.csv`` describing each run
     (failures are recorded there, not fatal), and ``overlay.csv`` with the
     fixed points at the configured F_L plus the unlatched rest point.
+    A run whose trajectories could hold more than ``_MAX_ITEMS`` samples in
+    all is refused, and the overlay is checked, before anything is written.
     """
+    n_starts = cfg.grid[0] * cfg.grid[1]
+    if n_starts * (math.ceil(cfg.t_end / cfg.integrator.max_step) + 1) > _MAX_ITEMS:
+        raise ConfigError(f"a portrait of {n_starts} starts to t_end={cfg.t_end} would take more than {_MAX_ITEMS} samples")
+    overlay = [*fixed_points(cfg.params, cfg.F_L), unlatched_fixed_point(cfg.params)]
+    overlay_rows = [_fixed_point_row(fp) for fp in overlay]
     out = _Artifacts(cfg)
     index_rows = []
     for i, x0 in enumerate(_portrait_initial_states(cfg)):
@@ -243,13 +262,12 @@ def phase_portrait(cfg: RunConfig) -> int:
             out.write(name, write_trajectory, traj)
             status, detail = "ok", ""
             n_samples, n_events = len(traj), len(traj.events)
-        except (LamsaError, OverflowError) as exc:
+        except (LamsaError, ArithmeticError) as exc:
             status, detail = "error", str(exc)
             n_samples = n_events = 0
         index_rows.append([str(i), *map(fmt, x0), name, status, str(n_samples), str(n_events), detail])
     out.write("index.csv", write_csv, INDEX_HEADER, index_rows)
-    overlay = [*fixed_points(cfg.params, cfg.F_L), unlatched_fixed_point(cfg.params)]
-    out.write("overlay.csv", write_csv, FIXEDPOINT_HEADER, [_fixed_point_row(fp) for fp in overlay])
+    out.write("overlay.csv", write_csv, FIXEDPOINT_HEADER, overlay_rows)
     return out.finish()
 
 
@@ -330,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"lamsa: configuration error: {exc}", file=sys.stderr)
         return 1
-    except (LamsaError, OverflowError) as exc:
+    except (LamsaError, ArithmeticError) as exc:  # an overflow, or a division by a value that underflowed to 0
         print(f"lamsa: numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

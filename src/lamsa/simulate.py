@@ -29,11 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    NoSignChangeError,
-    ProjectionFailureError,
-    StepSizeUnderflowError,
-)
+from .errors import NoSignChangeError, ProjectionFailureError, StepSizeUnderflowError
 from .model import (
     Mode,
     SystemParams,
@@ -64,18 +60,19 @@ _new_state = functools.partial(tuple.__new__, SystemState)
 class IntegratorConfig:
     """Tolerances of the adaptive Dormand-Prince 5(4) integration.
 
-    The unlatched flight has a closed form, so ``rel_tol``, ``abs_tol`` and
-    ``event_time_tol`` govern the latched phase and the release alone.
-    Each accepted step's local error estimate (the norm of the fifth- minus
-    fourth-order update) is at most max(rel_tol * |y|, abs_tol), |y| the
-    norm of the step's start state.  ``max_step`` bounds every latched step
-    and spaces the flight's samples.  ``event_time_tol`` bounds the
-    bisection bracket of the release on the step's third-order Hermite
-    interpolant, not the error against the flow: on the benchmark's release
-    design the derived release times are 1.86e-9 off a DOP853 reference.
-    The start, each latched step and the release state are projected onto
-    the constraint circle to |h| <= 1e-12 max(1, R^2), a bound no field
-    here sets.
+    ``simulate`` alone reads these fields, and each helper it calls gets
+    only the numbers it uses.  The unlatched flight has a closed form, so
+    ``rel_tol``, ``abs_tol`` and ``event_time_tol`` govern the latched
+    phase and the release alone.  Each accepted step's local error
+    estimate (the norm of the fifth- minus fourth-order update) is at most
+    max(rel_tol * |y|, abs_tol), |y| the norm of the step's start state.
+    ``max_step`` bounds every latched step and spaces the flight's samples.
+    ``event_time_tol`` bounds the bisection bracket of the release on the
+    step's third-order Hermite interpolant, not the error against the
+    flow: on the benchmark's release design the derived release times are
+    1.86e-9 off a DOP853 reference.  The start, each latched step and the
+    release state are projected onto the constraint circle to
+    |h| <= 1e-12 max(1, R^2), a bound no field here sets.
     """
 
     rel_tol: float = 1e-8
@@ -250,21 +247,17 @@ def integrate_step(
     state: SystemState,
     f_state: Sequence[float],
     F_L: float,
-    dt_suggestion: float,
-    config: IntegratorConfig | None = None,
+    dt: float,
+    tol: float,
 ) -> tuple[SystemState, tuple[float, float, float, float, float], float, float]:
     """Take one accepted adaptive step of the latched field, not projected.
 
-    ``f_state`` is ``_field_arr`` at ``state``, every trial's first stage.
-    Shrinks the step until the embedded error estimate satisfies
-    ``err <= max(rel_tol * |state|, abs_tol)``; raises
-    StepSizeUnderflowError if that requires a step below the floor.
+    ``f_state`` is ``_field_arr`` at ``state``, every trial's first stage,
+    ``dt`` the first trial's step and ``tol`` > 0 the error bound at
+    ``state``.  Shrinks the step until the embedded error estimate is at
+    most ``tol``; raises StepSizeUnderflowError below the step floor.
     Returns (new_state, field_at_new_state, dt_used, error_estimate).
     """
-    cfg = config or IntegratorConfig()
-    p, p_dot, l, l_dot = state
-    tol = max(cfg.rel_tol * math.sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot), cfg.abs_tol)
-    dt = cfg.max_step if cfg.max_step < dt_suggestion else dt_suggestion
     while True:
         if dt < _MIN_STEP:
             raise StepSizeUnderflowError(
@@ -273,7 +266,7 @@ def integrate_step(
         y_new, f_new, err = _step_raw(params, F_L, state, f_state, dt)
         if err <= tol:
             return y_new, f_new, dt, err
-        dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
+        dt *= max(0.2, 0.9 * (tol / err) ** 0.2)
 
 
 def _locate_zero(
@@ -284,13 +277,13 @@ def _locate_zero(
     y_hi: SystemState,
     f_hi: Sequence[float],
     g: Callable[[SystemState], float],
-    cfg: IntegratorConfig,
+    event_time_tol: float,
 ) -> tuple[float, SystemState]:
     """(t, state) at a zero of the guard ``g`` inside one integration step.
 
     The latched step from (t_lo, y_lo) to (t_hi, y_hi), with fields f_lo
     and f_hi there, is reconstructed with cubic Hermite interpolation;
-    bisection narrows the crossing time to ``cfg.event_time_tol``.  ``g``
+    bisection narrows the crossing time to ``event_time_tol``.  ``g``
     must change sign across the step (else NoSignChangeError); a zero at
     either end is returned as is.
     """
@@ -320,7 +313,7 @@ def _locate_zero(
         ))
 
     a, b, ga = t_lo, t_hi, g_lo
-    while b - a > cfg.event_time_tol:
+    while b - a > event_time_tol:
         mid = 0.5 * (a + b)
         gm = g(interp(mid))
         if gm == 0.0:
@@ -375,31 +368,28 @@ def _release_event(
     bracket: tuple[float, SystemState, Sequence[float], float, SystemState, Sequence[float]],
     unlatch: bool,
     takeoff: bool,
-    cfg: IntegratorConfig,
+    event_time_tol: float,
 ) -> Event:
     """Locate the release inside a latched step whose end fired a guard.
 
     ``bracket`` is (t, state, field) at the step's start and at the end
     that fired.  When both guards fire the earlier wins, and a tie within
-    the event tolerance means tangency: at p = R no contact force can hold
-    the projectile regardless of tau.
+    ``event_time_tol`` means tangency: at p = R no contact force can hold
+    the projectile regardless of tau.  The event state is projected.
     """
-    R = params.R
-    events = []
     if unlatch:
-        t, y = _locate_zero(*bracket, lambda s: contact_force(params, s, F_L), cfg)
-        events.append(Event(t, y, EventKind.UNLATCH_TAU_ZERO))
+        t, y = _locate_zero(*bracket, lambda s: contact_force(params, s, F_L), event_time_tol)
+        kind = EventKind.UNLATCH_TAU_ZERO
     if takeoff:
-        t, y = _locate_zero(*bracket, lambda s: s[0] - R, cfg)
-        events.append(Event(t, y, EventKind.TAKEOFF_TANGENCY))
-    if len(events) == 2:
-        tau_ev, take_ev = events
-        return take_ev if take_ev.t <= tau_ev.t + cfg.event_time_tol else tau_ev
-    return events[0]
+        t_take, y_take = _locate_zero(*bracket, lambda s: s[0] - params.R, event_time_tol)
+        if not unlatch or t_take <= t + event_time_tol:
+            t, y, kind = t_take, y_take, EventKind.TAKEOFF_TANGENCY
+    return Event(t, project_to_constraint(params, y), kind)
 
 
 def _append_flight(
-    params: SystemParams, traj: Trajectory, t: float, y: SystemState, F_L: float, t_end: float, max_step: float
+    params: SystemParams, traj: Trajectory, t: float, y: SystemState, F_L: float, t_end: float, max_step: float,
+    margin: float,
 ) -> None:
     """Append the unlatched flight from (t, y) to ``traj``, in closed form.
 
@@ -408,7 +398,8 @@ def _append_flight(
     l = l + l_dot s + F_L s^2 / (2M).  The flight ends at the outward
     natural-length crossing s* = ((atan2(b, a) - pi/2) mod 2 pi) / omega or
     at ``t_end``, whichever comes first; a start at p >= p0 moving outward
-    ends at once.  Samples sit at t + n * max_step, plus one at the end.
+    ends at once, as does one of at most ``margin`` (the latched loop's end
+    margin).  Samples sit at t + n * max_step, plus one at the end.
     """
     p0, M = params.p0, params.M
     p, p_dot, l, l_dot = y
@@ -421,8 +412,6 @@ def _append_flight(
         s_star = ((math.atan2(b, a) - 0.5 * math.pi) % (2.0 * math.pi)) / omega
         if s_star < s_stop:
             s_stop, t_stop = s_star, t + s_star
-    # as in the latched loop, an end within this margin takes no further sample
-    margin = 1e-14 * max(1.0, t_end)
     if s_stop <= margin:
         return
     s = np.arange(1, math.ceil((s_stop - margin) / max_step) + 1) * max_step
@@ -430,13 +419,16 @@ def _append_flight(
     cos_ws, sin_ws = np.cos(omega * s), np.sin(omega * s)
     ts = (t + s).tolist()
     ts[-1] = t_stop
+    x = np.array((
+        p0 + a * cos_ws + b * sin_ws,
+        p_dot * cos_ws - (omega * a) * sin_ws,
+        l + (l_dot + (0.5 * F_L / M) * s) * s,
+        l_dot + (F_L / M) * s,
+    ))
+    if not np.isfinite(x).all():  # as from a latch force near 1e308
+        raise OverflowError("the unlatched flight overflowed to a non-finite state")
     traj.t.extend(ts)
-    traj.x.extend(map(_new_state, zip(
-        (p0 + a * cos_ws + b * sin_ws).tolist(),
-        (p_dot * cos_ws - (omega * a) * sin_ws).tolist(),
-        (l + (l_dot + (0.5 * F_L / M) * s) * s).tolist(),
-        (l_dot + (F_L / M) * s).tolist(),
-    )))
+    traj.x.extend(map(_new_state, zip(*x.tolist())))
     traj.mode.extend([_UNLATCHED] * len(ts))
     traj.tau.extend([0.0] * len(ts))
 
@@ -461,11 +453,10 @@ def simulate(
     each projected step end, and that one value is the sample's tau, the
     guard's tau there, the next step's first stage and the event
     interpolant's slope; the integrated end's tau is its step's last
-    stage.  When both guards fire inside one step the earlier one wins and
-    a tie within the event tolerance resolves to tangency takeoff.  The
-    unlatched flight is appended in closed form.  ``F_L`` and ``t_end`` are
-    taken as floats, so every sample holds plain floats; a non-finite
-    ``x0``, ``F_L`` or ``t_end`` raises ValueError.
+    stage.  The unlatched flight is appended in closed form.  ``F_L`` and
+    ``t_end`` are taken as floats, so every sample holds plain floats; a
+    non-finite ``x0``, ``F_L`` or ``t_end`` raises ValueError, and a sample
+    that overflows to a non-finite value raises OverflowError.
     """
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
@@ -478,7 +469,8 @@ def simulate(
     add_t, add_x, add_mode, add_tau = traj.t.append, traj.x.append, traj.mode.append, traj.tau.append
     mode = mode_of(params, x0, F_L)
     t = 0.0
-    t_last = t_end - 1e-14 * max(1.0, t_end)
+    margin = 1e-14 * max(1.0, t_end)  # an end within it takes no further sample
+    t_last = t_end - margin
     y = SystemState(*map(float, x0))
     rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     R, sqrt = params.R, math.sqrt
@@ -490,16 +482,19 @@ def simulate(
             mode = _UNLATCHED  # projection nudged a borderline tau past 0
     traj.append(t, y, mode, f[4] if mode is _LATCHED else 0.0)
 
-    # The loop tries min(dt, t_end - t) (dt never exceeds max_step), then
-    # scales dt by 0.9 (tol / err)^(1/5), kept in [0.2, 5], with tol taken at
-    # the new state; min and max are written out as the builtins resolve them.
+    # The loop tries min(dt, t_end - t) (dt never exceeds max_step) against
+    # tol = max(rel_tol |y|, abs_tol) at the step's start, then scales dt by
+    # 0.9 (tol / err)^(1/5), kept in [0.2, 5], with tol taken at the new
+    # state; min and max are written out as the builtins resolve them.
     dt = 0.01 * max_step
 
     # --- latched phase -------------------------------------------------
     if mode is _LATCHED:
+        p, p_dot, l, l_dot = y
+        tol = max(rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot), abs_tol)
         while t < t_last:
             h = t_end - t
-            y_end, f_end, dt_used, err = integrate_step(params, y, f, F_L, h if h < dt else dt, cfg)
+            y_end, f_end, dt_used, err = integrate_step(params, y, f, F_L, h if h < dt else dt, tol)
             t_new = t + dt_used
             y_new = project_to_constraint(params, y_end)
             f_new = _field_arr(params, y_new, F_L)
@@ -515,10 +510,7 @@ def simulate(
                 unlatch = f_new[4] <= 0.0
                 takeoff = y_new[0] - R >= 0.0 and y[0] - R < 0.0
             if unlatch or takeoff:
-                event = _release_event(
-                    params, F_L, (t, y, f, t_new, y_hi, f_hi), unlatch, takeoff, cfg
-                )
-                event = Event(event.t, project_to_constraint(params, event.state), event.kind)
+                event = _release_event(params, F_L, (t, y, f, t_new, y_hi, f_hi), unlatch, takeoff, cfg.event_time_tol)
                 traj.events.append(event)
                 t, y, mode = event.t, event.state, _UNLATCHED
                 traj.append(t, y, mode, 0.0)
@@ -531,11 +523,14 @@ def simulate(
             add_tau(f[4])
             p, p_dot, l, l_dot = y
             tol = rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
-            g = 0.9 * ((abs_tol if abs_tol > tol else tol) / err) ** 0.2 if err else 5.0
+            tol = abs_tol if abs_tol > tol else tol
+            g = 0.9 * (tol / err) ** 0.2 if err else 5.0
             dt = dt_used * ((g if g < 5.0 else 5.0) if g > 0.2 else 0.2)
             dt = dt if dt < max_step else max_step
+        if not math.isfinite(f[4]):  # the last latched sample's; a step from it would have failed
+            raise OverflowError("the contact force overflowed to a non-finite value")
 
     # --- unlatched flight (permanent: no re-latching) --------------------
     if mode is _UNLATCHED:
-        _append_flight(params, traj, t, y, F_L, t_end, max_step)
+        _append_flight(params, traj, t, y, F_L, t_end, max_step, margin)
     return traj

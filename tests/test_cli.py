@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamsa import (
@@ -571,6 +571,15 @@ def test_main_non_finite_option_is_configuration_error(tmp_path, capsys, argv, m
         (["simulate", "--t-end", "1e9"], "t_end / max_step = 1e+11 gives more than 1000000 samples"),
         (["trace", "--fl=-50000"], "a trace from F_L=-50000.0 would take more than 1000000 samples"),
         (["trace", "--fl=-1e20"], "a trace from F_L=-1e+20 would take more than 1000000 samples"),
+        # each start may take ceil(t_end / max_step) + 1 samples: 10^6 * 999,901 and 1,600 * 1,001
+        (
+            ["phase-portrait", "--grid", "1000x1000", "--t-end", "9999"],
+            "a portrait of 1000000 starts to t_end=9999.0 would take more than 1000000 samples",
+        ),
+        (
+            ["phase-portrait", "--grid", "40x40", "--t-end", "10"],
+            "a portrait of 1600 starts to t_end=10.0 would take more than 1000000 samples",
+        ),
     ],
 )
 def test_oversized_run_is_refused_before_it_allocates(tmp_path, capsys, argv, message):
@@ -601,6 +610,16 @@ def test_overflowing_sweep_is_a_numerical_failure(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input's point
+def test_overflowing_portrait_overlay_is_a_numerical_failure(tmp_path, capsys):
+    # at F_L = -1e308 the near-arc p* overflows to inf, which overlay.csv
+    # must not carry; the check runs before the first trajectory is written
+    out = tmp_path / "x"
+    assert main(["phase-portrait", "--grid", "2x2", "--t-end", "1", "--fl=-1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "lamsa: numerical failure: a result overflowed to a non-finite value\n"
+    assert not out.exists()
+
+
 def test_overflowing_simulation_is_a_numerical_failure(tmp_path, capsys):
     # the squared contact-force denominator raises OverflowError, not a traceback
     assert main(["simulate", "--fl=-1e44", "--out", str(tmp_path / "x")]) == 2
@@ -624,6 +643,27 @@ _CLI_FLAGS = {
 }
 
 
+def _non_finite_artifacts(out: Path) -> list[str]:
+    """Names of the artifacts holding a nan or infinite value.
+
+    Exempt are the documented ones: ``quiver.csv``'s nan where dD/dp is
+    numerically zero and the overlay's unlatched rest point, which has no
+    l_star; ``index.csv``'s detail column is an error message, not a value.
+    """
+    found = []
+    for path in out.iterdir():
+        if path.name == "quiver.csv":
+            continue
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        if path.name == "overlay.csv":
+            del rows[-1][2]
+        if path.name == "index.csv":
+            rows = [row[: cli.INDEX_HEADER.index("detail")] for row in rows]
+        if re.search(r"(?i)\b(nan|inf|infinity)\b", "\n".join(map(",".join, rows))):
+            found.append(path.name)
+    return found
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # edge forces overflow numpy kernels; exit 2 reports it
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
@@ -639,10 +679,71 @@ def test_cli_never_ends_in_a_traceback(command, flags):
         if rc != 0:
             assert not out.exists(), argv
             return
-        for path in out.iterdir():
-            # quiver.csv documents nan where dD/dp is numerically zero
-            if path.name != "quiver.csv":
-                assert not re.search(r"(?i)\bnan\b", path.read_text()), (argv, path.name)
+        assert _non_finite_artifacts(out) == [], argv
+
+
+# config-file keys the test above leaves at their defaults, each with values
+# that keep a run short (or break the config), for the simulating commands
+_CONFIG_VALUES = {
+    "m": ["1", "0.5", "3", "0", "1e-320", "1e308"],
+    "M": ["1", "0.5", "3", "0", "1e-320", "1e308"],
+    "R": ["5", "1", "9", "0", "-1", "1e308"],
+    "k": ["1", "0.5", "3", "0", "1e-320", "1e308"],
+    "p0": ["10", "6", "5.5", "5", "30", "1e308"],
+    "rel_tol": ["1e-8", "1e-6", "1e-300", "0", "1e308"],
+    "abs_tol": ["1e-10", "1e-6", "1e-300", "0", "1e308"],
+    "max_step": ["1e-2", "0.1", "0.5", "1e-12", "0", "1e308"],
+    "event_time_tol": ["1e-10", "1e-3", "0.05", "0", "1e308"],
+    "x0": ["1, 0, 3, 0", "4.9, 2, 0.99, 0", "9, 0.5, 2, 0.3", "0, 0, 0, 0", "1, 0, 1e308, 0", "1, 0, 3"],
+    "v_max": ["10", "1", "1e308", "0", "-1"],
+    "jitter": ["true", "false", "maybe"],
+}
+_RUN_FLAGS = {
+    "--variant": st.sampled_from(["printed", "derived"]),
+    # a trace from below F_L = -50,000 is refused; the forces here trace in milliseconds or are refused
+    "--fl": st.sampled_from(["-15", "-5", "-3.3", "-1", "-1e-3", "0", "0.5", "1e-320", "-1e6", "1e308", "-1e308"]),
+    "--seed": st.sampled_from(["0", "7"]),
+}
+
+
+_SHORT_RUN = {"--grid": "2x2", "--t-end": "0"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # edge values overflow numpy kernels; exit 2 reports it
+@settings(max_examples=200, deadline=None, derandomize=True)
+# inputs that once left a nan or inf in an artifact: the overlay's p* at F_L = -1e308, the
+# flight's l at F_L = +1e308, the starting contact force at k = 1e308, design.json at
+# m = 1e-320, the trace manifest's terminal_lambda at M = 1e-320; and a ZeroDivisionError
+# traceback from the published design bound at m = M = 1e-320
+@example(command="phase-portrait", keys={}, flags={**_SHORT_RUN, "--fl": "-1e308"})
+@example(command="phase-portrait", keys={"M": "1"}, flags={"--grid": "2x2", "--t-end": "2", "--fl": "1e308"})
+@example(command="simulate", keys={"k": "1e308"}, flags=_SHORT_RUN)
+@example(command="design-check", keys={"m": "1e-320"}, flags=_SHORT_RUN)
+@example(command="trace", keys={"M": "1e-320"}, flags={**_SHORT_RUN, "--variant": "derived"})
+@example(command="design-check", keys={"m": "1e-320", "M": "1e-320"}, flags=_SHORT_RUN)
+@given(
+    command=st.sampled_from(["trace", "design-check", "phase-portrait", "simulate"]),
+    keys=st.lists(
+        st.sampled_from(list(_CONFIG_VALUES)).flatmap(lambda key: st.tuples(st.just(key), st.sampled_from(_CONFIG_VALUES[key]))),
+        max_size=3,
+        unique_by=lambda item: item[0],
+    ).map(dict),
+    flags=st.fixed_dictionaries(
+        {"--grid": st.sampled_from(["2x2", "2x3", "3x2", "3x3"]), "--t-end": st.sampled_from(["0", "0.5", "1", "2"])},
+        optional=_RUN_FLAGS,
+    ),
+)
+def test_cli_config_file_never_ends_in_a_traceback(command, keys, flags):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "run"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()), encoding="utf-8")
+        argv = [command, "--config", str(config), *(f"{flag}={text}" for flag, text in flags.items())]
+        rc = main([*argv, "--out", str(out)])
+        assert rc in (0, 1, 2), (argv, keys)
+        if rc != 0:
+            assert not out.exists(), (argv, keys)
+            return
+        assert _non_finite_artifacts(out) == [], (argv, keys)
 
 
 def test_build_parser_is_built_once():

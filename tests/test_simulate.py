@@ -44,9 +44,14 @@ def _latched_start(params: SystemParams, p: float, p_dot: float = 0.0) -> System
     return SystemState(p, p_dot, l, l_dot)
 
 
-def _step(params, st, F_L, dt_suggestion, cfg=None):
+def _tol(st, cfg=IntegratorConfig()):
+    """The error bound ``simulate`` gives ``integrate_step`` at ``st``: max(rel_tol |st|, abs_tol)."""
+    return max(cfg.rel_tol * math.sqrt(sum(v * v for v in st)), cfg.abs_tol)
+
+
+def _step(params, st, F_L, dt, cfg=IntegratorConfig()):
     """(new_state, dt_used, err) of ``integrate_step`` from ``st``, its field evaluated here."""
-    new, _, dt, err = integrate_step(params, st, _field_arr(params, st, F_L), F_L, dt_suggestion, cfg)
+    new, _, dt, err = integrate_step(params, st, _field_arr(params, st, F_L), F_L, dt, _tol(st, cfg))
     return new, dt, err
 
 
@@ -70,7 +75,7 @@ def test_integrator_config_rejects_non_finite_values(name, bad):
 def test_step_at_fixed_point_is_stationary(params):
     st = SystemState(0.0, 0.0, 0.0, 0.0)
     f = _field_arr(params, st, 0.0)
-    new, f_new, dt, err = integrate_step(params, st, f, 0.0, 1e-3)
+    new, f_new, dt, err = integrate_step(params, st, f, 0.0, 1e-3, _tol(st))
     assert new == st and f_new == f
     assert err == 0.0
     assert dt == 1e-3
@@ -143,9 +148,9 @@ def test_locate_event_tau_crossing(cc_params):
     t = 0.0
     f = _field_arr(cc_params, st, F_L)
     for _ in range(2000):
-        new, f_new, dt, _ = integrate_step(cc_params, st, f, F_L, 5e-3, cfg)
+        new, f_new, dt, _ = integrate_step(cc_params, st, f, F_L, 5e-3, _tol(st, cfg))
         if _tau_fn(cc_params, F_L)(new) < 0:
-            t_ev, y_ev = _locate_zero(t, st, f, t + dt, new, f_new, _tau_fn(cc_params, F_L), cfg)
+            t_ev, y_ev = _locate_zero(t, st, f, t + dt, new, f_new, _tau_fn(cc_params, F_L), cfg.event_time_tol)
             tau_lo = _tau_fn(cc_params, F_L)(st)
             tau_hi = _tau_fn(cc_params, F_L)(new)
             derived_tol = 4.0 * abs(tau_hi - tau_lo) / dt * cfg.event_time_tol + 1e-12
@@ -161,9 +166,9 @@ def test_locate_event_position_crossing(params):
     cfg = IntegratorConfig()
     st = _latched_start(params, 4.99, 2.0)
     f = _field_arr(params, st, -5.0)
-    new, f_new, dt, _ = integrate_step(params, st, f, -5.0, 1e-2, cfg)
+    new, f_new, dt, _ = integrate_step(params, st, f, -5.0, 1e-2, _tol(st, cfg))
     assert new.p > params.R
-    _, y_ev = _locate_zero(0.0, st, f, dt, new, f_new, lambda s: s.p - params.R, cfg)
+    _, y_ev = _locate_zero(0.0, st, f, dt, new, f_new, lambda s: s.p - params.R, cfg.event_time_tol)
     assert abs(y_ev.p - params.R) <= 2.0 * abs(new.p_dot) * cfg.event_time_tol + 1e-12
 
 
@@ -171,7 +176,7 @@ def test_locate_event_requires_sign_change(params):
     st = SystemState(1.0, 0.0, 3.0, 0.0)
     f = _field_arr(params, st, 0.0)
     with pytest.raises(NoSignChangeError):
-        _locate_zero(0.0, st, f, 0.1, st, f, lambda s: 1.0, IntegratorConfig())
+        _locate_zero(0.0, st, f, 0.1, st, f, lambda s: 1.0, IntegratorConfig().event_time_tol)
 
 
 # --- project_to_constraint --------------------------------------------------
@@ -719,7 +724,7 @@ def test_locate_zero_equals_reference(variant):
     F_L = -5.0
     y_lo = _latched_start(params, 4.99, 2.0)
     f_lo = _field_arr(params, y_lo, F_L)
-    y_hi, f_hi, dt, _ = integrate_step(params, y_lo, f_lo, F_L, 1e-2, cfg)
+    y_hi, f_hi, dt, _ = integrate_step(params, y_lo, f_lo, F_L, 1e-2, _tol(y_lo, cfg))
     assert y_hi.p > params.R
 
     def g(s):
@@ -728,9 +733,9 @@ def test_locate_zero_equals_reference(variant):
     def field(y):
         return _field_arr(params, y, F_L)
 
-    got = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, g, cfg)
+    got = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, g, cfg.event_time_tol)
     assert got == locate_zero_reference(field, cfg.event_time_tol, 0.0, y_lo, dt, y_hi, g)
     with pytest.raises(NoSignChangeError):
-        _locate_zero(0.0, y_hi, f_hi, dt, y_hi, f_hi, g, cfg)
+        _locate_zero(0.0, y_hi, f_hi, dt, y_hi, f_hi, g, cfg.event_time_tol)
     with pytest.raises(NoSignChangeError):
         locate_zero_reference(field, cfg.event_time_tol, 0.0, y_hi, dt, y_hi, g)
