@@ -344,7 +344,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg)
+        with np.errstate(all="ignore"):  # the artifact checks decide whether an overflow reached a result
+            return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"lamsa: configuration error: {exc}", file=sys.stderr)
         return 1

@@ -35,10 +35,6 @@ class NoSignChangeError(NumericalError):
     """Event bracket endpoints do not straddle a zero."""
 
 
-class ProjectionFailureError(NumericalError):
-    """Newton projection onto the constraint circle did not converge."""
-
-
 class StructureViolationError(NumericalError):
     """A Jacobian does not have the expected latched-mode sparsity."""
 

@@ -600,7 +600,6 @@ def test_oversized_run_is_refused_before_it_allocates(tmp_path, capsys, argv, me
 @pytest.mark.parametrize(
     "argv", [["classify", "--fl-range=-1e308:0:1e307"], ["equilibria", "--fl-range=-1e308:0:1e308"]]
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input's point
 def test_overflowing_sweep_is_a_numerical_failure(tmp_path, capsys, argv):
     # at a latch force near 1e308 the closed forms overflow to nan or inf,
     # which no artifact may carry
@@ -610,7 +609,16 @@ def test_overflowing_sweep_is_a_numerical_failure(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input's point
+def test_harmless_overflow_is_silent(tmp_path, capsys):
+    # numpy overflows on the way to the near-arc p* = R at |F_L| near 1e306,
+    # yet every result is finite and right, so the run succeeds without a word
+    out = tmp_path / "x"
+    assert main(["equilibria", "--fl-range=-1e306:0:1e305", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(out / "fixedpoints.csv")
+    assert [row[1] for row in rows] == ["5.0"] * 11
+
+
 def test_overflowing_portrait_overlay_is_a_numerical_failure(tmp_path, capsys):
     # at F_L = -1e308 the near-arc p* overflows to inf, which overlay.csv
     # must not carry; the check runs before the first trajectory is written
@@ -664,7 +672,6 @@ def _non_finite_artifacts(out: Path) -> list[str]:
     return found
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # edge forces overflow numpy kernels; exit 2 reports it
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from(["equilibria", "classify", "region-map", "quiver", "simulate"]),
@@ -709,7 +716,6 @@ _RUN_FLAGS = {
 _SHORT_RUN = {"--grid": "2x2", "--t-end": "0"}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # edge values overflow numpy kernels; exit 2 reports it
 @settings(max_examples=200, deadline=None, derandomize=True)
 # inputs that once left a nan or inf in an artifact: the overlay's p* at F_L = -1e308, the
 # flight's l at F_L = +1e308, the starting contact force at k = 1e308, design.json at

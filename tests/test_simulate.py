@@ -38,6 +38,9 @@ from oracles import (
 )
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _latched_start(params: SystemParams, p: float, p_dot: float = 0.0) -> SystemState:
     l = latch_from_projectile(params, p)
     l_dot = (params.R - p) * p_dot / l if l > 0 else 0.0
@@ -190,7 +193,7 @@ def test_projection_fixes_on_manifold_state(params):
 def test_projection_moves_to_nearest_circle_point(params):
     st = SystemState(2.0, 0.0, 4.001, 0.0)
     proj = project_to_constraint(params, st)
-    assert abs(holonomic_h(params, proj.p, proj.l)) <= 1e-12 * params.R**2
+    assert abs(holonomic_h(params, proj.p, proj.l)) <= 8 * _EPS * params.R**2
     assert proj.l == pytest.approx(4.0, abs=1e-3)
     p_ref, l_ref = radial_projection(params.R, st.p, st.l)
     assert proj.p == pytest.approx(p_ref, abs=1e-10)
@@ -201,6 +204,40 @@ def test_projection_retangents_velocity(params):
     proj = project_to_constraint(params, SystemState(2.0, 1.0, 4.0, 0.0))
     assert proj.p_dot == 1.0
     assert proj.l_dot == pytest.approx(0.75, rel=1e-12)  # (R - p) p_dot / l
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    R_exp=st.floats(-6.0, 6.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    var=st.sampled_from(list(ModelVariant)),
+    angle=st.floats(-math.pi, math.pi),
+    off=st.floats(-1e-3, 1e-3),
+    speed_exp=st.floats(-3.0, 3.0),
+    v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+def test_projection_is_the_radial_map_to_rounding(R_exp, m, M, k, p0_ratio, var, angle, off, speed_exp, v):
+    # criterion 11's space, with R over twelve decades and starts up to
+    # 1e-3 R off the circle: the projection lands on the circle, is a fixed
+    # point of itself, moves the position along the normal only and leaves
+    # a tangent velocity, each to a few rounding errors of its scale
+    R = 10.0**R_exp
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    r, speed = R * (1.0 + off), R * 10.0**speed_exp
+    st_ = SystemState(R - r * math.cos(angle), speed * v[0], r * math.sin(angle), speed * v[1])
+    proj = project_to_constraint(params, st_)
+    assert abs(holonomic_h(params, proj.p, proj.l)) <= 8 * _EPS * R**2
+    again = project_to_constraint(params, proj)
+    assert math.hypot(again.p - proj.p, again.l - proj.l) <= 8 * _EPS * R
+    # the displacement's component along the tangent (-l, p - R) / R
+    dp, dl = proj.p - st_.p, proj.l - st_.l
+    assert abs(dp * proj.l - dl * (proj.p - R)) <= 4 * _EPS * R**2
+    # a velocity near the underflow threshold is rounded to the subnormal spacing
+    speed = math.hypot(proj.p_dot, proj.l_dot)
+    assert abs((proj.p - R) * proj.p_dot + proj.l * proj.l_dot) <= 4 * R * (_EPS * speed + math.ulp(0.0))
 
 
 # --- simulate ---------------------------------------------------------------
@@ -371,7 +408,7 @@ def test_simulate_conserves_energy_and_constraint(variant):
     # every latched sample and every event state is projected onto the
     # circle; only the derived variant's flow conserves energy as well
     params = SystemParams(variant=variant)
-    h_tol = 1e-12 * max(1.0, params.R**2)
+    h_tol = 8 * _EPS * params.R**2
     events = 0
     F_L = -5.0
     for x0 in (SystemState(1, 0, 3, 0), _saddle_starts(params, F_L, (-0.5,))[0]):
@@ -386,6 +423,33 @@ def test_simulate_conserves_energy_and_constraint(variant):
             assert abs(holonomic_h(params, ev.state.p, ev.state.l)) <= h_tol
         events += len(traj.events)
     assert events
+
+
+def _scaled_run(params, x0, F_L, L):
+    """``simulate`` with every length (R, p0, the start, F_L and abs_tol) scaled by L, read back in units of L."""
+    scaled = dataclasses.replace(params, R=params.R * L, p0=params.p0 * L)
+    traj = simulate(scaled, SystemState(*(v * L for v in x0)), F_L * L, 10.0, IntegratorConfig(abs_tol=1e-10 * L))
+    return (
+        traj.t, [tuple(v / L for v in x) for x in traj.x], traj.mode, traj.tau,
+        [(ev.t, ev.kind, tuple(v / L for v in ev.state)) for ev in traj.events],
+    )
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_simulate_is_exactly_scale_covariant(variant):
+    # lengths scaled by a power of two scale every float of a run exactly,
+    # and the time and tau do not change: no setting but abs_tol is a
+    # length.  The starts stay latched to t_end or release by either guard
+    params = SystemParams(variant=variant)
+    cases = [(SystemState(1.0, 0.0, 3.0, 0.0), -5.0)]
+    cases += [(_saddle_starts(params, F_L, (d,))[0], F_L) for F_L, d in ((-1.0, 0.5), (-15.0, 0.5), (-15.0, 0.0))]
+    outcomes = set()
+    for x0, F_L in cases:
+        base = _scaled_run(params, x0, F_L, 1.0)
+        outcomes.add(base[4][0][1] if base[4] else base[2][-1])
+        for L in (2.0**-20, 2.0**-7, 2.0**9):
+            assert _scaled_run(params, x0, F_L, L) == base, (x0, F_L, L)
+    assert outcomes == {EventKind.UNLATCH_TAU_ZERO, EventKind.TAKEOFF_TANGENCY, Mode.LATCHED}
 
 
 def test_simulate_unlatched_energies_decouple(params):
