@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidStartError
+from .config import _MAX_ITEMS
+from .errors import ConfigError, InvalidStartError
 from .model import SystemParams, SystemState, latch_from_projectile
 from .equilibria import _near_arc, _newton_correct, balance_residual
 from .published import design_closed_form
@@ -116,7 +117,9 @@ def trace_path(
     F_L_end), each the near-arc point that ``fixed_points`` gives at that
     F_L; one Newton call solves them all.  The start must satisfy the
     equilibrium balance; the path never extends past F_L = 0, where the
-    branch ceases to exist.  Terminates
+    branch ceases to exist.  A span from F_L0 to F_L_end of more than
+    ``_MAX_ITEMS`` samples at that spacing raises ConfigError before any
+    sample is computed, wherever the start lies.  Terminates
     with REACHED_ZERO_FORCE at F_L_end, or LEFT_DOMAIN at once when the
     start lies on the far arc (p* >= R), which does not reach F_L = 0.
     """
@@ -134,6 +137,9 @@ def trace_path(
             f"start ({p_start}, {fl_start}) violates the equilibrium balance "
             f"(residual {res:.3e})"
         )
+
+    if (F_L_end - fl_start) / _FL_STEP > _MAX_ITEMS - 1:  # ceil((F_L_end - F_L0) / step) + 1 samples
+        raise ConfigError(f"a trace from F_L={fl_start} would take more than {_MAX_ITEMS} samples")
 
     near = p_start < params.R  # the far arc does not reach F_L = 0
     fls, fl = [fl_start], fl_start

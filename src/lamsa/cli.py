@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NoReturn
 
 import numpy as np
 
-from .bifurcation import _FL_STEP, design_feasibility, saddle_region_map, trace_path
+from .bifurcation import design_feasibility, saddle_region_map, trace_path
 from .config import _KEYS, _MAX_ITEMS, RunConfig, apply_overrides, build_config, parse_config, sweep_values
 from .config import parse_fl_range, parse_grid  # not called; kept importable because perfbench/tracer.py wraps them
 from .equilibria import FixedPoint, fixed_point_sweep, fixed_points, unlatched_fixed_point
@@ -161,8 +161,6 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_trace(cfg: RunConfig) -> int:
     """Continue the saddle from the interior fixed point at the configured F_L."""
-    if -cfg.F_L / _FL_STEP > _MAX_ITEMS - 1:  # ceil(-F_L / step) + 1 samples
-        raise ConfigError(f"a trace from F_L={cfg.F_L} would take more than {_MAX_ITEMS} samples")
     pts = [p for p in fixed_points(cfg.params, cfg.F_L) if not p.origin_flag]
     if not pts:
         raise ConfigError(f"no interior fixed point exists at F_L={cfg.F_L}")

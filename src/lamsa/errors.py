@@ -31,10 +31,6 @@ class StepSizeUnderflowError(NumericalError):
     """Adaptive step shrank below the minimum without meeting tolerance (only while latched)."""
 
 
-class NoSignChangeError(NumericalError):
-    """Event bracket endpoints do not straddle a zero."""
-
-
 class StructureViolationError(NumericalError):
     """A Jacobian does not have the expected latched-mode sparsity."""
 

@@ -11,10 +11,11 @@ Release is detected by two guards watched in the latched phase:
 * projectile reaching the latch radius p = R (tangency: no contact force
   can act on the projectile there).
 
-Whichever happens first switches the system to the unlatched flow; there
-is no re-latching.  The unlatched flow has a closed form (a harmonic
-oscillator for the projectile, constant acceleration for the latch), so
-the flight is evaluated, not integrated.  It ends at ``t_end`` or when
+One bisection finds the first state where either guard fires, and
+tangency wins where both hold; the release switches the system to the
+unlatched flow, and there is no re-latching.  The unlatched flow has a
+closed form (a harmonic oscillator for the projectile, constant
+acceleration for the latch), so the flight is evaluated, not integrated.  It ends at ``t_end`` or when
 the projectile crosses the spring's natural length moving outward, where
 the model stops describing the physics.
 """
@@ -29,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NoSignChangeError, StepSizeUnderflowError
+from .errors import StepSizeUnderflowError
 from .model import (
     Mode,
     SystemParams,
@@ -69,10 +70,11 @@ class IntegratorConfig:
     ``event_time_tol`` bounds the bisection bracket of the release on the
     step's third-order Hermite interpolant, not the error against the
     flow: on the benchmark's release design the derived release times are
-    1.86e-9 off a DOP853 reference.  The start, each latched step and the
-    release state are projected onto the constraint circle exactly.  With
-    ``abs_tol`` and every length scaled by a power of two, a run scales
-    bit for bit.
+    1.86e-9 off a DOP853 reference.  The bisection also ends at the float
+    resolution of t, where its midpoint equals an end of the bracket.  The
+    start, each latched step and the release state are projected onto the
+    constraint circle exactly.  With ``abs_tol`` and every length scaled
+    by a power of two, a run scales bit for bit.
     """
 
     rel_tol: float = 1e-8
@@ -91,6 +93,9 @@ class IntegratorConfig:
 class EventKind(Enum):
     UNLATCH_TAU_ZERO = "UnlatchTauZero"
     TAKEOFF_TANGENCY = "TakeoffTangency"
+
+
+_UNLATCH, _TAKEOFF = EventKind.UNLATCH_TAU_ZERO, EventKind.TAKEOFF_TANGENCY
 
 
 @dataclass(frozen=True)
@@ -276,28 +281,20 @@ def _locate_zero(
     t_hi: float,
     y_hi: SystemState,
     f_hi: Sequence[float],
-    g: Callable[[SystemState], float],
+    kind: EventKind,
+    guard: Callable[[SystemState], EventKind | None],
     event_time_tol: float,
-) -> tuple[float, SystemState]:
-    """(t, state) at a zero of the guard ``g`` inside one integration step.
+) -> tuple[float, SystemState, EventKind]:
+    """(t, state, kind) where the first guard fires inside one latched step.
 
-    The latched step from (t_lo, y_lo) to (t_hi, y_hi), with fields f_lo
-    and f_hi there, is reconstructed with cubic Hermite interpolation;
-    bisection narrows the crossing time to ``event_time_tol``.  ``g``
-    must change sign across the step (else NoSignChangeError); a zero at
-    either end is returned as is.
+    The step from (t_lo, y_lo) to (t_hi, y_hi), with fields f_lo and f_hi
+    there, is reconstructed with cubic Hermite interpolation.  ``guard``
+    gives the kind of release that fires at a state, or None; the caller
+    has read ``kind`` firing at y_hi and nothing at y_lo.  Bisection
+    narrows the bracket to ``event_time_tol``, or until its midpoint is
+    one of its ends; the state is the interpolant's at the last midpoint
+    and the kind is the one read at the bracket's end.
     """
-    g_lo = g(y_lo)
-    g_hi = g(y_hi)
-    if g_lo == 0.0:
-        return t_lo, y_lo
-    if g_hi == 0.0:
-        return t_hi, y_hi
-    if g_lo * g_hi > 0.0:
-        raise NoSignChangeError(
-            f"guard has the same sign at both bracket ends: g({t_lo})={g_lo}, g({t_hi})={g_hi}"
-        )
-
     h = t_hi - t_lo
 
     def interp(t: float) -> SystemState:
@@ -312,18 +309,16 @@ def _locate_zero(
             c0 * y_lo[3] + c1 * y_hi[3] + h * (d0 * f_lo[3] + d1 * f_hi[3]),
         ))
 
-    a, b, ga = t_lo, t_hi, g_lo
-    while b - a > event_time_tol:
-        mid = 0.5 * (a + b)
-        gm = g(interp(mid))
-        if gm == 0.0:
-            return mid, interp(mid)
-        if ga * gm < 0.0:
-            b = mid
+    a, b = t_lo, t_hi
+    mid = 0.5 * (a + b)
+    while b - a > event_time_tol and a < mid < b:
+        fired = guard(interp(mid))
+        if fired is None:
+            a = mid
         else:
-            a, ga = mid, gm
-    t_ev = 0.5 * (a + b)
-    return t_ev, interp(t_ev)
+            b, kind = mid, fired
+        mid = 0.5 * (a + b)
+    return mid, interp(mid), kind
 
 
 def project_to_constraint(params: SystemParams, state: SystemState) -> SystemState:
@@ -346,31 +341,6 @@ def project_to_constraint(params: SystemParams, state: SystemState) -> SystemSta
     else:
         p_dot = l * l_dot / rp
     return _new_state((R - rp, p_dot, l, l_dot))
-
-
-def _release_event(
-    params: SystemParams,
-    F_L: float,
-    bracket: tuple[float, SystemState, Sequence[float], float, SystemState, Sequence[float]],
-    unlatch: bool,
-    takeoff: bool,
-    event_time_tol: float,
-) -> Event:
-    """Locate the release inside a latched step whose end fired a guard.
-
-    ``bracket`` is (t, state, field) at the step's start and at the end
-    that fired.  When both guards fire the earlier wins, and a tie within
-    ``event_time_tol`` means tangency: at p = R no contact force can hold
-    the projectile regardless of tau.  The event state is projected.
-    """
-    if unlatch:
-        t, y = _locate_zero(*bracket, lambda s: contact_force(params, s, F_L), event_time_tol)
-        kind = EventKind.UNLATCH_TAU_ZERO
-    if takeoff:
-        t_take, y_take = _locate_zero(*bracket, lambda s: s[0] - params.R, event_time_tol)
-        if not unlatch or t_take <= t + event_time_tol:
-            t, y, kind = t_take, y_take, EventKind.TAKEOFF_TANGENCY
-    return Event(t, project_to_constraint(params, y), kind)
 
 
 def _append_flight(
@@ -430,19 +400,20 @@ def simulate(
 
     The starting mode is inferred from the state (on the circle with
     positive contact force -> latched).  At most one latched->unlatched
-    switch can occur; its event is recorded with the interpolated state,
-    projected onto the constraint circle.  While latched, the release
-    guards are read on each step's integrated end state and then on its
-    projection onto the constraint, the state the next step starts from;
-    the first end that fires a guard closes the event's bracket.  The
-    latched field is evaluated once at the projected start and once at
-    each projected step end, and that one value is the sample's tau, the
-    guard's tau there, the next step's first stage and the event
-    interpolant's slope; the integrated end's tau is its step's last
-    stage.  The unlatched flight is appended in closed form.  ``F_L`` and
-    ``t_end`` are taken as floats, so every sample holds plain floats; a
-    non-finite ``x0``, ``F_L`` or ``t_end`` raises ValueError, and a sample
-    that overflows to a non-finite value raises OverflowError.
+    switch can occur.  While latched, the release guards are read on each
+    step's integrated end state and then on its projection onto the
+    constraint, the state the next step starts from; the first end that
+    fires a guard closes the bracket of one bisection for the first state
+    where either guard fires, tangency winning where both hold.  The
+    event records that interpolated state, projected onto the constraint
+    circle.  The latched field is evaluated once at the projected start
+    and once at each projected step end, and that one value is the
+    sample's tau, the guard's tau there, the next step's first stage and
+    the event interpolant's slope; the integrated end's tau is its step's
+    last stage.  The unlatched flight is appended in closed form.  ``F_L``
+    and ``t_end`` are taken as floats, so every sample holds plain floats;
+    a non-finite ``x0``, ``F_L`` or ``t_end`` raises ValueError, and a
+    sample that overflows to a non-finite value raises OverflowError.
     """
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
@@ -496,9 +467,18 @@ def simulate(
                 unlatch = f_new[4] <= 0.0
                 takeoff = y_new[0] - R >= 0.0 and y[0] - R < 0.0
             if unlatch or takeoff:
-                event = _release_event(params, F_L, (t, y, f, t_new, y_hi, f_hi), unlatch, takeoff, cfg.event_time_tol)
-                traj.events.append(event)
-                t, y, mode = event.t, event.state, _UNLATCHED
+                armed = y[0] - R < 0.0  # tangency fires only on a step that began below R
+
+                def guard(s: SystemState) -> EventKind | None:
+                    if armed and s[0] - R >= 0.0:
+                        return _TAKEOFF
+                    return _UNLATCH if contact_force(params, s, F_L) <= 0.0 else None
+
+                t, y, kind = _locate_zero(
+                    t, y, f, t_new, y_hi, f_hi, _TAKEOFF if takeoff else _UNLATCH, guard, cfg.event_time_tol
+                )
+                y, mode = project_to_constraint(params, y), _UNLATCHED
+                traj.events.append(Event(t, y, kind))
                 traj.append(t, y, mode, 0.0)
                 break
 

@@ -471,15 +471,18 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     return traj
 
 
+class NoSignChange(Exception):
+    """``locate_zero_reference`` got a bracket whose guard values share a sign."""
+
+
 def locate_zero_reference(field, event_time_tol: float, t_lo, y_lo, t_hi, y_hi, g):
     """Bisect a guard zero on the cubic Hermite interpolant of one step of ``field``.
 
     ``field`` maps a state to its time derivative.  The interpolant builds
     each state from a generator over the four components; returns
-    (t, state) and raises NoSignChangeError for a bracket whose guard
-    values share a sign.
+    (t, state) and raises NoSignChange for a bracket whose guard values
+    share a sign.
     """
-    from lamsa.errors import NoSignChangeError
     from lamsa.model import SystemState
 
     f_lo = field(y_lo)
@@ -503,7 +506,7 @@ def locate_zero_reference(field, event_time_tol: float, t_lo, y_lo, t_hi, y_hi, 
     if g_hi == 0.0:
         return t_hi, y_hi
     if g_lo * g_hi > 0.0:
-        raise NoSignChangeError(f"no sign change: g({t_lo})={g_lo}, g({t_hi})={g_hi}")
+        raise NoSignChange(f"no sign change: g({t_lo})={g_lo}, g({t_hi})={g_hi}")
     a, b, ga = t_lo, t_hi, g_lo
     while b - a > event_time_tol:
         mid = 0.5 * (a + b)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from lamsa import (
 )
 from lamsa.bifurcation import PathSample
 from lamsa.equilibria import _far_fold
-from lamsa.errors import InvalidStartError, SingularBoundError, SingularDenominatorError
+from lamsa.errors import ConfigError, InvalidStartError, SingularBoundError, SingularDenominatorError
 from lamsa.model import latch_from_projectile
 from lamsa.published import (
     _DENOM_TOL,
@@ -250,6 +252,23 @@ def test_trace_path_rejects_bad_start(params):
         trace_path(params, (REF_SADDLE_P, -15.0), F_L_end=1.0)  # past zero
     with pytest.raises(InvalidStartError):
         trace_path(params, (REF_SADDLE_P, -15.0), F_L_end=-16.0)  # backwards
+
+
+@pytest.mark.parametrize("fl_start", [-1.5e7, -1e20])
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_trace_path_refuses_an_oversized_path_before_it_allocates(variant, fl_start):
+    # 3e8 and 2e21 samples from balanced starts (the one at -1e20 sits at
+    # p* = R, on the far arc), where a million floats would take 8 MB
+    params = SystemParams(variant=variant)
+    start = (_interior_p(params, fl_start), fl_start)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=re.escape(f"a trace from F_L={fl_start} would take more")):
+            trace_path(params, start, F_L_end=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_no_interior_point_for_positive_force(params):

@@ -24,7 +24,7 @@ from lamsa import (
 )
 from lamsa.cli import _portrait_initial_states
 from lamsa.config import RunConfig
-from lamsa.errors import LamsaError, NoSignChangeError, StepSizeUnderflowError
+from lamsa.errors import LamsaError, StepSizeUnderflowError
 from lamsa.model import _field_arr, mode_of
 from lamsa.simulate import _locate_zero, _step_raw, integrate_step, project_to_constraint
 
@@ -143,6 +143,15 @@ def _tau_fn(params, F_L):
     return lambda s: contact_force(params, s, F_L)
 
 
+def _unlatch_guard(params, F_L):
+    tau = _tau_fn(params, F_L)
+    return lambda s: EventKind.UNLATCH_TAU_ZERO if tau(s) <= 0.0 else None
+
+
+def _tangency_guard(params):
+    return lambda s: EventKind.TAKEOFF_TANGENCY if s.p - params.R >= 0.0 else None
+
+
 def test_locate_event_tau_crossing(cc_params):
     # march the latched flow into the tau sign change, then bisect it
     cfg = IntegratorConfig()
@@ -153,10 +162,14 @@ def test_locate_event_tau_crossing(cc_params):
     for _ in range(2000):
         new, f_new, dt, _ = integrate_step(cc_params, st, f, F_L, 5e-3, _tol(st, cfg))
         if _tau_fn(cc_params, F_L)(new) < 0:
-            t_ev, y_ev = _locate_zero(t, st, f, t + dt, new, f_new, _tau_fn(cc_params, F_L), cfg.event_time_tol)
+            t_ev, y_ev, kind = _locate_zero(
+                t, st, f, t + dt, new, f_new, EventKind.UNLATCH_TAU_ZERO, _unlatch_guard(cc_params, F_L),
+                cfg.event_time_tol,
+            )
             tau_lo = _tau_fn(cc_params, F_L)(st)
             tau_hi = _tau_fn(cc_params, F_L)(new)
             derived_tol = 4.0 * abs(tau_hi - tau_lo) / dt * cfg.event_time_tol + 1e-12
+            assert kind is EventKind.UNLATCH_TAU_ZERO
             assert t < t_ev <= t + dt
             assert abs(_tau_fn(cc_params, F_L)(y_ev)) <= derived_tol
             return
@@ -164,22 +177,22 @@ def test_locate_event_tau_crossing(cc_params):
     pytest.fail("tau never crossed zero")
 
 
-def test_locate_event_position_crossing(params):
-    # a latched step through the tangency p = R with monotone p
+@pytest.mark.parametrize("t0", [0.0, 6e5], ids=["t0", "t_coarser_than_tol"])
+def test_locate_event_position_crossing(params, t0):
+    # a latched step through the tangency p = R with monotone p; at t = 6e5
+    # the float spacing of t (1.16e-10) exceeds event_time_tol, and the
+    # bisection ends where its midpoint is an end of the bracket
     cfg = IntegratorConfig()
     st = _latched_start(params, 4.99, 2.0)
     f = _field_arr(params, st, -5.0)
     new, f_new, dt, _ = integrate_step(params, st, f, -5.0, 1e-2, _tol(st, cfg))
     assert new.p > params.R
-    _, y_ev = _locate_zero(0.0, st, f, dt, new, f_new, lambda s: s.p - params.R, cfg.event_time_tol)
-    assert abs(y_ev.p - params.R) <= 2.0 * abs(new.p_dot) * cfg.event_time_tol + 1e-12
-
-
-def test_locate_event_requires_sign_change(params):
-    st = SystemState(1.0, 0.0, 3.0, 0.0)
-    f = _field_arr(params, st, 0.0)
-    with pytest.raises(NoSignChangeError):
-        _locate_zero(0.0, st, f, 0.1, st, f, lambda s: 1.0, IntegratorConfig().event_time_tol)
+    t_ev, y_ev, kind = _locate_zero(
+        t0, st, f, t0 + dt, new, f_new, EventKind.TAKEOFF_TANGENCY, _tangency_guard(params), cfg.event_time_tol
+    )
+    assert kind is EventKind.TAKEOFF_TANGENCY
+    assert t0 < t_ev <= t0 + dt
+    assert abs(y_ev.p - params.R) <= 2.0 * abs(new.p_dot) * max(cfg.event_time_tol, math.ulp(t0)) + 1e-12
 
 
 # --- project_to_constraint --------------------------------------------------
@@ -791,15 +804,60 @@ def test_locate_zero_equals_reference(variant):
     y_hi, f_hi, dt, _ = integrate_step(params, y_lo, f_lo, F_L, 1e-2, _tol(y_lo, cfg))
     assert y_hi.p > params.R
 
-    def g(s):
-        return s[0] - params.R
-
     def field(y):
         return _field_arr(params, y, F_L)
 
-    got = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, g, cfg.event_time_tol)
-    assert got == locate_zero_reference(field, cfg.event_time_tol, 0.0, y_lo, dt, y_hi, g)
-    with pytest.raises(NoSignChangeError):
-        _locate_zero(0.0, y_hi, f_hi, dt, y_hi, f_hi, g, cfg.event_time_tol)
-    with pytest.raises(NoSignChangeError):
-        locate_zero_reference(field, cfg.event_time_tol, 0.0, y_hi, dt, y_hi, g)
+    t, y, kind = _locate_zero(
+        0.0, y_lo, f_lo, dt, y_hi, f_hi, EventKind.TAKEOFF_TANGENCY, _tangency_guard(params), cfg.event_time_tol
+    )
+    assert kind is EventKind.TAKEOFF_TANGENCY
+    assert (t, y) == locate_zero_reference(field, cfg.event_time_tol, 0.0, y_lo, dt, y_hi, lambda s: s[0] - params.R)
+
+
+# Latched starts (F_L, p, p_dot) whose release step ends with both guards
+# fired, p >= R and tau <= 0, one per winning kind; found by a random
+# search over starts with p in (4, 5) and p_dot in (0, 10).
+_BOTH_GUARDS_FIRE = {
+    ModelVariant.AS_PRINTED: [
+        (-11.450315654725951, 4.426533696177016, 7.203815817047216, EventKind.UNLATCH_TAU_ZERO),
+        (-2.1134500127348694, 4.180930347390652, 1.6407678673898185, EventKind.TAKEOFF_TANGENCY),
+    ],
+    ModelVariant.CONSTRAINT_CONSISTENT: [
+        (-4.587085400169563, 4.549972323129303, 0.41557190173267755, EventKind.UNLATCH_TAU_ZERO),
+        (-5.0845469871764255, 4.648846052010239, 1.1869795383392345, EventKind.TAKEOFF_TANGENCY),
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_release_where_both_guards_fire_equals_reference(monkeypatch, variant):
+    # one bisection over both guards gives the kind and time that the
+    # reference's two bisections and its tie rule give
+    sim = importlib.import_module("lamsa.simulate")
+    locate_zero, ends = sim._locate_zero, []
+
+    def locate(*args):
+        ends.append(args[4])
+        return locate_zero(*args)
+
+    monkeypatch.setattr(sim, "_locate_zero", locate)
+    params = SystemParams(variant=variant)
+    cfg = IntegratorConfig()
+    for F_L, p, p_dot, want in _BOTH_GUARDS_FIRE[variant]:
+        ends.clear()
+        traj = _assert_same_as_reference(params, _latched_start(params, p, p_dot), F_L, 1.0, cfg)
+        (y_hi,) = ends
+        assert y_hi.p >= params.R and _tau_fn(params, F_L)(y_hi) <= 0.0
+        assert [e.kind for e in traj.events] == [want]
+
+
+def test_release_bisection_ends_below_the_float_spacing_of_t(params):
+    # event_time_tol is below ulp(t) at the release, so the bracket never
+    # gets that narrow; the bisection ends where its midpoint is an end
+    F_L = -5.0
+    p = 1.1 * next(fp.p_star for fp in fixed_points(params, F_L) if not fp.origin_flag)
+    x0 = SystemState(p, 0.0, latch_from_projectile(params, p), 0.0)
+    traj = simulate(params, x0, F_L, 10.0, IntegratorConfig(event_time_tol=1e-16))
+    (event,) = traj.events
+    assert event.kind is EventKind.TAKEOFF_TANGENCY
+    assert abs(event.t - 0.9116180492679367) <= 1e-15
