@@ -179,8 +179,7 @@ def saddle_region_map(params: SystemParams, p_grid: np.ndarray, F_L_grid: np.nda
         raise ValueError("F_L grid must be non-positive")
 
     p = p_grid[:, None]
-    rp = params.R - p
-    l = np.sqrt(params.R * params.R - rp * rp)  # latch_from_projectile, node by node
+    l = np.sqrt(p * (2.0 * params.R - p))  # latch_from_projectile, node by node
     h1, h2, in_s = _in_S_at(params, p, l, F_L_grid[None, :])
     return RegionMap(p_grid=p_grid, F_L_grid=F_L_grid, h1=h1, h2=h2, in_S=in_s)
 

@@ -193,9 +193,15 @@ def cmd_region_map(cfg: RunConfig) -> int:
 
 
 def cmd_quiver(cfg: RunConfig) -> int:
-    """Implicit-diff slope dp*/dF_L over the raster; nan where dD/dp is numerically zero."""
+    """Implicit-diff slope dp*/dF_L over the raster; nan where dD/dp is numerically zero.
+
+    Any other non-finite slope, as from |F_L| above about 1e154, where the
+    quartic's F_L^2 overflows, raises NumericalError.
+    """
     p_grid, fl_grid = _raster(cfg)
-    slope, _ = _implicit_slope(cfg.params, p_grid[:, None], fl_grid[None, :])
+    slope, singular = _implicit_slope(cfg.params, p_grid[:, None], fl_grid[None, :])
+    if not (singular | np.isfinite(slope)).all():
+        raise NumericalError("a result overflowed to a non-finite value")
     rows = _raster_rows(p_grid, fl_grid, map(fmt, slope.ravel().tolist()))
     out = _Artifacts(cfg)
     out.write("quiver.csv", write_csv, QUIVER_HEADER, rows)

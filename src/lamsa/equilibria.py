@@ -5,12 +5,12 @@ angle theta as p = R (1 - cos theta), l = R sin theta.  Zeroing the
 projectile acceleration with the contact force substituted gives the
 force balance
 
-    F_s(p) * l(p) * c1 = (p - R) * F_L * c2
+    c * F_s(p) * l(p) = (p - R) * F_L,   c = d/M,
 
-(c1 = 1/M, c2 = 1/m for AS_PRINTED; c1 = c2 = 1 for the
-constraint-consistent variant).  With c = c1/c2 and a = p0 - R > 0 it
-reads F_L = -c k (a + R cos theta) tan theta on the circle, and it splits
-into two arcs:
+with d the latch-force divisor ``SystemParams`` resolves (m printed, M
+derived, so c = m/M or 1).  With a = p0 - R > 0 it reads
+F_L = -c k (a + R cos theta) tan theta on the circle, and it splits into
+two arcs:
 
 * Near arc, p in (0, R).  With t = tan theta and s = sqrt(1 + t^2),
   G(t) = c k (a + R/s) t + F_L = 0.  G is increasing
@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EquilibriumBalanceError
-from .model import _PRINTED, Mode, SystemParams, SystemState, _check_contact_window, _field_arr, spring_force
+from .model import Mode, SystemParams, SystemState, _field_arr, latch_from_projectile, spring_force
 from .published import roots_in_interval  # not called here; kept importable because perfbench/tracer.py wraps lamsa.equilibria.roots_in_interval
 
 __all__ = [
@@ -93,19 +93,15 @@ class FixedPoint(NamedTuple):
 def balance_residual(params: SystemParams, p: float, F_L: float) -> float:
     """Signed residual of the unsquared equilibrium balance at p.
 
-    Zero (to round-off) exactly at genuine equilibria; the squared quartic
-    cannot distinguish the sign of the two sides, this can.  The latch
-    position is l = sqrt(p (2R - p)), which, unlike sqrt(R^2 - (R - p)^2),
-    keeps its digits as p -> 0.  Raises ContactWindowError for p outside
-    [0, 2R].
+    The residual is c F_s l - (p - R) F_L with c = d/M, the balance of
+    the module docstring, which the theta-Newton solves.  It is zero (to
+    round-off) exactly at genuine equilibria; the squared quartic cannot
+    distinguish the sign of the two sides, this can.  The latch position
+    is ``latch_from_projectile``'s, which raises ContactWindowError for p
+    outside [0, 2R].
     """
-    _check_contact_window(params, p)
-    l = math.sqrt(p * (2.0 * params.R - p))
-    if params.variant is _PRINTED:
-        c1, c2 = 1.0 / params.M, 1.0 / params.m
-    else:
-        c1 = c2 = 1.0
-    return spring_force(params, p) * l * c1 - (p - params.R) * F_L * c2
+    l = latch_from_projectile(params, p)
+    return spring_force(params, p) * l * (params._d / params.M) - (p - params.R) * F_L
 
 
 def _make_fp(
@@ -118,11 +114,11 @@ def _make_fp(
 
 
 def _near_arc(params: SystemParams, F_L):
-    """(c k, start, stop in tan theta) of Newton's near-arc solve at F_L <= 0 (c = m/M printed, 1 derived).
+    """(c k, start, stop in tan theta) of Newton's near-arc solve at F_L <= 0 (c = d/M).
 
     F_L may be a float or a numpy array; start and stop follow it.
     """
-    ck = params.k * (params.m / params.M if params.variant is _PRINTED else 1.0)
+    ck = params.k * (params._d / params.M)
     return ck, -F_L / (ck * params.p0), -F_L / (ck * (params.p0 - params.R))
 
 

@@ -18,7 +18,7 @@ conversion is performed anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -53,11 +53,6 @@ class ModelVariant(Enum):
     CONSTRAINT_CONSISTENT = "derived"
 
 
-# the one variant every formula tests ``params.variant`` against; a module
-# constant, because Python 3.11 fetches Enum members through a descriptor
-_PRINTED = ModelVariant.AS_PRINTED
-
-
 class Mode(Enum):
     """Latched: in contact with positive contact force.  Unlatched: free."""
 
@@ -73,9 +68,12 @@ class SystemParams:
     ``k``: spring stiffness, ``p0``: spring natural length (must exceed
     the latch radius).  ``variant`` selects the contact-force flavour; it
     must be a ModelVariant member, not its text ("printed").
-    It is set here and only here: every routine of the package reads it
-    from the params it is given, and ``dataclasses.replace(params,
-    variant=...)`` gives the same actuator under the other variant.
+    It is resolved here and only here, into the one number it changes:
+    ``_d``, the mass that divides the latch force in the contact force
+    (m printed, M derived).  Every formula of the package reads ``_d``.
+    It is derived, not a constructor argument, and ``==``, ``hash`` and
+    ``repr`` leave it out; ``dataclasses.replace(params, variant=...)``
+    recomputes it, giving the same actuator under the other variant.
     """
 
     m: float = 1.0
@@ -84,6 +82,7 @@ class SystemParams:
     k: float = 1.0
     p0: float = 10.0
     variant: ModelVariant = ModelVariant.AS_PRINTED
+    _d: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.variant, ModelVariant):
@@ -93,6 +92,7 @@ class SystemParams:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not self.R < self.p0 < math.inf:
             raise ValueError(f"p0 must be finite and exceed the latch radius R={self.R}, got {self.p0}")
+        object.__setattr__(self, "_d", self.m if self.variant is ModelVariant.AS_PRINTED else self.M)
 
     @property
     def h_tol(self) -> float:
@@ -127,22 +127,17 @@ def holonomic_h(params: SystemParams, p: float, l: float) -> float:
     return l * l + rp * rp - params.R * params.R
 
 
-def _check_contact_window(params: SystemParams, p: float) -> None:
-    """Raise ContactWindowError for p outside [0, 2R], where the circle has no latch position."""
-    if p < 0.0 or p > 2.0 * params.R:
-        raise ContactWindowError(f"p={p} outside the contact window [0, {2.0 * params.R}]")
-
-
 def latch_from_projectile(params: SystemParams, p: float) -> float:
     """Non-negative latch position on the constraint circle for a given p.
 
-    Solves h(p, l) = 0 for l >= 0.  Defined for p in [0, 2R]; raises
-    ContactWindowError outside that window.
+    Solves h(p, l) = 0 for l >= 0 as l = sqrt(p (2R - p)), which, unlike
+    sqrt(R^2 - (R - p)^2), carries no cancellation and keeps its digits
+    as p -> 0.  Defined for p in [0, 2R]; raises ContactWindowError
+    outside that window.
     """
-    _check_contact_window(params, p)
-    rp = params.R - p
-    # clamp round-off when p is within eps of 0 or 2R
-    return math.sqrt(max(0.0, params.R * params.R - rp * rp))
+    if p < 0.0 or p > 2.0 * params.R:
+        raise ContactWindowError(f"p={p} outside the contact window [0, {2.0 * params.R}]")
+    return math.sqrt(p * (2.0 * params.R - p))
 
 
 def contact_force(params: SystemParams, state: Sequence[float], F_L: float) -> float:
@@ -189,8 +184,7 @@ def _field_arr(params: SystemParams, x: Sequence[float], F_L: float) -> tuple[fl
         raise SingularConfigurationError(
             f"contact-force denominator W={w} is not positive at p={p}, l={l}"
         )
-    d = m if params.variant is _PRINTED else M
-    lam = (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / d) / w
+    lam = (-(p_dot * p_dot + l_dot * l_dot) + (R - p) * fs / m - l * F_L / params._d) / w
     return (p_dot, (fs + (p - R) * lam) / m, l_dot, (F_L + l * lam) / M, lam)
 
 

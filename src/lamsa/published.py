@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SingularBoundError, SingularDenominatorError
-from .model import _PRINTED, SystemParams
+from .model import SystemParams
 
 if TYPE_CHECKING:
     from .equilibria import FixedPoint
@@ -72,15 +72,13 @@ class QuarticD:
 def quartic_coefficients(params: SystemParams, F_L: float) -> QuarticD:
     """Equilibrium quartic coefficients for a given latch force.
 
-    AS_PRINTED carries the published mass factors (1/M^2 on spring terms,
-    1/m^2 on latch-force terms); the constraint-consistent variant has
-    them cancelled.
+    The spring terms carry 1/M^2 and the latch-force terms 1/d^2, d the
+    latch-force divisor: the published factors for AS_PRINTED (d = m),
+    and for the constraint-consistent variant (d = M) its quartic scaled
+    by 1/M^2.
     """
-    m, M, R, k, p0 = params.m, params.M, params.R, params.k, params.p0
-    if params.variant is _PRINTED:
-        im2, iM2 = 1.0 / (m * m), 1.0 / (M * M)
-    else:
-        im2 = iM2 = 1.0
+    R, k, p0, d = params.R, params.k, params.p0, params._d
+    im2, iM2 = 1.0 / (d * d), 1.0 / (params.M * params.M)
     k2 = k * k
     fl2 = F_L * F_L
     return QuarticD(
@@ -144,7 +142,7 @@ def roots_in_interval(
 
 
 def _dD_dFL(params: SystemParams, p: float, F_L: float) -> float:
-    im2 = 1.0 / (params.m * params.m) if params.variant is _PRINTED else 1.0
+    im2 = 1.0 / (params._d * params._d)
     R = params.R
     return (-2.0 * F_L * im2) * p * p + (4.0 * R * F_L * im2) * p - 2.0 * F_L * R * R * im2
 

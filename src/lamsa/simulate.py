@@ -49,7 +49,6 @@ __all__ = [
     "simulate",
 ]
 
-_MIN_STEP = 1e-14
 # Python 3.11 fetches Enum members through a Python-level descriptor
 _LATCHED, _UNLATCHED = Mode.LATCHED, Mode.UNLATCHED
 # SystemState._make without its Python-level classmethod frame
@@ -74,7 +73,10 @@ class IntegratorConfig:
     resolution of t, where its midpoint equals an end of the bracket.  The
     start, each latched step and the release state are projected onto the
     constraint circle exactly.  With ``abs_tol`` and every length scaled
-    by a power of two, a run scales bit for bit.
+    by a power of two, a run scales bit for bit.  The floors follow the
+    run's times: the error control may not shrink a step below
+    1e-12 ``max_step``, and an end within 1e-14 ``t_end`` takes no
+    further sample.
     """
 
     rel_tol: float = 1e-8
@@ -254,24 +256,27 @@ def integrate_step(
     F_L: float,
     dt: float,
     tol: float,
+    min_step: float,
 ) -> tuple[SystemState, tuple[float, float, float, float, float], float, float]:
     """Take one accepted adaptive step of the latched field, not projected.
 
     ``f_state`` is ``_field_arr`` at ``state``, every trial's first stage,
-    ``dt`` the first trial's step and ``tol`` > 0 the error bound at
-    ``state``.  Shrinks the step until the embedded error estimate is at
-    most ``tol``; raises StepSizeUnderflowError below the step floor.
+    ``dt`` the first trial's step, ``tol`` > 0 the error bound at
+    ``state`` and ``min_step`` the step floor.  Shrinks the step until the
+    embedded error estimate is at most ``tol``; raises
+    StepSizeUnderflowError when it would shrink the step below the floor
+    (a first trial below it, as a last step clipped to t_end, is tried).
     Returns (new_state, field_at_new_state, dt_used, error_estimate).
     """
     while True:
-        if dt < _MIN_STEP:
-            raise StepSizeUnderflowError(
-                f"step size {dt:.3e} below floor {_MIN_STEP:.0e} without meeting tolerance"
-            )
         y_new, f_new, err = _step_raw(params, F_L, state, f_state, dt)
         if err <= tol:
             return y_new, f_new, dt, err
         dt *= max(0.2, 0.9 * (tol / err) ** 0.2)
+        if dt < min_step:
+            raise StepSizeUnderflowError(
+                f"step size {dt:.3e} below floor {min_step:.3e} without meeting tolerance"
+            )
 
 
 def _locate_zero(
@@ -426,10 +431,11 @@ def simulate(
     add_t, add_x, add_mode, add_tau = traj.t.append, traj.x.append, traj.mode.append, traj.tau.append
     mode = mode_of(params, x0, F_L)
     t = 0.0
-    margin = 1e-14 * max(1.0, t_end)  # an end within it takes no further sample
+    margin = 1e-14 * t_end  # an end within it takes no further sample
     t_last = t_end - margin
     y = SystemState(*map(float, x0))
     rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    min_step = 1e-12 * max_step  # the step floor
     R, sqrt = params.R, math.sqrt
 
     if mode is _LATCHED:
@@ -451,7 +457,7 @@ def simulate(
         tol = max(rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot), abs_tol)
         while t < t_last:
             h = t_end - t
-            y_end, f_end, dt_used, err = integrate_step(params, y, f, F_L, h if h < dt else dt, tol)
+            y_end, f_end, dt_used, err = integrate_step(params, y, f, F_L, h if h < dt else dt, tol, min_step)
             t_new = t + dt_used
             y_new = project_to_constraint(params, y_end)
             f_new = _field_arr(params, y_new, F_L)

@@ -18,8 +18,9 @@ and saddle-ness depends only on (h1, h2): h1 < 0, or h1 >= 0 with
 h2 > 0.
 
 At a rest state (p, 0, l, 0) the contact force is tau = N/W with
-N = (R - p) F_s/m - l F_L/d and W = (R - p)^2/m + l^2/M (d = m printed,
-d = M derived), so the entries follow in closed form:
+N = (R - p) F_s/m - l F_L/d and W = (R - p)^2/m + l^2/M (d the
+latch-force divisor ``SystemParams`` resolves: m printed, M derived), so
+the entries follow in closed form:
 
     A = (-k + tau - (R - p) tau_p)/m,   B = -(R - p) tau_l/m,
     G = l tau_p/M,                      D = (tau + l tau_l)/M,
@@ -48,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import StructureViolationError
-from .model import _PRINTED, SystemParams, SystemState, _field_arr
+from .model import SystemParams, SystemState, _field_arr
 from .equilibria import FixedPoint
 
 __all__ = [
@@ -92,8 +93,7 @@ def _latched_abgd(params: SystemParams, p, l, F_L):
     contact-force denominator W must be positive, as on every on-circle
     state with p < R.
     """
-    m, M, k = params.m, params.M, params.k
-    d = m if params.variant is _PRINTED else M
+    m, M, k, d = params.m, params.M, params.k, params._d
     rp = params.R - p
     fs = -k * (p - params.p0)
     w = rp * rp / m + l * l / M
@@ -172,19 +172,16 @@ def classify(h1: float, h2: float, eps: float | None = None) -> Classification:
     Saddle iff h1 < -eps, or h1 >= -eps with h2 > eps; Marginal when both
     invariants sit inside the tolerance band (the boundary case is
     numerically undecidable); NonSaddle otherwise.  The default tolerance
-    is ``_saddle_test``'s.
+    is ``_saddle_test``'s; ``_class_labels`` maps the test to the label.
     """
     if eps is not None and eps < 0.0:
         raise ValueError("eps must be non-negative")
+    return Classification(_class_labels(h1, h2, eps))
+
+
+def _class_labels(h1, h2, eps=None):
+    """``Classification`` value of the saddle test: a str for floats, a list of them for arrays."""
     saddle, marginal = _saddle_test(h1, h2, eps)
-    if saddle:
-        return Classification.SADDLE
-    return Classification.MARGINAL if marginal else Classification.NON_SADDLE
-
-
-def _class_labels(h1: np.ndarray, h2: np.ndarray) -> list[str]:
-    """``classify(a, b).value`` for each pair of the invariant arrays, with the default band."""
-    saddle, marginal = _saddle_test(h1, h2)
     labels = np.where(marginal, Classification.MARGINAL.value, Classification.NON_SADDLE.value)
     return np.where(saddle, Classification.SADDLE.value, labels).tolist()
 

@@ -384,12 +384,13 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
         tol = tolerance(y)
         dt = min(dt_suggestion, cfg.max_step)
         while True:
-            if dt < 1e-14:
-                raise StepSizeUnderflowError(f"step size {dt:.3e} below floor")
             y_new, err = trial(y, dt)
             if err <= tol:
                 return y_new, dt, err
+            # the floor bounds the shrinking, not a first trial (a last step clipped to t_end)
             dt *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
+            if dt / cfg.max_step < 1e-12:
+                raise StepSizeUnderflowError(f"step size {dt:.3e} below floor")
 
     def suggest(dt_used, err, tol):
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
@@ -421,7 +422,7 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
     traj = Trajectory()
     mode = mode_of(params, x0, F_L)
     t = 0.0
-    t_last = t_end - 1e-14 * max(1.0, t_end)
+    t_last = t_end * (1.0 - 1e-14)  # the end margin is relative to t_end
     y = SystemState(*map(float, x0))
     if mode is Mode.LATCHED:
         y = project_to_constraint(params, y)

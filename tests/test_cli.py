@@ -46,7 +46,7 @@ from lamsa.cli import (
 from lamsa.config import _KEYS, _MAX_ITEMS, RunConfig, apply_overrides, build_config
 from lamsa.errors import ConfigError, SingularDenominatorError
 from lamsa.io import fmt, trajectory_rows, write_trajectory
-from lamsa.published import nominal_rhs
+from lamsa.published import _implicit_slope, nominal_rhs
 
 from conftest import REF_SADDLE_P
 
@@ -598,11 +598,18 @@ def test_oversized_run_is_refused_before_it_allocates(tmp_path, capsys, argv, me
 
 
 @pytest.mark.parametrize(
-    "argv", [["classify", "--fl-range=-1e308:0:1e307"], ["equilibria", "--fl-range=-1e308:0:1e308"]]
+    "argv",
+    [
+        ["classify", "--fl-range=-1e308:0:1e307"],
+        ["equilibria", "--fl-range=-1e308:0:1e308"],
+        ["quiver", "--grid", "4x3", "--fl-range=-1e160:0:1e159"],
+    ],
 )
 def test_overflowing_sweep_is_a_numerical_failure(tmp_path, capsys, argv):
     # at a latch force near 1e308 the closed forms overflow to nan or inf,
-    # which no artifact may carry
+    # which no artifact may carry; the quartic's F_L^2 overflows from about
+    # 1e154, where the slope is finite (-4.0e-153 at F_L = -1e153, p = 1)
+    # but not singular
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "lamsa: numerical failure: a result overflowed to a non-finite value\n"
@@ -654,15 +661,18 @@ _CLI_FLAGS = {
 def _non_finite_artifacts(out: Path) -> list[str]:
     """Names of the artifacts holding a nan or infinite value.
 
-    Exempt are the documented ones: ``quiver.csv``'s nan where dD/dp is
-    numerically zero and the overlay's unlatched rest point, which has no
-    l_star; ``index.csv``'s detail column is an error message, not a value.
+    Exempt are the documented ones: ``quiver.csv``'s nan at the nodes
+    where ``_implicit_slope`` flags dD/dp numerically zero, and the
+    overlay's unlatched rest point, which has no l_star; ``index.csv``'s
+    detail column is an error message, not a value.
     """
     found = []
     for path in out.iterdir():
-        if path.name == "quiver.csv":
-            continue
         rows = [line.split(",") for line in path.read_text().splitlines()]
+        if path.name == "quiver.csv":
+            for row, singular in zip(rows[1:], _singular_quiver_nodes(out)):
+                if singular and row[2] == "nan":
+                    del row[2]
         if path.name == "overlay.csv":
             del rows[-1][2]
         if path.name == "index.csv":
@@ -670,6 +680,20 @@ def _non_finite_artifacts(out: Path) -> list[str]:
         if re.search(r"(?i)\b(nan|inf|infinity)\b", "\n".join(map(",".join, rows))):
             found.append(path.name)
     return found
+
+
+def _singular_quiver_nodes(out: Path) -> np.ndarray:
+    """``_implicit_slope``'s singular flag at each node of a quiver run's raster, p-major.
+
+    The raster is rebuilt from the parameters, sweep and grid that the
+    run's manifest echoes.
+    """
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    keys = ("m", "M", "R", "k", "p0", "variant", "fl_range", "grid")
+    cfg = apply_overrides(RunConfig(), **{key: _KEYS[key].read(str(echo[key]), key) for key in keys})
+    p_grid, fl_grid = cli._raster(cfg)
+    singular = _implicit_slope(cfg.params, p_grid[:, None], fl_grid[None, :])[1]
+    return np.broadcast_to(singular, (p_grid.size, fl_grid.size)).ravel()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

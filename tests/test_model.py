@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import pickle
+import types
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lamsa import (
     SystemParams,
     SystemState,
     contact_force,
+    fixed_points,
     holonomic_h,
     latch_from_projectile,
     mechanical_energy,
@@ -20,7 +23,9 @@ from lamsa import (
     spring_force,
 )
 from lamsa.errors import ContactWindowError, SingularConfigurationError
+from lamsa.equilibria import balance_residual, fixed_point_sweep
 from lamsa.model import _field_arr
+from lamsa.published import _implicit_slope, quartic_coefficients
 
 from conftest import REF_SADDLE_FL, REF_SADDLE_P
 from oracles import latched_contact_force, vector_field
@@ -49,7 +54,7 @@ def test_params_reject_non_finite_values(name, bad):
 
 @pytest.mark.parametrize("bad", ["printed", "bogus", None])
 def test_params_reject_a_variant_that_is_not_a_model_variant(bad):
-    # every formula tests the variant by identity: its text would run the
+    # SystemParams resolves the variant by identity: its text would run the
     # derived physics without a word
     with pytest.raises(ValueError, match=rf"^variant must be a ModelVariant, got {bad!r}$"):
         SystemParams(variant=bad)
@@ -75,6 +80,16 @@ def test_latch_from_projectile_examples(params):
         latch_from_projectile(params, -0.01)
     with pytest.raises(ContactWindowError):
         latch_from_projectile(params, 10.01)
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_latch_from_projectile_keeps_its_digits_as_p_goes_to_zero(variant):
+    # sqrt(R^2 - (R - p)^2) cancels as p -> 0: it put the derived l at
+    # F_L = -1e-6 0.26 % off the equilibrium's own l*, and gave 0 at p = 1e-17
+    params = SystemParams(variant=variant)
+    fp = fixed_points(params, -1e-6)[1]
+    assert latch_from_projectile(params, fp.p_star) == pytest.approx(fp.l_star, rel=1e-15, abs=0.0)
+    assert latch_from_projectile(params, 1e-17) == pytest.approx(1e-8, rel=1e-15)
 
 
 def test_latch_position_satisfies_constraint(params):
@@ -259,3 +274,37 @@ def test_no_routine_takes_a_variant_argument():
         assert "variant" not in parameters, obj
     assert checked > 80
     assert "variant" in inspect.signature(SystemParams).parameters
+
+
+def test_formulas_read_the_resolved_divisor_not_the_variant():
+    # SystemParams resolves the variant into _d, the mass dividing the latch
+    # force (m printed, M derived), and every formula reads _d: a params
+    # record without a variant attribute gives the same numbers
+    p_grid, fl = np.linspace(0.5, 4.5, 5), np.linspace(-15.0, -0.5, 4)
+    for variant in ModelVariant:
+        params = SystemParams(m=2.0, variant=variant)
+        bare = types.SimpleNamespace(**{f.name: getattr(params, f.name) for f in fields(params) if f.name != "variant"})
+        st = SystemState(1.0, 0.3, latch_from_projectile(params, 1.0), -0.2)
+        assert _field_arr(bare, st, -5.0) == _field_arr(params, st, -5.0)
+        assert balance_residual(bare, 1.0, -5.0) == balance_residual(params, 1.0, -5.0)
+        np.testing.assert_array_equal(fixed_point_sweep(bare, fl), fixed_point_sweep(params, fl))
+        assert quartic_coefficients(bare, -5.0) == quartic_coefficients(params, -5.0)
+        for got, want in zip(_implicit_slope(bare, p_grid[:, None], fl), _implicit_slope(params, p_grid[:, None], fl)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_divisor_is_derived_and_invisible():
+    printed = SystemParams(m=2.0)
+    derived = replace(printed, variant=ModelVariant.CONSTRAINT_CONSISTENT)
+    assert (printed._d, derived._d) == (2.0, 5.0)
+    back = replace(derived, variant=ModelVariant.AS_PRINTED)
+    assert back._d == 2.0 and back == printed and hash(back) == hash(printed) and printed != derived
+    assert repr(printed) == "SystemParams(m=2.0, M=5.0, R=5.0, k=1.0, p0=10.0, variant=<ModelVariant.AS_PRINTED: 'printed'>)"
+    assert [f.name for f in fields(SystemParams) if f.init or f.compare or f.repr] == ["m", "M", "R", "k", "p0", "variant"]
+    restored = pickle.loads(pickle.dumps(derived))
+    assert restored == derived and restored._d == 5.0
+    assert (hash(restored), repr(restored)) == (hash(derived), repr(derived))
+    with pytest.raises(TypeError):
+        SystemParams(_d=1.0)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(printed, _d=1.0)

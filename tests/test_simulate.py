@@ -52,9 +52,14 @@ def _tol(st, cfg=IntegratorConfig()):
     return max(cfg.rel_tol * math.sqrt(sum(v * v for v in st)), cfg.abs_tol)
 
 
+def _floor(cfg=IntegratorConfig()):
+    """The step floor ``simulate`` gives ``integrate_step``: 1e-12 max_step."""
+    return 1e-12 * cfg.max_step
+
+
 def _step(params, st, F_L, dt, cfg=IntegratorConfig()):
     """(new_state, dt_used, err) of ``integrate_step`` from ``st``, its field evaluated here."""
-    new, _, dt, err = integrate_step(params, st, _field_arr(params, st, F_L), F_L, dt, _tol(st, cfg))
+    new, _, dt, err = integrate_step(params, st, _field_arr(params, st, F_L), F_L, dt, _tol(st, cfg), _floor(cfg))
     return new, dt, err
 
 
@@ -78,7 +83,7 @@ def test_integrator_config_rejects_non_finite_values(name, bad):
 def test_step_at_fixed_point_is_stationary(params):
     st = SystemState(0.0, 0.0, 0.0, 0.0)
     f = _field_arr(params, st, 0.0)
-    new, f_new, dt, err = integrate_step(params, st, f, 0.0, 1e-3, _tol(st))
+    new, f_new, dt, err = integrate_step(params, st, f, 0.0, 1e-3, _tol(st), _floor())
     assert new == st and f_new == f
     assert err == 0.0
     assert dt == 1e-3
@@ -160,7 +165,7 @@ def test_locate_event_tau_crossing(cc_params):
     t = 0.0
     f = _field_arr(cc_params, st, F_L)
     for _ in range(2000):
-        new, f_new, dt, _ = integrate_step(cc_params, st, f, F_L, 5e-3, _tol(st, cfg))
+        new, f_new, dt, _ = integrate_step(cc_params, st, f, F_L, 5e-3, _tol(st, cfg), _floor(cfg))
         if _tau_fn(cc_params, F_L)(new) < 0:
             t_ev, y_ev, kind = _locate_zero(
                 t, st, f, t + dt, new, f_new, EventKind.UNLATCH_TAU_ZERO, _unlatch_guard(cc_params, F_L),
@@ -185,7 +190,7 @@ def test_locate_event_position_crossing(params, t0):
     cfg = IntegratorConfig()
     st = _latched_start(params, 4.99, 2.0)
     f = _field_arr(params, st, -5.0)
-    new, f_new, dt, _ = integrate_step(params, st, f, -5.0, 1e-2, _tol(st, cfg))
+    new, f_new, dt, _ = integrate_step(params, st, f, -5.0, 1e-2, _tol(st, cfg), _floor(cfg))
     assert new.p > params.R
     t_ev, y_ev, kind = _locate_zero(
         t0, st, f, t0 + dt, new, f_new, EventKind.TAKEOFF_TANGENCY, _tangency_guard(params), cfg.event_time_tol
@@ -465,6 +470,27 @@ def test_simulate_is_exactly_scale_covariant(variant):
     assert outcomes == {EventKind.UNLATCH_TAU_ZERO, EventKind.TAKEOFF_TANGENCY, Mode.LATCHED}
 
 
+@pytest.mark.parametrize(
+    "variant, kind, t_release",
+    [(ModelVariant.AS_PRINTED, EventKind.TAKEOFF_TANGENCY, 0.9116180492),
+     (ModelVariant.CONSTRAINT_CONSISTENT, EventKind.UNLATCH_TAU_ZERO, 5.6393581739)],
+)
+@pytest.mark.parametrize("k", [1.0, 1e26, 1e30])
+def test_simulate_releases_alike_whatever_the_time_unit(variant, kind, t_release, k):
+    # a stiff spring shrinks the time unit T = sqrt(m/k); with t_end and the
+    # step settings in units of T, the end margin (1e-14 t_end) and the step
+    # floor (1e-12 max_step) follow it, so the run releases as at k = 1.
+    # The printed times agree less closely: the error norm mixes position
+    # and velocity, whose ratio is T
+    params = SystemParams(k=k, variant=variant)
+    T, F_L = math.sqrt(params.m / k), -5.0 * k
+    x0 = _latched_start(params, 1.1 * fixed_points(params, F_L)[1].p_star)
+    traj = simulate(params, x0, F_L, 10.0 * T, IntegratorConfig(max_step=1e-2 * T, event_time_tol=1e-10 * T))
+    (event,) = traj.events
+    assert event.kind is kind
+    assert event.t / T == pytest.approx(t_release, rel=1e-6 if variant is ModelVariant.AS_PRINTED else 1e-10)
+
+
 def test_simulate_unlatched_energies_decouple(params):
     traj = simulate(params, SystemState(9.0, 0.5, 2.0, 0.3), -2.0, 5.0)
     assert not traj.events
@@ -603,8 +629,8 @@ def test_flight_matches_dop853_and_stops_at_the_outward_crossing(
         assert abs(traj.t[-1] - s_star) <= 1e-12 * max(1.0, s_star)
         assert traj.x[-1].p_dot > 0.0
     else:
-        # as in the latched phase, a horizon within 1e-14 takes no sample
-        assert traj.t[-1] == (t_end if t_end > 1e-14 else 0.0)
+        # the end margin is 1e-14 t_end, so any horizon t_end > 0 takes its sample
+        assert traj.t[-1] == t_end
         assert s_star is None or s_star >= t_end - 1e-12 * max(1.0, t_end)
 
 
@@ -801,7 +827,7 @@ def test_locate_zero_equals_reference(variant):
     F_L = -5.0
     y_lo = _latched_start(params, 4.99, 2.0)
     f_lo = _field_arr(params, y_lo, F_L)
-    y_hi, f_hi, dt, _ = integrate_step(params, y_lo, f_lo, F_L, 1e-2, _tol(y_lo, cfg))
+    y_hi, f_hi, dt, _ = integrate_step(params, y_lo, f_lo, F_L, 1e-2, _tol(y_lo, cfg), _floor(cfg))
     assert y_hi.p > params.R
 
     def field(y):

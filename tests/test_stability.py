@@ -263,7 +263,8 @@ def test_closed_form_is_the_symbolic_jacobian(var):
     acc_l = (fl + l * tau) / M
     rest = {v: 0, w: 0}
     exact = [sp.diff(acc, x).subs(rest) for acc in (acc_p, acc_l) for x in (p, l)]
-    symbolic_params = types.SimpleNamespace(m=m, M=M, R=R, k=k, p0=p0, variant=var)
+    # no variant attribute: the closed form reads only the divisor d that SystemParams resolves
+    symbolic_params = types.SimpleNamespace(m=m, M=M, R=R, k=k, p0=p0, _d=d)
     closed = _latched_abgd(symbolic_params, p, l, fl)
     for mine, want in zip(closed, exact):
         assert sp.simplify(sp.nsimplify(mine, rational=True) - want) == 0

@@ -1,0 +1,165 @@
+"""Compare the artifacts that two source trees write for one fixed set of runs.
+
+    python tools/artifact_diff.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of the repository (``src/lamsa`` and
+``perfbench/`` under it).  For each tree a fresh Python process, with
+that tree's ``src`` first on ``sys.path``, writes every run of ``RUNS``
+and three of the benchmark's runs for both model variants, and records the outcomes of the benchmark's
+``release`` design (its starts read from the tree's
+``perfbench/workloads.py``) at each seed of ``RELEASE_SEEDS``.  The two
+trees' files are then compared body by body.  A manifest is compared
+without its ``created`` stamp and its output-directory echo.
+
+Per file the tool prints "equal", or the number of differing cells with
+the largest absolute and relative difference between them.  A cell is
+one CSV field or one JSON leaf; a cell that is not a number counts as
+differing when its text differs.  The exit status is 1 when any body
+differs or a file exists in one tree only, and 0 otherwise.  The tool
+needs numpy only (through lamsa).
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH_SEED = 8675309
+RELEASE_SEEDS = (8675309, 1, 2, 3)
+SWEEP = "--fl-range=-15:0:0.05"
+
+# run name -> CLI arguments; the benchmark's jittered portrait and its
+# 60x40 region-map and quiver at BENCH_SEED are added per tree
+RUNS = {
+    "simulate_fl-5": ["simulate", "--fl", "-5"],
+    "simulate_fl-1_t30": ["simulate", "--fl", "-1", "--t-end", "30"],
+    **{f"portrait_fl{fl}": ["phase-portrait", "--fl", fl] for fl in ("-15", "-5", "-1")},
+    "equilibria": ["equilibria", SWEEP],
+    "classify": ["classify", SWEEP],
+    "trace_fl-15": ["trace", "--fl", "-15"],
+    "trace_fl-3.3": ["trace", "--fl", "-3.3"],
+    "design-check": ["design-check"],
+}
+VARIANTS = ("printed", "derived")
+
+
+def write_tree_artifacts(tree: Path, out: Path) -> None:
+    """Write every run and the release outcomes of ``tree`` under ``out`` (in this process)."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import lamsa.cli
+    import workloads
+
+    work = out / "_inputs"
+    work.mkdir(parents=True)
+    runs = dict(RUNS)
+    runs["portrait_bench"] = ["phase-portrait", "--config", str(workloads.Portrait(BENCH_SEED, False, work).config)]
+    for argv in workloads.Analysis(BENCH_SEED, False, work).commands:
+        if argv[0] in ("region-map", "quiver"):
+            runs[f"{argv[0]}_bench"] = argv
+    for name, argv in runs.items():
+        for variant in VARIANTS:
+            rc = lamsa.cli.main([*argv, "--variant", variant, "--out", str(out / name / variant)])
+            if rc != 0:
+                raise SystemExit(f"{tree}: {name} ({variant}) exited with {rc}")
+
+    for seed in RELEASE_SEEDS:
+        design = workloads.Release(seed, False, work)
+        rows = [["variant", "F_L", "kind", "t_event", "t_final", "p_final", "p_dot_final"]]
+        for variant, F_L, x0 in design.starts:
+            traj = lamsa.simulate(design.params[variant], x0, F_L, design.t_end)
+            ev = traj.events[0] if traj.events else None
+            final = traj.final
+            rows.append([variant, repr(F_L), ev.kind.value if ev else "", repr(ev.t) if ev else "",
+                         repr(final.t), repr(final.state.p), repr(final.state.p_dot)])
+        with open(out / f"release_seed{seed}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _cells(path: Path) -> list[str]:
+    """The file's cells in order: CSV fields, or JSON leaves (a manifest without its stamp and output dir)."""
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [cell for row in csv.reader(fh) for cell in row + ["\n"]]
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if path.name == "manifest.json":
+        data.pop("created", None)
+        data.get("config", {}).pop("out_dir", None)
+    leaves: list[str] = []
+
+    def walk(node: object, key: str) -> None:
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, f"{key}.{k}")
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, f"{key}[{i}]")
+        else:
+            leaves.extend((key, json.dumps(node)))
+
+    walk(data, "")
+    return leaves
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare(old: Path, new: Path) -> str | None:
+    """None when the bodies are equal, else a one-line account of the differing cells."""
+    a, b = _cells(old), _cells(new)
+    if len(a) != len(b):
+        return f"shape differs: {len(a)} cells against {len(b)}"
+    n = text = 0
+    worst_abs = worst_rel = 0.0
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        n += 1
+        u, v = _number(x), _number(y)
+        if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
+            text += 1
+            continue
+        worst_abs = max(worst_abs, abs(u - v))
+        worst_rel = max(worst_rel, abs(u - v) / max(abs(u), abs(v)))
+    if not n:
+        return None
+    note = f", {text} not numbers" if text else ""
+    return f"{n} cells differ{note}; max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--write":  # the per-tree child process
+        write_tree_artifacts(Path(argv[1]).resolve(), Path(argv[2]))
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = [Path(t).resolve() for t in argv]
+    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
+        outs = [Path(tmp) / side for side in ("old", "new")]
+        for tree, out in zip(trees, outs):
+            subprocess.run([sys.executable, __file__, "--write", str(tree), str(out)], check=True)
+        files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file() and p.parts[-2] != "_inputs"}
+                 for out in outs]
+        differ = False
+        for rel in sorted(files[0] | files[1]):
+            if rel not in files[0] or rel not in files[1]:
+                print(f"{rel}: only in {'new' if rel in files[1] else 'old'}")
+                differ = True
+                continue
+            verdict = compare(outs[0] / rel, outs[1] / rel)
+            print(f"{rel}: {verdict or 'equal'}")
+            differ |= verdict is not None
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
