@@ -116,11 +116,12 @@ def trace_path(
     Samples go at F_L0 + 0.05, F_L0 + 0.10, ... (the last clipped to
     F_L_end), each the near-arc point that ``fixed_points`` gives at that
     F_L; one Newton call solves them all.  The start must satisfy the
-    equilibrium balance; the path never extends past F_L = 0, where the
-    branch ceases to exist.  A span from F_L0 to F_L_end of more than
+    equilibrium balance to 1e-8 max(k p0 R, |F_L0 R|), a tolerance with no
+    absolute floor; the path never extends past F_L = 0, where the branch
+    ceases to exist.  A span from F_L0 to F_L_end of more than
     ``_MAX_ITEMS`` samples at that spacing raises ConfigError before any
-    sample is computed, wherever the start lies.  Terminates
-    with REACHED_ZERO_FORCE at F_L_end, or LEFT_DOMAIN at once when the
+    sample is computed, wherever the start lies.  Terminates with
+    REACHED_ZERO_FORCE at F_L_end, or LEFT_DOMAIN at once when the
     start lies on the far arc (p* >= R), which does not reach F_L = 0.
     """
     p_start, fl_start = float(start[0]), float(start[1])
@@ -131,7 +132,7 @@ def trace_path(
     if F_L_end > 0.0:
         raise InvalidStartError("the equilibrium branch does not extend past F_L = 0")
     res = balance_residual(params, p_start, fl_start)
-    scale = max(1.0, abs(params.k * params.p0 * params.R), abs(fl_start * params.R))
+    scale = max(params.k * params.p0 * params.R, abs(fl_start * params.R))
     if abs(res) > _START_BALANCE_TOL * scale:
         raise InvalidStartError(
             f"start ({p_start}, {fl_start}) violates the equilibrium balance "

@@ -224,8 +224,7 @@ def _portrait_initial_states(cfg: RunConfig) -> list[SystemState]:
     vs = np.linspace(-cfg.v_max, cfg.v_max, n_v)
     if cfg.jitter:
         rng = np.random.default_rng(cfg.seed)
-        dp = 0.25 * (ps[1] - ps[0]) if len(ps) > 1 else 0.0
-        dv = 0.25 * (vs[1] - vs[0]) if len(vs) > 1 else 0.0
+        dp, dv = 0.25 * (ps[1] - ps[0]), 0.25 * (vs[1] - vs[0])
         ps = ps + rng.uniform(-dp, dp, size=ps.shape)
         vs = vs + rng.uniform(-dv, dv, size=vs.shape)
     states = []
@@ -235,11 +234,11 @@ def _portrait_initial_states(cfg: RunConfig) -> list[SystemState]:
             v = float(v)
             if 0.0 < p < R:
                 l = latch_from_projectile(cfg.params, p)
-                l_dot = (R - p) * v / l if l > 0.0 else 0.0
-                states.append(SystemState(p, v, l, l_dot))
+                states.append(SystemState(p, v, l, (R - p) * v / l))
             else:
-                # latch parked off-contact: these starts are unlatched
-                states.append(SystemState(p, v, 0.5 * R, 0.0))
+                # latch parked off-contact at l = 2R, where h = 3R^2 + (R - p)^2 > 0:
+                # these starts are unlatched, outside the latch for every p
+                states.append(SystemState(p, v, 2.0 * R, 0.0))
     return states
 
 

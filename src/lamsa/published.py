@@ -173,11 +173,7 @@ def _implicit_slope(params: SystemParams, p, F_L):
     q = quartic_coefficients(params, F_L)
     den = eval_quartic_derivative(q, p)
     singular = _dp_singular(q, p, den)
-    if isinstance(singular, np.ndarray):
-        den = np.where(singular, np.nan, den)
-    elif singular:
-        return float("nan"), True
-    return -_dD_dFL(params, p, F_L) / den, singular
+    return -_dD_dFL(params, p, F_L) / np.where(singular, np.nan, den), singular
 
 
 def nominal_rhs(params: SystemParams, p: float, F_L: float) -> float:
@@ -189,7 +185,7 @@ def nominal_rhs(params: SystemParams, p: float, F_L: float) -> float:
     slope, singular = _implicit_slope(params, p, F_L)
     if singular:
         raise SingularDenominatorError(f"dD/dp ~ 0 at p={p}, F_L={F_L}")
-    return slope
+    return float(slope)
 
 
 def printed_slope(params: SystemParams, p: float, F_L: float) -> float:

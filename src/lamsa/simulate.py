@@ -5,19 +5,17 @@ with the contact force substituted, each step projected back onto the
 constraint circle (the latched flow of the AS_PRINTED variant drifts off
 it; the CONSTRAINT_CONSISTENT one stays on it up to integration error).
 
-Release is detected by two guards watched in the latched phase:
-
-* contact force crossing zero from above (the latch stops pushing), and
-* projectile reaching the latch radius p = R (tangency: no contact force
-  can act on the projectile there).
-
-One bisection finds the first state where either guard fires, and
-tangency wins where both hold; the release switches the system to the
-unlatched flow, and there is no re-latching.  The unlatched flow has a
-closed form (a harmonic oscillator for the projectile, constant
-acceleration for the latch), so the flight is evaluated, not integrated.  It ends at ``t_end`` or when
-the projectile crosses the spring's natural length moving outward, where
-the model stops describing the physics.
+Release is one rule, the predicate ``release`` inside ``simulate``: the
+projectile reaches the latch radius p >= R on a step that began below it
+(tangency: no contact force can act on the projectile there), or else
+the contact force stops pushing, tau <= 0.  The start's check, each
+latched step's two end readings and the bisection for the first state
+where the rule fires all call it.  The release switches the system to
+the unlatched flow, and there is no re-latching.  The unlatched flow has
+a closed form (a harmonic oscillator for the projectile, constant
+acceleration for the latch), so the flight is evaluated, not integrated.
+It ends at ``t_end`` or when the projectile crosses the spring's natural
+length moving outward, where the model stops describing the physics.
 """
 
 from __future__ import annotations
@@ -286,19 +284,17 @@ def _locate_zero(
     t_hi: float,
     y_hi: SystemState,
     f_hi: Sequence[float],
-    kind: EventKind,
-    guard: Callable[[SystemState], EventKind | None],
+    guard: Callable[..., EventKind | None],
     event_time_tol: float,
 ) -> tuple[float, SystemState, EventKind]:
-    """(t, state, kind) where the first guard fires inside one latched step.
+    """(t, state, kind) where the release rule first fires inside one latched step.
 
     The step from (t_lo, y_lo) to (t_hi, y_hi), with fields f_lo and f_hi
-    there, is reconstructed with cubic Hermite interpolation.  ``guard``
-    gives the kind of release that fires at a state, or None; the caller
-    has read ``kind`` firing at y_hi and nothing at y_lo.  Bisection
-    narrows the bracket to ``event_time_tol``, or until its midpoint is
-    one of its ends; the state is the interpolant's at the last midpoint
-    and the kind is the one read at the bracket's end.
+    there, is reconstructed with cubic Hermite interpolation.  ``guard(s,
+    tau=None)``, the release rule, fires at y_hi (tau f_hi[4]) and not at
+    y_lo.  Bisection narrows the bracket to ``event_time_tol``, or until
+    its midpoint is one of its ends; the state is the interpolant's at the
+    last midpoint, the kind the guard's at the bracket's end.
     """
     h = t_hi - t_lo
 
@@ -314,7 +310,7 @@ def _locate_zero(
             c0 * y_lo[3] + c1 * y_hi[3] + h * (d0 * f_lo[3] + d1 * f_hi[3]),
         ))
 
-    a, b = t_lo, t_hi
+    a, b, kind = t_lo, t_hi, guard(y_hi, f_hi[4])
     mid = 0.5 * (a + b)
     while b - a > event_time_tol and a < mid < b:
         fired = guard(interp(mid))
@@ -405,20 +401,21 @@ def simulate(
 
     The starting mode is inferred from the state (on the circle with
     positive contact force -> latched).  At most one latched->unlatched
-    switch can occur.  While latched, the release guards are read on each
-    step's integrated end state and then on its projection onto the
-    constraint, the state the next step starts from; the first end that
-    fires a guard closes the bracket of one bisection for the first state
-    where either guard fires, tangency winning where both hold.  The
-    event records that interpolated state, projected onto the constraint
-    circle.  The latched field is evaluated once at the projected start
-    and once at each projected step end, and that one value is the
-    sample's tau, the guard's tau there, the next step's first stage and
-    the event interpolant's slope; the integrated end's tau is its step's
-    last stage.  The unlatched flight is appended in closed form.  ``F_L``
-    and ``t_end`` are taken as floats, so every sample holds plain floats;
-    a non-finite ``x0``, ``F_L`` or ``t_end`` raises ValueError, and a
-    sample that overflows to a non-finite value raises OverflowError.
+    switch can occur.  The release rule ``release`` is read on the
+    projected start and, while latched, on each step's integrated end
+    state and then on its projection onto the constraint, the state the
+    next step starts from; the first end where it fires closes the
+    bracket of one bisection for the first state where it fires.  The
+    event records that state, projected onto the constraint circle.  The
+    latched field is evaluated once at the projected start and once at
+    each projected step end, and that one value is the sample's tau, the
+    rule's tau there, the next step's first stage and the event
+    interpolant's slope; the integrated end's tau is its step's last
+    stage, and the bisection's is ``contact_force``'s.  The flight is
+    appended in closed form.  ``F_L`` and ``t_end`` are taken as floats,
+    so every sample holds plain floats; a non-finite ``x0``, ``F_L`` or
+    ``t_end`` raises ValueError, and a sample that overflows to a
+    non-finite value raises OverflowError.
     """
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
@@ -428,7 +425,6 @@ def simulate(
         raise ValueError(f"F_L must be finite and t_end finite and non-negative, got {F_L}, {t_end}")
 
     traj = Trajectory()
-    add_t, add_x, add_mode, add_tau = traj.t.append, traj.x.append, traj.mode.append, traj.tau.append
     mode = mode_of(params, x0, F_L)
     t = 0.0
     margin = 1e-14 * t_end  # an end within it takes no further sample
@@ -437,11 +433,20 @@ def simulate(
     rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     min_step = 1e-12 * max_step  # the step floor
     R, sqrt = params.R, math.sqrt
+    armed = False  # tangency fires only on a step that began below R
+
+    def release(s: SystemState, tau: float | None = None) -> EventKind | None:
+        """The kind of release that fires at ``s``, or None; tau, if not given, from ``contact_force``."""
+        if armed and s[0] - R >= 0.0:
+            return _TAKEOFF
+        if tau is None:
+            tau = contact_force(params, s, F_L)
+        return _UNLATCH if tau <= 0.0 else None
 
     if mode is _LATCHED:
         y = project_to_constraint(params, y)
         f = _field_arr(params, y, F_L)
-        if f[4] <= 0.0:
+        if release(y, f[4]) is not None:
             mode = _UNLATCHED  # projection nudged a borderline tau past 0
     traj.append(t, y, mode, f[4] if mode is _LATCHED else 0.0)
 
@@ -462,37 +467,21 @@ def simulate(
             y_new = project_to_constraint(params, y_end)
             f_new = _field_arr(params, y_new, F_L)
 
-            # a guard fires on the integrated end state, bracketed by the
-            # step itself, or else on the projected end state, the state the
-            # next step would start from
+            # the rule fires on the integrated end, bracketed by the step
+            # itself, or else on the projected end, the next step's start
+            armed = y[0] - R < 0.0
             y_hi, f_hi = y_end, f_end
-            unlatch = f_end[4] <= 0.0
-            takeoff = y_end[0] - R >= 0.0 and y[0] - R < 0.0
-            if not (unlatch or takeoff):
+            if release(y_end, f_end[4]) is None:
                 y_hi, f_hi = y_new, f_new
-                unlatch = f_new[4] <= 0.0
-                takeoff = y_new[0] - R >= 0.0 and y[0] - R < 0.0
-            if unlatch or takeoff:
-                armed = y[0] - R < 0.0  # tangency fires only on a step that began below R
-
-                def guard(s: SystemState) -> EventKind | None:
-                    if armed and s[0] - R >= 0.0:
-                        return _TAKEOFF
-                    return _UNLATCH if contact_force(params, s, F_L) <= 0.0 else None
-
-                t, y, kind = _locate_zero(
-                    t, y, f, t_new, y_hi, f_hi, _TAKEOFF if takeoff else _UNLATCH, guard, cfg.event_time_tol
-                )
+            if release(y_hi, f_hi[4]) is not None:
+                t, y, kind = _locate_zero(t, y, f, t_new, y_hi, f_hi, release, cfg.event_time_tol)
                 y, mode = project_to_constraint(params, y), _UNLATCHED
                 traj.events.append(Event(t, y, kind))
                 traj.append(t, y, mode, 0.0)
                 break
 
             t, y, f = t_new, y_new, f_new
-            add_t(t)
-            add_x(y)
-            add_mode(_LATCHED)
-            add_tau(f[4])
+            traj.append(t, y, _LATCHED, f[4])
             p, p_dot, l, l_dot = y
             tol = rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
             tol = abs_tol if abs_tol > tol else tol

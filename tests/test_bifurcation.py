@@ -254,6 +254,19 @@ def test_trace_path_rejects_bad_start(params):
         trace_path(params, (REF_SADDLE_P, -15.0), F_L_end=-16.0)  # backwards
 
 
+def test_trace_path_start_tolerance_scales_with_a_small_system():
+    # k p0 R = 2e-12: the start's balance tolerance scales with the system,
+    # so a start at R/2, far from p* = 1.25e-9, is refused, while the
+    # equilibrium start still reaches F_L = 0
+    params = SystemParams(m=1.0, M=1.0, R=1e-6, k=1.0, p0=2e-6, variant=ModelVariant.CONSTRAINT_CONSISTENT)
+    fl_start = -1e-7
+    with pytest.raises(InvalidStartError):
+        trace_path(params, (0.5 * params.R, fl_start))
+    path = trace_path(params, (_interior_p(params, fl_start), fl_start))
+    assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
+    assert path.final.F_L == 0.0
+
+
 @pytest.mark.parametrize("fl_start", [-1.5e7, -1e20])
 @pytest.mark.parametrize("variant", list(ModelVariant))
 def test_trace_path_refuses_an_oversized_path_before_it_allocates(variant, fl_start):

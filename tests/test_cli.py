@@ -32,6 +32,7 @@ from lamsa import (
 )
 from lamsa import cli
 from lamsa.cli import (
+    _portrait_initial_states,
     cmd_classify,
     cmd_design_check,
     cmd_equilibria,
@@ -46,6 +47,7 @@ from lamsa.cli import (
 from lamsa.config import _KEYS, _MAX_ITEMS, RunConfig, apply_overrides, build_config
 from lamsa.errors import ConfigError, SingularDenominatorError
 from lamsa.io import fmt, trajectory_rows, write_trajectory
+from lamsa.model import holonomic_h
 from lamsa.published import _implicit_slope, nominal_rhs
 
 from conftest import REF_SADDLE_P
@@ -488,6 +490,29 @@ def test_phase_portrait_jitter_is_seed_deterministic(tmp_path):
     phase_portrait(cfg_b)
     assert (tmp_path / "a/index.csv").read_bytes() == (tmp_path / "b/index.csv").read_bytes()
     assert (tmp_path / "a/traj_0000.csv").read_bytes() == (tmp_path / "b/traj_0000.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    grid=st.tuples(st.integers(2, 25), st.integers(2, 25)),
+    jitter=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    R=st.floats(1.0, 8.0),
+    m=st.floats(0.2, 5.0),
+    M=st.floats(0.2, 8.0),
+    k=st.floats(0.2, 4.0),
+    p0_ratio=st.floats(1.05, 3.95),
+    var=st.sampled_from(list(ModelVariant)),
+)
+def test_portrait_starts_lie_on_or_outside_the_latch(grid, jitter, seed, R, m, M, k, p0_ratio, var):
+    # criterion 11's parameter space: a start below R sits on the circle,
+    # every other start has its latch parked outside the latch disc (h > 0)
+    params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
+    starts = _portrait_initial_states(RunConfig(params=params, grid=grid, jitter=jitter, seed=seed))
+    assert len(starts) == grid[0] * grid[1]
+    for x0 in starts:
+        h = holonomic_h(params, x0.p, x0.l)
+        assert (x0.p < R and abs(h) <= params.h_tol) or h > 0.0, (x0, h)
 
 
 # --- entry point ----------------------------------------------------------------

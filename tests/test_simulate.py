@@ -148,13 +148,15 @@ def _tau_fn(params, F_L):
     return lambda s: contact_force(params, s, F_L)
 
 
+# guards shaped like simulate's release rule: guard(s, tau=None), where a
+# given tau is the contact force at s
 def _unlatch_guard(params, F_L):
-    tau = _tau_fn(params, F_L)
-    return lambda s: EventKind.UNLATCH_TAU_ZERO if tau(s) <= 0.0 else None
+    tau_fn = _tau_fn(params, F_L)
+    return lambda s, tau=None: EventKind.UNLATCH_TAU_ZERO if (tau_fn(s) if tau is None else tau) <= 0.0 else None
 
 
 def _tangency_guard(params):
-    return lambda s: EventKind.TAKEOFF_TANGENCY if s.p - params.R >= 0.0 else None
+    return lambda s, tau=None: EventKind.TAKEOFF_TANGENCY if s.p - params.R >= 0.0 else None
 
 
 def test_locate_event_tau_crossing(cc_params):
@@ -168,8 +170,7 @@ def test_locate_event_tau_crossing(cc_params):
         new, f_new, dt, _ = integrate_step(cc_params, st, f, F_L, 5e-3, _tol(st, cfg), _floor(cfg))
         if _tau_fn(cc_params, F_L)(new) < 0:
             t_ev, y_ev, kind = _locate_zero(
-                t, st, f, t + dt, new, f_new, EventKind.UNLATCH_TAU_ZERO, _unlatch_guard(cc_params, F_L),
-                cfg.event_time_tol,
+                t, st, f, t + dt, new, f_new, _unlatch_guard(cc_params, F_L), cfg.event_time_tol
             )
             tau_lo = _tau_fn(cc_params, F_L)(st)
             tau_hi = _tau_fn(cc_params, F_L)(new)
@@ -192,12 +193,32 @@ def test_locate_event_position_crossing(params, t0):
     f = _field_arr(params, st, -5.0)
     new, f_new, dt, _ = integrate_step(params, st, f, -5.0, 1e-2, _tol(st, cfg), _floor(cfg))
     assert new.p > params.R
-    t_ev, y_ev, kind = _locate_zero(
-        t0, st, f, t0 + dt, new, f_new, EventKind.TAKEOFF_TANGENCY, _tangency_guard(params), cfg.event_time_tol
-    )
+    t_ev, y_ev, kind = _locate_zero(t0, st, f, t0 + dt, new, f_new, _tangency_guard(params), cfg.event_time_tol)
     assert kind is EventKind.TAKEOFF_TANGENCY
     assert t0 < t_ev <= t0 + dt
     assert abs(y_ev.p - params.R) <= 2.0 * abs(new.p_dot) * max(cfg.event_time_tol, math.ulp(t0)) + 1e-12
+
+
+@pytest.mark.parametrize("want", list(EventKind))
+def test_locate_zero_in_a_narrow_bracket_returns_the_guards_kind_at_its_end(params, want):
+    # a bracket already within event_time_tol takes no bisection step: the
+    # kind is the one the guard gives at the bracket's end, with its tau
+    cfg = IntegratorConfig()
+    F_L = -5.0
+    y_lo = _latched_start(params, 3.0, 1.0)
+    f_lo = _field_arr(params, y_lo, F_L)
+    dt = 0.5 * cfg.event_time_tol
+    y_hi, f_hi, _, _ = integrate_step(params, y_lo, f_lo, F_L, dt, _tol(y_lo, cfg), _floor(cfg))
+    calls = []
+
+    def guard(s, tau=None):
+        calls.append((s, tau))
+        return want
+
+    t, y, kind = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, guard, cfg.event_time_tol)
+    assert kind is want
+    assert calls == [(y_hi, f_hi[4])]
+    assert t == 0.5 * dt
 
 
 # --- project_to_constraint --------------------------------------------------
@@ -833,9 +854,7 @@ def test_locate_zero_equals_reference(variant):
     def field(y):
         return _field_arr(params, y, F_L)
 
-    t, y, kind = _locate_zero(
-        0.0, y_lo, f_lo, dt, y_hi, f_hi, EventKind.TAKEOFF_TANGENCY, _tangency_guard(params), cfg.event_time_tol
-    )
+    t, y, kind = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, _tangency_guard(params), cfg.event_time_tol)
     assert kind is EventKind.TAKEOFF_TANGENCY
     assert (t, y) == locate_zero_reference(field, cfg.event_time_tol, 0.0, y_lo, dt, y_hi, lambda s: s[0] - params.R)
 

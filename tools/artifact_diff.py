@@ -11,9 +11,12 @@ and three of the benchmark's runs for both model variants, and records the outco
 trees' files are then compared body by body.  A manifest is compared
 without its ``created`` stamp and its output-directory echo.
 
-Per file the tool prints "equal", or the number of differing cells with
-the largest absolute and relative difference between them.  A cell is
-one CSV field or one JSON leaf; a cell that is not a number counts as
+The tool prints each differing file with the number of its differing
+cells and the largest absolute and relative difference between them,
+then one line per run directory with its differing and total file
+counts and the columns in which cells differ, and last a total line.  A
+cell is one CSV field, whose column is its header's, or one JSON leaf,
+whose column is its key path; a cell that is not a number counts as
 differing when its text differs.  The exit status is 1 when any body
 differs or a file exists in one tree only, and 0 otherwise.  The tool
 needs numpy only (through lamsa).
@@ -80,16 +83,22 @@ def write_tree_artifacts(tree: Path, out: Path) -> None:
             csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _cells(path: Path) -> list[str]:
-    """The file's cells in order: CSV fields, or JSON leaves (a manifest without its stamp and output dir)."""
+def _cells(path: Path) -> list[tuple[str, str]]:
+    """The file's (column, text) cells in order: CSV fields, or JSON leaves (a manifest without its stamp and output dir)."""
     if path.suffix == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
-            return [cell for row in csv.reader(fh) for cell in row + ["\n"]]
+            rows = list(csv.reader(fh))
+        header = rows[0] if rows else []
+        cells: list[tuple[str, str]] = []
+        for row in rows:
+            cells += zip(header + [f"#{j}" for j in range(len(header), len(row))], row)
+            cells.append(("<row end>", "\n"))
+        return cells
     data = json.loads(path.read_text(encoding="utf-8"))
     if path.name == "manifest.json":
         data.pop("created", None)
         data.get("config", {}).pop("out_dir", None)
-    leaves: list[str] = []
+    leaves: list[tuple[str, str]] = []
 
     def walk(node: object, key: str) -> None:
         if isinstance(node, dict):
@@ -99,7 +108,7 @@ def _cells(path: Path) -> list[str]:
             for i, v in enumerate(node):
                 walk(v, f"{key}[{i}]")
         else:
-            leaves.extend((key, json.dumps(node)))
+            leaves.append((key, json.dumps(node)))
 
     walk(data, "")
     return leaves
@@ -112,17 +121,19 @@ def _number(cell: str) -> float | None:
         return None
 
 
-def compare(old: Path, new: Path) -> str | None:
-    """None when the bodies are equal, else a one-line account of the differing cells."""
+def compare(old: Path, new: Path) -> tuple[str | None, set[str]]:
+    """(None when the bodies are equal, else a one-line account of the differing cells; their columns)."""
     a, b = _cells(old), _cells(new)
     if len(a) != len(b):
-        return f"shape differs: {len(a)} cells against {len(b)}"
+        return f"shape differs: {len(a)} cells against {len(b)}", set()
     n = text = 0
+    columns: set[str] = set()
     worst_abs = worst_rel = 0.0
-    for x, y in zip(a, b):
-        if x == y:
+    for (col, x), (new_col, y) in zip(a, b):
+        if x == y and col == new_col:
             continue
         n += 1
+        columns.add(col)
         u, v = _number(x), _number(y)
         if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
             text += 1
@@ -130,9 +141,9 @@ def compare(old: Path, new: Path) -> str | None:
         worst_abs = max(worst_abs, abs(u - v))
         worst_rel = max(worst_rel, abs(u - v) / max(abs(u), abs(v)))
     if not n:
-        return None
+        return None, columns
     note = f", {text} not numbers" if text else ""
-    return f"{n} cells differ{note}; max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"
+    return f"{n} cells differ{note}; max abs {worst_abs:.3g}, max rel {worst_rel:.3g}", columns
 
 
 def main(argv: list[str]) -> int:
@@ -149,16 +160,24 @@ def main(argv: list[str]) -> int:
             subprocess.run([sys.executable, __file__, "--write", str(tree), str(out)], check=True)
         files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file() and p.parts[-2] != "_inputs"}
                  for out in outs]
-        differ = False
+        runs: dict[Path, list] = {}  # run directory -> [differing files, files, differing columns]
         for rel in sorted(files[0] | files[1]):
+            run = runs.setdefault(rel.parent, [0, 0, set()])
+            run[1] += 1
             if rel not in files[0] or rel not in files[1]:
-                print(f"{rel}: only in {'new' if rel in files[1] else 'old'}")
-                differ = True
-                continue
-            verdict = compare(outs[0] / rel, outs[1] / rel)
-            print(f"{rel}: {verdict or 'equal'}")
-            differ |= verdict is not None
-    return 1 if differ else 0
+                verdict, columns = f"only in {'new' if rel in files[1] else 'old'}", set()
+            else:
+                verdict, columns = compare(outs[0] / rel, outs[1] / rel)
+            if verdict is not None:
+                print(f"{rel}: {verdict}")
+                run[0] += 1
+                run[2] |= columns
+        for run, (n_diff, n_files, columns) in runs.items():
+            cols = f"; columns {', '.join(sorted(columns))}" if columns else ""
+            print(f"{run}/: {n_diff} of {n_files} files differ{cols}")
+        n_diff = sum(d for d, _, _ in runs.values())
+        print(f"total: {n_diff} of {sum(n for _, n, _ in runs.values())} files differ")
+    return 1 if n_diff else 0
 
 
 if __name__ == "__main__":
