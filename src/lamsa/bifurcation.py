@@ -114,7 +114,8 @@ def trace_path(
     """Follow the interior equilibrium from ``start = (p*, F_L0)`` to F_L_end.
 
     Samples go at F_L0 + 0.05, F_L0 + 0.10, ... (the last clipped to
-    F_L_end), each the near-arc point that ``fixed_points`` gives at that
+    F_L_end, so a near-arc path always ends there, even from a start
+    within 1e-14 below it), each the near-arc point that ``fixed_points`` gives at that
     F_L; one Newton call solves them all.  The start must satisfy the
     equilibrium balance to 1e-8 max(k p0 R, |F_L0 R|), a tolerance with no
     absolute floor; the path never extends past F_L = 0, where the branch
@@ -133,7 +134,7 @@ def trace_path(
         raise InvalidStartError("the equilibrium branch does not extend past F_L = 0")
     res = balance_residual(params, p_start, fl_start)
     scale = max(params.k * params.p0 * params.R, abs(fl_start * params.R))
-    if abs(res) > _START_BALANCE_TOL * scale:
+    if not abs(res) <= _START_BALANCE_TOL * scale:  # nan fails too
         raise InvalidStartError(
             f"start ({p_start}, {fl_start}) violates the equilibrium balance "
             f"(residual {res:.3e})"
@@ -144,7 +145,7 @@ def trace_path(
 
     near = p_start < params.R  # the far arc does not reach F_L = 0
     fls, fl = [fl_start], fl_start
-    while near and fl < F_L_end - 1e-14:
+    while near and fl < F_L_end:
         fl += min(_FL_STEP, F_L_end - fl)
         if F_L_end - fl < 1e-14:
             fl = F_L_end
@@ -174,9 +175,9 @@ def saddle_region_map(params: SystemParams, p_grid: np.ndarray, F_L_grid: np.nda
     F_L_grid = np.asarray(F_L_grid, dtype=float)
     if p_grid.size == 0 or F_L_grid.size == 0:
         raise ValueError("grids must be non-empty")
-    if np.any(p_grid < 0.0) or np.any(p_grid >= params.R):
+    if not np.all((p_grid >= 0.0) & (p_grid < params.R)):  # nan fails too
         raise ValueError("p grid must lie inside [0, R)")
-    if np.any(F_L_grid > 0.0):
+    if not np.all(F_L_grid <= 0.0):
         raise ValueError("F_L grid must be non-positive")
 
     p = p_grid[:, None]

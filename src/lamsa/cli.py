@@ -3,8 +3,9 @@
     lamsa <subcommand> --config <file> [--out <dir>] [--variant printed|derived]
           [--fl <value> | --fl-range a:b:step] [--grid NxM] [--seed N] [--t-end T]
 
-Every subcommand writes its CSV/JSON artifacts plus a ``manifest.json``
-into the output directory, which it creates at its first write.  Exit status: 0 on success, 1 on a
+Every subcommand writes its CSV/JSON artifacts into the output
+directory, which is created at the first write, and returns its results;
+``_run`` then writes ``manifest.json`` last.  Exit status: 0 on success, 1 on a
 configuration/validation problem (a malformed argument or a nan or
 infinite number included), 2 on a numerical failure (overflow and division by zero included).
 """
@@ -54,30 +55,26 @@ INDEX_HEADER = ["idx", *SystemState._fields, "file", "status", "n_samples", "n_e
 
 
 class _Artifacts:
-    """One command's output directory: made at the first write, its manifest written last.
+    """One run's output directory, made at the first write, and the row count of each artifact written.
 
     A command that fails before its first write leaves no directory behind.
     """
 
-    def __init__(self, cfg: RunConfig) -> None:
-        self.cfg = cfg
+    def __init__(self, output_dir: Path) -> None:
+        self.dir = output_dir
         self.outputs: dict[str, int] = {}  # artifact name -> row count, in write order
 
     def write(self, name: str, writer: Callable[..., int], *args: object) -> None:
         """Write artifact ``name`` as ``writer(path, *args)``, which returns its row count."""
         if not self.outputs:
-            self.cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        self.outputs[name] = writer(self.cfg.output_dir / name, *args)
-
-    def finish(self, results: dict | None = None) -> int:
-        """Write the manifest (config echo and row counts) and return the exit status."""
-        write_manifest(self.cfg.output_dir, self.cfg.echo(), self.outputs, results=results)
-        return 0
+            self.dir.mkdir(parents=True, exist_ok=True)
+        self.outputs[name] = writer(self.dir / name, *args)
 
 
-def _check_finite(*values: float) -> None:
-    """Raise NumericalError for a nan or infinite result, as from a latch force near 1e308."""
-    if not all(map(math.isfinite, values)):
+def _check_finite(*values: float | np.ndarray) -> None:
+    """Raise NumericalError where any value (a float or an array) is nan or
+    infinite, as from a latch force near 1e308."""
+    if not all(np.isfinite(v).all() for v in values):
         raise NumericalError("a result overflowed to a non-finite value")
 
 
@@ -117,23 +114,20 @@ def _raster_rows(p_grid: np.ndarray, fl_grid: np.ndarray, *cells: Iterable[str])
     return [[p, fl, *row] for (p, fl), *row in zip(nodes, *cells)]
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, out: _Artifacts) -> dict | None:
     traj = simulate(cfg.params, cfg.x0, cfg.F_L, cfg.t_end, cfg.integrator)
-    out = _Artifacts(cfg)
     out.write("trajectory.csv", write_trajectory, traj)
     out.write("events.json", write_events, traj)
-    return out.finish()
 
 
 def _columns(*columns: np.ndarray) -> list[Iterable[str]]:
     """Each float column formatted cell by cell as ``fmt`` would; a nan or
-    infinite cell, as from a latch force near 1e308, raises NumericalError."""
-    if not all(np.isfinite(c).all() for c in columns):
-        raise NumericalError("a result overflowed to a non-finite value")
+    infinite cell raises NumericalError."""
+    _check_finite(*columns)
     return [map(float.__repr__, c.tolist()) for c in columns]
 
 
-def cmd_equilibria(cfg: RunConfig) -> int:
+def cmd_equilibria(cfg: RunConfig, out: _Artifacts) -> dict | None:
     """Sweep of the moving fixed point; at F_L = 0 it collapses onto the origin."""
     sweep = sweep_values(cfg.F_L_range)
     fl, p, l = fixed_point_sweep(cfg.params, sweep)
@@ -143,23 +137,19 @@ def cmd_equilibria(cfg: RunConfig) -> int:
     rows = [[f, ps, ls, no, yes] for f, ps, ls in zip(*_columns(fl[near], p[near], l[near]))]
     # the sweep ascends, so its F_L = 0 (the origin alone) follows every F_L < 0
     rows += [_fixed_point_row(fixed_points(cfg.params, f)[0]) for f in sweep if f == 0.0]
-    out = _Artifacts(cfg)
     out.write("fixedpoints.csv", write_csv, FIXEDPOINT_HEADER, rows)
-    return out.finish()
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(cfg: RunConfig, out: _Artifacts) -> dict | None:
     """Closed-form entries, invariants and saddle class at every latched fixed point but the origin."""
     fl, p, l = fixed_point_sweep(cfg.params, sweep_values(cfg.F_L_range))
     A, B, G, D = _latched_abgd(cfg.params, p, l, fl)
     h1, h2 = characteristic_invariants(A, B, G, D)
     rows = list(zip(*_columns(fl, p, A, B, G, D, h1, h2), _class_labels(h1, h2)))
-    out = _Artifacts(cfg)
     out.write("classification.csv", write_csv, CLASSIFY_HEADER, rows)
-    return out.finish()
 
 
-def cmd_trace(cfg: RunConfig) -> int:
+def cmd_trace(cfg: RunConfig, out: _Artifacts) -> dict | None:
     """Continue the saddle from the interior fixed point at the configured F_L."""
     pts = [p for p in fixed_points(cfg.params, cfg.F_L) if not p.origin_flag]
     if not pts:
@@ -171,12 +161,11 @@ def cmd_trace(cfg: RunConfig) -> int:
     _check_finite(h2)  # as from a latch mass near 1e-320
     r = float.__repr__  # fmt without its call
     rows = [[r(s.F_L), r(s.p_star), flag(s.in_S)] for s in path.samples]
-    out = _Artifacts(cfg)
     out.write("path.csv", write_csv, PATH_HEADER, rows)
-    return out.finish({"terminal": path.terminal.value, "terminal_lambda": math.sqrt(h2) if h2 > 0.0 else None})
+    return {"terminal": path.terminal.value, "terminal_lambda": math.sqrt(h2) if h2 > 0.0 else None}
 
 
-def cmd_region_map(cfg: RunConfig) -> int:
+def cmd_region_map(cfg: RunConfig, out: _Artifacts) -> dict | None:
     p_grid, fl_grid = _raster(cfg)
     rmap = saddle_region_map(cfg.params, p_grid, fl_grid)
     u = in_region_U(cfg.params, p_grid[:, None], fl_grid[None, :])
@@ -187,12 +176,10 @@ def cmd_region_map(cfg: RunConfig) -> int:
         map(flag, rmap.in_S.ravel().tolist()),
         map(flag, u.in_u.ravel().tolist()),
     )
-    out = _Artifacts(cfg)
     out.write("region.csv", write_csv, REGION_HEADER, rows)
-    return out.finish()
 
 
-def cmd_quiver(cfg: RunConfig) -> int:
+def cmd_quiver(cfg: RunConfig, out: _Artifacts) -> dict | None:
     """Implicit-diff slope dp*/dF_L over the raster; nan where dD/dp is numerically zero.
 
     Any other non-finite slope, as from |F_L| above about 1e154, where the
@@ -200,20 +187,16 @@ def cmd_quiver(cfg: RunConfig) -> int:
     """
     p_grid, fl_grid = _raster(cfg)
     slope, singular = _implicit_slope(cfg.params, p_grid[:, None], fl_grid[None, :])
-    if not (singular | np.isfinite(slope)).all():
-        raise NumericalError("a result overflowed to a non-finite value")
+    _check_finite(np.where(singular, 0.0, slope))
     rows = _raster_rows(p_grid, fl_grid, map(fmt, slope.ravel().tolist()))
-    out = _Artifacts(cfg)
     out.write("quiver.csv", write_csv, QUIVER_HEADER, rows)
-    return out.finish()
 
 
-def cmd_design_check(cfg: RunConfig) -> int:
+def cmd_design_check(cfg: RunConfig, out: _Artifacts) -> dict | None:
     report = dataclasses.asdict(design_feasibility(cfg.params))
     _check_finite(*report.values())  # as from a mass near 1e-320
-    out = _Artifacts(cfg)
     out.write("design.json", _write_json, report)
-    return out.finish({"feasible": report["feasible"]})
+    return {"feasible": report["feasible"]}
 
 
 def _portrait_initial_states(cfg: RunConfig) -> list[SystemState]:
@@ -242,7 +225,7 @@ def _portrait_initial_states(cfg: RunConfig) -> list[SystemState]:
     return states
 
 
-def phase_portrait(cfg: RunConfig) -> int:
+def phase_portrait(cfg: RunConfig, out: _Artifacts) -> dict | None:
     """Simulate a grid of initial conditions and dump one CSV per trajectory.
 
     Emits ``traj_NNNN.csv`` files, an ``index.csv`` describing each run
@@ -256,7 +239,6 @@ def phase_portrait(cfg: RunConfig) -> int:
         raise ConfigError(f"a portrait of {n_starts} starts to t_end={cfg.t_end} would take more than {_MAX_ITEMS} samples")
     overlay = [*fixed_points(cfg.params, cfg.F_L), unlatched_fixed_point(cfg.params)]
     overlay_rows = [_fixed_point_row(fp) for fp in overlay]
-    out = _Artifacts(cfg)
     index_rows = []
     for i, x0 in enumerate(_portrait_initial_states(cfg)):
         name = f"traj_{i:04d}.csv"
@@ -271,7 +253,6 @@ def phase_portrait(cfg: RunConfig) -> int:
         index_rows.append([str(i), *map(fmt, x0), name, status, str(n_samples), str(n_events), detail])
     out.write("index.csv", write_csv, INDEX_HEADER, index_rows)
     out.write("overlay.csv", write_csv, FIXEDPOINT_HEADER, overlay_rows)
-    return out.finish()
 
 
 _COMMANDS = {
@@ -284,6 +265,19 @@ _COMMANDS = {
     "design-check": cmd_design_check,
     "phase-portrait": phase_portrait,
 }
+
+
+def _run(command: Callable[[RunConfig, _Artifacts], dict | None], cfg: RunConfig) -> int:
+    """Run ``command`` into ``cfg``'s output directory and return the exit status 0.
+
+    The command computes and writes its artifacts through ``out``, and
+    returns the manifest's results (or None); the manifest, with the
+    config echo and each artifact's row count, is written last.
+    """
+    out = _Artifacts(cfg.output_dir)
+    results = command(cfg, out)
+    write_manifest(out.dir, cfg.echo(), out.outputs, results=results)
+    return 0
 
 
 # each override flag and the config key it sets; its text is read as that key's config-file value
@@ -348,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         with np.errstate(all="ignore"):  # the artifact checks decide whether an overflow reached a result
-            return _COMMANDS[args.command](cfg)
+            return _run(_COMMANDS[args.command], cfg)
     except ConfigError as exc:
         print(f"lamsa: configuration error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ throughout the test suite.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -61,11 +62,13 @@ class FLRange:
 
 def sweep_values(r: FLRange) -> list[float]:
     """Materialize a range; the endpoint is included when it lands on the grid."""
+    # above the rounding of n step for every n <= _MAX_ITEMS, and of its sum with start
+    tol = 1e-9 * r.step + 1e-15 * max(abs(r.start), abs(r.stop))
     n = int(round((r.stop - r.start) / r.step))
-    if abs(r.start + n * r.step - r.stop) > 1e-9 * max(1.0, abs(r.stop)):
+    if abs(r.start + n * r.step - r.stop) > tol:
         n = int((r.stop - r.start) / r.step)
     values = [r.start + i * r.step for i in range(n + 1)]
-    if abs(values[-1] - r.stop) <= 1e-9 * max(1.0, abs(r.stop)):
+    if abs(values[-1] - r.stop) <= tol:
         values[-1] = r.stop
     return values
 
@@ -136,33 +139,27 @@ _flag = _scalar(lambda raw: _BOOL_WORDS[raw.lower()], "true/false")
 _variant = _scalar(ModelVariant, " or ".join(f"'{v.value}'" for v in ModelVariant))
 
 
+def _parts(raw: str, key: str, sep: str, read: Callable[[str, str], object], form: str) -> list:
+    """``raw`` split at the pattern ``sep`` into as many parts as ``form`` has, each read by ``read``.
+
+    A wrong count raises a ConfigError quoting ``form``; ``read`` names the part it cannot read.
+    """
+    parts = re.split(sep, raw)
+    if len(parts) != len(re.split(sep, form)):
+        raise ConfigError(f"{key} expects '{form}', got '{raw}'")
+    return [read(part.strip(), key) for part in parts]
+
+
 def _state(raw: str, key: str) -> SystemState:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 4:
-        raise ConfigError(f"{key} expects 'p,p_dot,l,l_dot', got '{raw}'")
-    return SystemState(*(_number(p, key) for p in parts))
+    return SystemState(*_parts(raw, key, ",", _number, "p,p_dot,l,l_dot"))
 
 
 def parse_fl_range(raw: str) -> FLRange:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"fl_range expects 'start:stop:step', got '{raw}'")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"fl_range has a non-numeric part: '{raw}'") from None
-    return FLRange(start, stop, step)
+    return FLRange(*_parts(raw, "fl_range", ":", _number, "start:stop:step"))
 
 
 def parse_grid(raw: str) -> tuple[int, int]:
-    parts = raw.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"grid expects 'NxM', got '{raw}'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConfigError(f"grid has a non-integer part: '{raw}'") from None
-    return n, m
+    return tuple(_parts(raw, "grid", "[xX]", _integer, "NxM"))
 
 
 def _same(value: object) -> object:

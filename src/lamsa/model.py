@@ -135,7 +135,7 @@ def latch_from_projectile(params: SystemParams, p: float) -> float:
     as p -> 0.  Defined for p in [0, 2R]; raises ContactWindowError
     outside that window.
     """
-    if p < 0.0 or p > 2.0 * params.R:
+    if not 0.0 <= p <= 2.0 * params.R:  # nan fails too
         raise ContactWindowError(f"p={p} outside the contact window [0, {2.0 * params.R}]")
     return math.sqrt(p * (2.0 * params.R - p))
 

@@ -299,7 +299,7 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
     h2, in_s = in_s_at(p, fl)
     samples = [PathSample(fl, p, in_s, h2)]
     dfl = 0.05
-    while fl < F_L_end - 1e-14:
+    while fl < F_L_end:
         dfl = min(dfl, F_L_end - fl)
         q = quartic_coefficients(params, fl)
         den = eval_quartic_derivative(q, p)

@@ -31,7 +31,7 @@ from lamsa import (
     stability_report,
     trace_path,
 )
-from lamsa.cli import cmd_equilibria
+from lamsa.cli import _run, cmd_equilibria
 from lamsa.config import apply_overrides, build_config
 from lamsa.published import quartic_coefficients, roots_in_interval
 
@@ -243,8 +243,8 @@ def test_criterion_12_deterministic_output(tmp_path):
                             fl_range=FLRange(-15.0, 0.0, 1.0))
     cfg_b = apply_overrides(build_config({}), out_dir=tmp_path / "b",
                             fl_range=FLRange(-15.0, 0.0, 1.0))
-    cmd_equilibria(cfg_a)
-    cmd_equilibria(cfg_b)
+    _run(cmd_equilibria, cfg_a)
+    _run(cmd_equilibria, cfg_b)
     body_a = (tmp_path / "a" / "fixedpoints.csv").read_bytes()
     body_b = (tmp_path / "b" / "fixedpoints.csv").read_bytes()
     ok = body_a == body_b

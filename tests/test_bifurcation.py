@@ -21,7 +21,13 @@ from lamsa import (
 )
 from lamsa.bifurcation import PathSample
 from lamsa.equilibria import _far_fold
-from lamsa.errors import ConfigError, InvalidStartError, SingularBoundError, SingularDenominatorError
+from lamsa.errors import (
+    ConfigError,
+    ContactWindowError,
+    InvalidStartError,
+    SingularBoundError,
+    SingularDenominatorError,
+)
 from lamsa.model import latch_from_projectile
 from lamsa.published import (
     _DENOM_TOL,
@@ -254,6 +260,25 @@ def test_trace_path_rejects_bad_start(params):
         trace_path(params, (REF_SADDLE_P, -15.0), F_L_end=-16.0)  # backwards
 
 
+def test_trace_path_rejects_a_nan_start(params):
+    # nan has no latch position, so the start's balance cannot be read
+    with pytest.raises(ContactWindowError):
+        trace_path(params, (math.nan, -5.0))
+
+
+@pytest.mark.parametrize("var", list(ModelVariant))
+def test_trace_path_from_just_below_the_end_reaches_it(var):
+    # a start within 1e-14 below F_L_end takes its one step, clipped to the end
+    params = SystemParams(variant=var)
+    fl_start = -5e-15
+    start = (_interior_p(params, fl_start), fl_start)
+    path = trace_path(params, start)
+    assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
+    assert [s.F_L for s in path.samples] == [fl_start, 0.0]
+    assert path.final.p_star == 0.0
+    assert path.samples == trace_path_three_quartics(params, start).samples
+
+
 def test_trace_path_start_tolerance_scales_with_a_small_system():
     # k p0 R = 2e-12: the start's balance tolerance scales with the system,
     # so a start at R/2, far from p* = 1.25e-9, is refused, while the
@@ -345,6 +370,14 @@ def test_saddle_region_map_validates_grids(params):
         saddle_region_map(params, np.array([1.0]), np.array([0.5]))
     with pytest.raises(ValueError):
         saddle_region_map(params, np.array([]), np.array([-1.0]))
+
+
+@pytest.mark.parametrize("grid", ["p", "F_L"])
+def test_saddle_region_map_rejects_nan_in_either_grid(params, grid):
+    p_grid, fl_grid = np.array([1.0, 2.0]), np.array([-2.0, -1.0])
+    (p_grid if grid == "p" else fl_grid)[1] = np.nan
+    with pytest.raises(ValueError, match="p grid" if grid == "p" else "F_L grid"):
+        saddle_region_map(params, p_grid, fl_grid)
 
 
 # --- design feasibility -------------------------------------------------------

@@ -33,6 +33,7 @@ from lamsa import (
 from lamsa import cli
 from lamsa.cli import (
     _portrait_initial_states,
+    _run,
     cmd_classify,
     cmd_design_check,
     cmd_equilibria,
@@ -99,8 +100,14 @@ def test_config_line_diagnostics(tmp_path, capsys):
         parse_config("m = 1\n# fine\nm = 2\n")
     with pytest.raises(ConfigError, match=r"^line 2: fl_range expects 'start:stop:step', got '1:2'$"):
         parse_config("m = 1\nfl_range = 1:2\n")
-    with pytest.raises(ConfigError, match=r"^line 1: grid has a non-integer part: '1x'$"):
+    with pytest.raises(ConfigError, match=r"^line 1: key 'grid' expects an integer, got ''$"):
         parse_config("grid = 1x\n")
+    # only the separator is case-insensitive; a bad part is echoed as written
+    assert parse_config("grid = 3X4\n").grid == (3, 4)
+    with pytest.raises(ConfigError, match=r"^line 1: key 'grid' expects an integer, got 'A'$"):
+        parse_config("grid = 2xA\n")
+    with pytest.raises(ConfigError, match=r"^line 1: key 'fl_range' expects a number, got 'a'$"):
+        parse_config("fl_range = -3:a:1\n")
 
 
 @pytest.mark.parametrize(
@@ -181,6 +188,13 @@ def test_sweep_value_count():
     vals = sweep_values(FLRange(-15.0, 0.0, 1.0))
     assert len(vals) == 16
     assert vals[0] == -15.0 and vals[-1] == 0.0
+    # the endpoint snaps within a share of the step, not of max(1, |stop|):
+    # a range far below 1 keeps its off-grid end, one near 1e306 reaches 0
+    assert sweep_values(FLRange(-1.2e-9, 0.0, 5e-10)) == pytest.approx([-1.2e-9, -7e-10, -2e-10], rel=1e-12)
+    vals = sweep_values(FLRange(-1e306, 0.0, 1e305))
+    assert len(vals) == 11 and vals[-1] == 0.0
+    # ... and within the rounding of start, however far from 0 the range lies
+    assert sweep_values(FLRange(-3639569.36, -3639541.64, 0.07))[-1] == -3639541.64
 
 
 def test_bad_range_and_grid_rejected():
@@ -245,7 +259,7 @@ def test_parse_config_raises_only_config_error(lines):
 
 def test_cmd_equilibria_row_layout(tmp_path, params):
     cfg = _cfg(tmp_path, fl_range=FLRange(-15.0, 0.0, 1.0))
-    assert cmd_equilibria(cfg) == 0
+    assert _run(cmd_equilibria, cfg) == 0
     header, rows = _read_csv(tmp_path / "fixedpoints.csv")
     assert header == ["F_L", "p_star", "l_star", "origin_flag", "valid"]
     assert len(rows) == 16  # 15 interior points plus the origin row at F_L = 0
@@ -273,8 +287,8 @@ def test_cmd_equilibria_keeps_the_saddle_near_zero_force(tmp_path):
 def test_cmd_equilibria_deterministic(tmp_path):
     cfg_a = _cfg(tmp_path / "a")
     cfg_b = _cfg(tmp_path / "b")
-    cmd_equilibria(cfg_a)
-    cmd_equilibria(cfg_b)
+    _run(cmd_equilibria, cfg_a)
+    _run(cmd_equilibria, cfg_b)
     assert (tmp_path / "a/fixedpoints.csv").read_bytes() == (
         tmp_path / "b/fixedpoints.csv"
     ).read_bytes()
@@ -282,7 +296,7 @@ def test_cmd_equilibria_deterministic(tmp_path):
 
 def test_cmd_trace_final_row(tmp_path):
     cfg = _cfg(tmp_path, fl=-15.0)
-    assert cmd_trace(cfg) == 0
+    assert _run(cmd_trace, cfg) == 0
     header, rows = _read_csv(tmp_path / "path.csv")
     assert header == ["F_L", "p_star", "in_S"]
     assert abs(float(rows[-1][1])) < 1e-3
@@ -303,7 +317,7 @@ def test_cmd_trace_reports_terminal_lambda(tmp_path, variant):
 
 def test_cmd_design_check_manifest(tmp_path):
     cfg = _cfg(tmp_path)
-    assert cmd_design_check(cfg) == 0
+    assert _run(cmd_design_check, cfg) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["results"]["feasible"] is True
     design = json.loads((tmp_path / "design.json").read_text())
@@ -313,7 +327,7 @@ def test_cmd_design_check_manifest(tmp_path):
 def test_cmd_simulate_outputs(tmp_path):
     cfg = _cfg(tmp_path, fl=-5.0)
     cfg = apply_overrides(cfg, variant=ModelVariant.CONSTRAINT_CONSISTENT)
-    assert cmd_simulate(cfg) == 0
+    assert _run(cmd_simulate, cfg) == 0
     header, rows = _read_csv(tmp_path / "trajectory.csv")
     assert header == ["t", "p", "p_dot", "l", "l_dot", "mode", "tau"]
     assert rows[0][5] == "L"
@@ -370,7 +384,7 @@ def test_trajectory_rows_format_each_cell_like_fmt():
 
 def test_cmd_classify_schema(tmp_path):
     cfg = _cfg(tmp_path, fl_range=FLRange(-15.0, 0.0, 5.0))
-    assert cmd_classify(cfg) == 0
+    assert _run(cmd_classify, cfg) == 0
     header, rows = _read_csv(tmp_path / "classification.csv")
     assert header == ["F_L", "p_star", "A", "B", "Gamma", "Delta", "h1", "h2", "class"]
     assert len(rows) == 3  # F_L in {-15, -10, -5}; no interior point at 0
@@ -407,7 +421,7 @@ def test_far_pair_sweeps_match_per_force_reference(tmp_path, variant, p0):
 
 def test_cmd_region_map_and_quiver_schema(tmp_path):
     cfg = _cfg(tmp_path / "rm", grid=(4, 3), fl_range=FLRange(-15.0, 0.0, 1.0))
-    assert cmd_region_map(cfg) == 0
+    assert _run(cmd_region_map, cfg) == 0
     header, rows = _read_csv(tmp_path / "rm" / "region.csv")
     assert header == ["p", "F_L", "h1", "h2", "in_S", "in_U"]
     assert len(rows) == 12
@@ -417,7 +431,7 @@ def test_cmd_region_map_and_quiver_schema(tmp_path):
         assert r[4] in "01" and r[5] in "01"
 
     cfg = _cfg(tmp_path / "qv", grid=(3, 3), fl_range=FLRange(-15.0, 0.0, 1.0))
-    assert cmd_quiver(cfg) == 0
+    assert _run(cmd_quiver, cfg) == 0
     header, rows = _read_csv(tmp_path / "qv" / "quiver.csv")
     assert header == ["p", "F_L", "dp_dFL"]
     assert len(rows) == 9
@@ -431,7 +445,7 @@ def test_cmd_region_map_and_quiver_schema(tmp_path):
 @pytest.mark.parametrize("variant", list(ModelVariant))
 def test_quiver_rows_are_per_node_nominal_rhs(tmp_path, variant):
     cfg = _cfg(tmp_path, variant=variant, grid=(7, 5), fl_range=FLRange(-15.0, 0.0, 1.0))
-    assert cmd_quiver(cfg) == 0
+    assert _run(cmd_quiver, cfg) == 0
     _, rows = _read_csv(tmp_path / "quiver.csv")
     assert len(rows) == 35
     nans = 0
@@ -451,7 +465,7 @@ def test_quiver_soft_spring_has_no_false_fold(tmp_path, variant):
     # test relative to dD/dp's terms leaves that column finite: the slope is 0
     soft = build_config({"m": 1.0, "M": 1.0, "R": 1.0, "k": 1e-6, "p0": 2.0, "variant": variant})
     cfg = apply_overrides(soft, out_dir=tmp_path, grid=(60, 40), fl_range=FLRange(-15.5, 0.0, 0.05))
-    assert cmd_quiver(cfg) == 0
+    assert _run(cmd_quiver, cfg) == 0
     _, rows = _read_csv(tmp_path / "quiver.csv")
     assert not [row for row in rows if math.isnan(float(row[2]))]
     assert [float(slope) for _, fl, slope in rows if float(fl) == 0.0] == [0.0] * 60
@@ -461,7 +475,7 @@ def test_quiver_soft_spring_has_no_false_fold(tmp_path, variant):
 
 def test_phase_portrait_bundle(tmp_path):
     cfg = _cfg(tmp_path, grid=(2, 2), t_end=0.2, fl=-15.0)
-    assert phase_portrait(cfg) == 0
+    assert _run(phase_portrait, cfg) == 0
     files = sorted(p.name for p in tmp_path.iterdir())
     assert [f for f in files if f.startswith("traj_")] == [
         "traj_0000.csv",
@@ -486,8 +500,8 @@ def test_phase_portrait_jitter_is_seed_deterministic(tmp_path):
     cfg_a = RunConfig(**{**cfg_a.__dict__, "jitter": True, "seed": 9})
     cfg_b = _cfg(tmp_path / "b", grid=(2, 2), t_end=0.05)
     cfg_b = RunConfig(**{**cfg_b.__dict__, "jitter": True, "seed": 9})
-    phase_portrait(cfg_a)
-    phase_portrait(cfg_b)
+    _run(phase_portrait, cfg_a)
+    _run(phase_portrait, cfg_b)
     assert (tmp_path / "a/index.csv").read_bytes() == (tmp_path / "b/index.csv").read_bytes()
     assert (tmp_path / "a/traj_0000.csv").read_bytes() == (tmp_path / "b/traj_0000.csv").read_bytes()
 
@@ -556,13 +570,44 @@ def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     from lamsa import cli
     from lamsa.errors import EquilibriumBalanceError
 
-    def boom(cfg):
+    def boom(cfg, out):
         raise EquilibriumBalanceError("synthetic failure")
 
     monkeypatch.setitem(cli._COMMANDS, "trace", boom)
     rc = main(["trace", "--out", str(tmp_path / "t")])
     assert rc == 2
     assert "synthetic failure" in capsys.readouterr().err
+
+
+# a small run of every command, for the run lifecycle test below
+_SMALL_RUNS = {
+    "simulate": ["--t-end", "1"],
+    "equilibria": ["--fl-range=-3:0:1"],
+    "classify": ["--fl-range=-3:0:1"],
+    "trace": ["--fl", "-1"],
+    "region-map": ["--grid", "3x3"],
+    "quiver": ["--grid", "3x3"],
+    "design-check": [],
+    "phase-portrait": ["--grid", "2x2", "--t-end", "0.2"],
+}
+
+
+def _row_count(path: Path) -> int:
+    """A CSV's rows below its header; a JSON list's items; one for any other JSON document."""
+    if path.suffix == ".csv":
+        return len(path.read_text().splitlines()) - 1
+    body = json.loads(path.read_text())
+    return len(body) if isinstance(body, list) else 1
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_manifest_lists_every_artifact_with_its_row_count(tmp_path, command):
+    assert set(_SMALL_RUNS) == set(cli._COMMANDS)
+    out = tmp_path / "run"
+    assert main([command, *_SMALL_RUNS[command], "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    artifacts = {p.name: _row_count(p) for p in out.iterdir() if p.name != "manifest.json"}
+    assert manifest["outputs"] == artifacts
 
 
 @pytest.mark.parametrize(
@@ -648,7 +693,8 @@ def test_harmless_overflow_is_silent(tmp_path, capsys):
     assert main(["equilibria", "--fl-range=-1e306:0:1e305", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     _, rows = _read_csv(out / "fixedpoints.csv")
-    assert [row[1] for row in rows] == ["5.0"] * 11
+    assert [row[1] for row in rows] == ["5.0"] * 10 + ["0.0"]  # the sweep ends at the origin row
+    assert rows[-1][0] == "0.0" and rows[-1][3] == "1"
 
 
 def test_overflowing_portrait_overlay_is_a_numerical_failure(tmp_path, capsys):

@@ -82,6 +82,14 @@ def test_latch_from_projectile_examples(params):
         latch_from_projectile(params, 10.01)
 
 
+def test_latch_from_projectile_rejects_nan(params):
+    # nan lies in no window: it raises, and the balance at a nan p with it
+    with pytest.raises(ContactWindowError):
+        latch_from_projectile(params, math.nan)
+    with pytest.raises(ContactWindowError):
+        balance_residual(params, math.nan, REF_SADDLE_FL)
+
+
 @pytest.mark.parametrize("variant", list(ModelVariant))
 def test_latch_from_projectile_keeps_its_digits_as_p_goes_to_zero(variant):
     # sqrt(R^2 - (R - p)^2) cancels as p -> 0: it put the derived l at

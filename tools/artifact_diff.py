@@ -47,6 +47,10 @@ RUNS = {
     "trace_fl-15": ["trace", "--fl", "-15"],
     "trace_fl-3.3": ["trace", "--fl", "-3.3"],
     "design-check": ["design-check"],
+    # the sweep endpoint snapped within a share of the step, and a trace from just below F_L = 0
+    "equilibria_small_range": ["equilibria", "--fl-range=-1.2e-9:0:5e-10"],
+    "equilibria_large_range": ["equilibria", "--fl-range=-1e306:0:1e305"],
+    "trace_fl-5e-15": ["trace", "--fl=-5e-15"],
 }
 VARIANTS = ("printed", "derived")
 
