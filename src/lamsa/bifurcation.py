@@ -27,7 +27,7 @@ from .errors import ConfigError, InvalidStartError
 from .model import SystemParams, SystemState, latch_from_projectile
 from .equilibria import _near_arc, _newton_correct, balance_residual
 from .published import design_closed_form
-from .stability import _latched_abgd, _saddle_test, characteristic_invariants, jacobian_fd_at
+from .stability import Classification, _linearize, characteristic_invariants, jacobian_fd_at
 
 __all__ = [
     "PathTerminal",
@@ -100,12 +100,6 @@ class DesignReport:
     feasible: bool
 
 
-def _in_S_at(params: SystemParams, p, l, F_L):
-    """(h1, h2, saddle?) at on-circle rest states (p, l) under F_L, for floats or arrays."""
-    h1, h2 = characteristic_invariants(*_latched_abgd(params, p, l, F_L))
-    return h1, h2, _saddle_test(h1, h2)[0]
-
-
 def trace_path(
     params: SystemParams,
     start: tuple[float, float],
@@ -155,8 +149,9 @@ def trace_path(
     (p, l), _ = _newton_correct(params, ck, F_L[1:], 1.0, u, stop)
     p = np.concatenate(([p_start], p))
     l = np.concatenate(([latch_from_projectile(params, p_start)], l))
-    _, h2, in_s = _in_S_at(params, p, l, F_L)
-    samples = tuple(map(PathSample, fls, p.tolist(), in_s.tolist(), h2.tolist()))
+    *_, h2, label = _linearize(params, p, l, F_L)
+    in_s = (label == Classification.SADDLE.value).tolist()
+    samples = tuple(map(PathSample, fls, p.tolist(), in_s, h2.tolist()))
     terminal = PathTerminal.REACHED_ZERO_FORCE if near else PathTerminal.LEFT_DOMAIN
     return ContinuationPath(samples, terminal)
 
@@ -182,8 +177,8 @@ def saddle_region_map(params: SystemParams, p_grid: np.ndarray, F_L_grid: np.nda
 
     p = p_grid[:, None]
     l = np.sqrt(p * (2.0 * params.R - p))  # latch_from_projectile, node by node
-    h1, h2, in_s = _in_S_at(params, p, l, F_L_grid[None, :])
-    return RegionMap(p_grid=p_grid, F_L_grid=F_L_grid, h1=h1, h2=h2, in_S=in_s)
+    *_, h1, h2, label = _linearize(params, p, l, F_L_grid[None, :])
+    return RegionMap(p_grid=p_grid, F_L_grid=F_L_grid, h1=h1, h2=h2, in_S=label == Classification.SADDLE.value)
 
 
 def design_feasibility(params: SystemParams) -> DesignReport:

@@ -38,9 +38,7 @@ from .published import (
 )
 from .simulate import simulate
 from .stability import (
-    _class_labels,
-    _latched_abgd,
-    characteristic_invariants,
+    _linearize,
     stability_report,  # not called here; kept importable because perfbench/tracer.py wraps lamsa.cli.stability_report
 )
 
@@ -143,9 +141,8 @@ def cmd_equilibria(cfg: RunConfig, out: _Artifacts) -> dict | None:
 def cmd_classify(cfg: RunConfig, out: _Artifacts) -> dict | None:
     """Closed-form entries, invariants and saddle class at every latched fixed point but the origin."""
     fl, p, l = fixed_point_sweep(cfg.params, sweep_values(cfg.F_L_range))
-    A, B, G, D = _latched_abgd(cfg.params, p, l, fl)
-    h1, h2 = characteristic_invariants(A, B, G, D)
-    rows = list(zip(*_columns(fl, p, A, B, G, D, h1, h2), _class_labels(h1, h2)))
+    *entries, label = _linearize(cfg.params, p, l, fl)
+    rows = list(zip(*_columns(fl, p, *entries), label.tolist()))
     out.write("classification.csv", write_csv, CLASSIFY_HEADER, rows)
 
 

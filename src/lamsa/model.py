@@ -158,8 +158,11 @@ def mode_of(params: SystemParams, state: SystemState, F_L: float) -> Mode:
     """Classify a state: latched iff on the constraint circle with tau > 0.
 
     On the circle means |h| <= ``params.h_tol``.  ``tau == 0`` counts as
-    unlatched (contact requires a strictly pushing force).
+    unlatched (contact requires a strictly pushing force).  A nan or
+    infinite state coordinate or ``F_L`` raises ValueError.
     """
+    if not (state.is_finite() and math.isfinite(F_L)):
+        raise ValueError(f"state {state} and F_L={F_L} must be finite")
     if abs(holonomic_h(params, state.p, state.l)) > params.h_tol:
         return Mode.UNLATCHED
     if contact_force(params, state, F_L) > 0.0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ __all__ = [
 _DENOM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QuarticD:
+class QuarticD(NamedTuple):
     """Coefficients of the equilibrium quartic E p^4 + Z p^3 + H p^2 + Theta p + I."""
 
     E: float
@@ -64,9 +63,6 @@ class QuarticD:
     H: float
     Theta: float
     I: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.E, self.Z, self.H, self.Theta, self.I)
 
 
 def quartic_coefficients(params: SystemParams, F_L: float) -> QuarticD:
@@ -91,7 +87,7 @@ def quartic_coefficients(params: SystemParams, F_L: float) -> QuarticD:
 
 
 def eval_quartic(q: QuarticD, p: float) -> float:
-    """Horner evaluation of D(p)."""
+    """Horner evaluation of D(p), for a float or an array p."""
     return (((q.E * p + q.Z) * p + q.H) * p + q.Theta) * p + q.I
 
 
@@ -114,8 +110,7 @@ def roots_in_interval(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     grid = np.linspace(lo, hi, 1024)
-    e, z, h, th, i = q.as_tuple()
-    vals = (((e * grid + z) * grid + h) * grid + th) * grid + i
+    vals = eval_quartic(q, grid)
 
     roots: list[float] = []
     for j in range(grid.size - 1):

@@ -413,14 +413,12 @@ def simulate(
     interpolant's slope; the integrated end's tau is its step's last
     stage, and the bisection's is ``contact_force``'s.  The flight is
     appended in closed form.  ``F_L`` and ``t_end`` are taken as floats,
-    so every sample holds plain floats; a non-finite ``x0``, ``F_L`` or
-    ``t_end`` raises ValueError, and a sample that overflows to a
-    non-finite value raises OverflowError.
+    so every sample holds plain floats; a non-finite ``x0`` (through
+    ``mode_of``), ``F_L`` or ``t_end`` raises ValueError, and a sample
+    that overflows to a non-finite value raises OverflowError.
     """
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
-    if not x0.is_finite():
-        raise ValueError(f"initial state has non-finite components: {x0}")
     if not (math.isfinite(F_L) and 0.0 <= t_end < math.inf):
         raise ValueError(f"F_L must be finite and t_end finite and non-negative, got {F_L}, {t_end}")
 

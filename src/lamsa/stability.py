@@ -27,10 +27,12 @@ the entries follow in closed form:
 
 with tau_p, tau_l the partials of N/W by the quotient rule.
 ``_latched_abgd`` evaluates them with plain arithmetic, for floats or for
-whole broadcast arrays of rest states; ``stability_report``, the
-``classify`` command's sweep and the bifurcation module's raster and
-path use it.  ``jacobian_fd_at``, the central-difference Jacobian of the
-field, serves only the published design check.  The published
+whole broadcast arrays of rest states.  ``_linearize`` composes it with
+the invariants and the saddle test; it is the one pipeline that
+``stability_report``, the ``classify`` command's sweep and the
+bifurcation module's raster and path use.  ``jacobian_fd_at``, the
+central-difference Jacobian of the field, serves only the published
+design check.  The published
 closed-form entries, which carry transcription artifacts, are in
 ``lamsa.published`` with the paper's other printed formulas.
 
@@ -71,6 +73,9 @@ class Classification(Enum):
     SADDLE = "Saddle"
     NON_SADDLE = "NonSaddle"
     MARGINAL = "Marginal"
+
+
+_LABELS = np.array([c.value for c in (Classification.NON_SADDLE, Classification.MARGINAL, Classification.SADDLE)])
 
 
 @dataclass(frozen=True)
@@ -153,45 +158,37 @@ def eigenvalues_biquadratic(h1: float, h2: float) -> tuple[complex, complex, com
     return (r1, -r1, r2, -r2)
 
 
-def _saddle_test(h1, h2, eps=None):
-    """(saddle, marginal) masks of the saddle test, for floats or arrays.
+def _saddle_classes(h1, h2):
+    """``Classification`` value of the saddle test, for floats (a numpy str) or arrays.
 
-    Saddle iff h1 < -eps or h2 > eps; marginal iff both invariants lie
-    in [-eps, eps].  The default band, 1e-9 max(1, |h1|, |h2|), scales
-    with the invariants to absorb round-off; a NaN invariant makes it NaN,
-    which every test fails.
+    Saddle iff h1 < -eps or h2 > eps; Marginal iff both invariants lie in
+    [-eps, eps] (the boundary case is numerically undecidable); NonSaddle
+    otherwise: indices 2, 1 and 0 of ``_LABELS``.  The band, eps = 1e-9
+    max(1, |h1|, |h2|), scales with the invariants to absorb round-off; a
+    NaN invariant makes it NaN, which every test fails.
     """
-    if eps is None:
-        eps = _SADDLE_RTOL * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
-    return (h1 < -eps) | (h2 > eps), (abs(h1) <= eps) & (abs(h2) <= eps)
+    eps = _SADDLE_RTOL * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
+    return _LABELS[np.where((h1 < -eps) | (h2 > eps), 2, (abs(h1) <= eps) & (abs(h2) <= eps))]
 
 
-def classify(h1: float, h2: float, eps: float | None = None) -> Classification:
-    """Saddle test on the characteristic invariants.
-
-    Saddle iff h1 < -eps, or h1 >= -eps with h2 > eps; Marginal when both
-    invariants sit inside the tolerance band (the boundary case is
-    numerically undecidable); NonSaddle otherwise.  The default tolerance
-    is ``_saddle_test``'s; ``_class_labels`` maps the test to the label.
-    """
-    if eps is not None and eps < 0.0:
-        raise ValueError("eps must be non-negative")
-    return Classification(_class_labels(h1, h2, eps))
+def classify(h1: float, h2: float) -> Classification:
+    """Saddle test on the characteristic invariants, with ``_saddle_classes``' band."""
+    return Classification(str(_saddle_classes(h1, h2)))
 
 
-def _class_labels(h1, h2, eps=None):
-    """``Classification`` value of the saddle test: a str for floats, a list of them for arrays."""
-    saddle, marginal = _saddle_test(h1, h2, eps)
-    labels = np.where(marginal, Classification.MARGINAL.value, Classification.NON_SADDLE.value)
-    return np.where(saddle, Classification.SADDLE.value, labels).tolist()
+def _linearize(params: SystemParams, p, l, F_L):
+    """(A, B, Gamma, Delta, h1, h2, ``_saddle_classes`` label) at on-circle rest
+    states (p, l) under F_L, for floats or broadcast arrays."""
+    A, B, G, D = _latched_abgd(params, p, l, F_L)
+    h1, h2 = characteristic_invariants(A, B, G, D)
+    return A, B, G, D, h1, h2, _saddle_classes(h1, h2)
 
 
 def stability_report(params: SystemParams, fp: FixedPoint) -> StabilityReport:
     """Full linearization record at a fixed point: closed-form entries,
     invariants, spectrum and classification."""
     p, _, l, _ = fp.rest_state()
-    A, B, G, D = _latched_abgd(params, p, l, fp.F_L_star)
-    h1, h2 = characteristic_invariants(A, B, G, D)
+    A, B, G, D, h1, h2, label = _linearize(params, p, l, fp.F_L_star)
     eigs = eigenvalues_biquadratic(h1, h2)
     return StabilityReport(
         A=A,
@@ -201,5 +198,5 @@ def stability_report(params: SystemParams, fp: FixedPoint) -> StabilityReport:
         h1=h1,
         h2=h2,
         eigenvalues=eigs,
-        classification=classify(h1, h2),
+        classification=Classification(str(label)),
     )

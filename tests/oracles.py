@@ -6,13 +6,14 @@ fixed-stride classical RK4 loop, the step oracle is the Dormand-Prince
 pair in tableau (matrix) form, the Jacobian oracle differences the field
 on numpy arrays, the projection oracle uses the closed-form radial
 projection onto the circle, the continuation oracle rebuilds the
-quartic for each use and bands the saddle test with numpy, the
-simulation oracle integrates both phases in plain form, one helper per
-concern (its latched phase shares the Dormand-Prince kernel, the field
-and the constraint projection with the package, not the loop
-bookkeeping, the step-size control or the event interpolation; it
-integrates the unlatched flight, which ``simulate`` evaluates in closed
-form, with ``dopri5_step`` on the field written out here), and
+quartic for each use, the band oracle (``band_rule``) writes the saddle
+test out with numpy, the simulation oracle integrates both phases in
+plain form, one helper per concern (its latched phase shares the
+Dormand-Prince kernel, the field and the constraint projection with the
+package, not the loop bookkeeping, the step-size control or the event
+interpolation; it integrates the unlatched flight, which ``simulate``
+evaluates in closed form, with ``dopri5_step`` on the field written out
+here), and
 the flight oracle writes that closed form with ``harmonic_position``,
 the theta oracle is the equilibrium Newton loop in plain floats, and
 the field oracle (``vector_field`` with ``latched_contact_force``) writes
@@ -234,6 +235,18 @@ def real_pair_exists(eigenvalues: tuple[complex, ...], rel_tol: float = 1e-9) ->
     return False
 
 
+def band_rule(h1: float, h2: float):
+    """The saddle test written out, with the default band computed by numpy over both invariants."""
+    from lamsa.stability import Classification
+
+    eps = 1e-9 * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
+    if h1 < -eps or h2 > eps:
+        return Classification.SADDLE
+    if abs(h1) <= eps and abs(h2) <= eps:
+        return Classification.MARGINAL
+    return Classification.NON_SADDLE
+
+
 def theta_newton_reference(params, ck: float, F_L: float, sigma: float, u: float, stop: float) -> tuple[float, float]:
     """(p, l) of the theta balance's root on one monotone piece of an arc, one force in plain floats.
 
@@ -269,8 +282,7 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
     the same F_L three times: for the predictor slope
     -(dD/dF_L)/(dD/dp), in the corrector, and for the fold check, which
     ends the path with terminal ``QUARTIC_FOLD``.  Saddle membership goes
-    through ``classify`` with the band 1e-9 * max(1, |h1|, |h2|) computed
-    by numpy, at l = latch_from_projectile(p).
+    through ``classify``, at l = latch_from_projectile(p).
     """
     from lamsa.bifurcation import ContinuationPath, PathSample, PathTerminal
     from lamsa.published import _dD_dFL, _dp_singular, eval_quartic, eval_quartic_derivative, quartic_coefficients
@@ -280,8 +292,7 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
     def in_s_at(p, fl):
         A, B, G, D = _latched_abgd(params, p, latch_from_projectile(params, p), fl)
         h1, h2 = characteristic_invariants(A, B, G, D)
-        eps = 1e-9 * np.maximum(1.0, np.maximum(abs(h1), abs(h2)))
-        return h2, classify(h1, h2, eps) is Classification.SADDLE
+        return h2, classify(h1, h2) is Classification.SADDLE
 
     def newton(p, fl):
         q = quartic_coefficients(params, fl)

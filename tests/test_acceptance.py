@@ -227,7 +227,7 @@ def test_criterion_11_root_oracle_equivalence():
         fl = float(-rng.uniform(0.05, 20.0))
         q = quartic_coefficients(params, fl)
         mine = roots_in_interval(q, 0.0, 2 * R, tol=1e-12)
-        ref = fine_grid_roots(q.as_tuple(), 0.0, 2 * R, n=1_000_000)
+        ref = fine_grid_roots(tuple(q), 0.0, 2 * R, n=1_000_000)
         if len(mine) != len(ref):
             _line(11, "root oracle equivalence", False, f"count mismatch for {params}")
             pytest.fail(f"{len(mine)} vs {len(ref)} roots")

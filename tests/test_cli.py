@@ -52,6 +52,7 @@ from lamsa.model import holonomic_h
 from lamsa.published import _implicit_slope, nominal_rhs
 
 from conftest import REF_SADDLE_P
+from oracles import band_rule
 
 
 def _cfg(tmp_path: Path, **overrides) -> RunConfig:
@@ -417,6 +418,9 @@ def test_far_pair_sweeps_match_per_force_reference(tmp_path, variant, p0):
     assert [(r[0], r[8]) for r in rows] == [(fmt(fl), rep.classification.value) for fl, _, rep in expect]
     for r, (_, fp, rep) in zip(rows, expect):
         assert [float(c) for c in r[1:8]] == [fp.p_star, rep.A, rep.B, rep.Gamma, rep.Delta, rep.h1, rep.h2]
+    # the command and stability_report share one linearization; the labels also follow an independent rule
+    assert [r[8] for r in rows] == [band_rule(float(r[6]), float(r[7])).value for r in rows]
+    assert {r[8] for r in rows} >= {"Saddle", "NonSaddle"}
 
 
 def test_cmd_region_map_and_quiver_schema(tmp_path):

@@ -86,7 +86,7 @@ def test_roots_in_interval_spurious_branch(params):
     q = quartic_coefficients(params, -15.0)
     roots = roots_in_interval(q, 5.0, 10.0, tol=1e-9)
     assert len(roots) == 1
-    ref = fine_grid_roots(q.as_tuple(), 5.0, 10.0, n=100_000)
+    ref = fine_grid_roots(tuple(q), 5.0, 10.0, n=100_000)
     assert roots[0] == pytest.approx(ref[0], abs=1e-7)
 
 
@@ -253,7 +253,7 @@ def test_quartic_roots_match_fine_grid_oracle():
         fl = float(-rng.uniform(0.05, 20.0))
         q = quartic_coefficients(params, fl)
         mine = roots_in_interval(q, 0.0, 2 * R, tol=1e-12)
-        ref = fine_grid_roots(q.as_tuple(), 0.0, 2 * R, n=200_000)
+        ref = fine_grid_roots(tuple(q), 0.0, 2 * R, n=200_000)
         assert len(mine) == len(ref)
         for a, b in zip(mine, ref):
             assert a == pytest.approx(b, abs=1e-7)
@@ -264,7 +264,7 @@ def test_quartic_roots_match_companion_matrix(params):
     for fl in (-15.0, -6.5, -0.8):
         q = quartic_coefficients(params, fl)
         mine = roots_in_interval(q, 0.0, 2 * params.R, tol=1e-12)
-        cand = np.roots(q.as_tuple())
+        cand = np.roots(tuple(q))
         real = sorted(
             float(r.real)
             for r in cand

@@ -196,6 +196,17 @@ def test_mode_of_examples(params):
     assert mode_of(params, SystemState(2, 0, 1, 0), 0.0) is Mode.UNLATCHED
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [*SystemState._fields, "F_L"])
+def test_mode_of_rejects_non_finite_input(params, slot, bad):
+    # a nan coordinate fails every comparison, so without the check it would
+    # read as unlatched; the latched origin under F_L = -5 is the base case
+    values = {**dict.fromkeys(SystemState._fields, 0.0), "F_L": -5.0, slot: bad}
+    F_L = values.pop("F_L")
+    with pytest.raises(ValueError, match="must be finite"):
+        mode_of(params, SystemState(**values), F_L)
+
+
 def test_unlatched_projectile_ignores_latch(params):
     # the free projectile's (p, p_dot) do not depend on the latch's state
     # or radius

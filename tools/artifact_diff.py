@@ -4,9 +4,11 @@
 
 Each tree is a checkout of the repository (``src/lamsa`` and
 ``perfbench/`` under it).  For each tree a fresh Python process, with
-that tree's ``src`` first on ``sys.path``, writes every run of ``RUNS``
-and three of the benchmark's runs for both model variants, and records the outcomes of the benchmark's
-``release`` design (its starts read from the tree's
+that tree's ``src`` first on ``sys.path``, writes every run of ``RUNS``,
+every run of ``FAR_PAIR_RUNS`` with p0 = ``FAR_PAIR_P0`` (its config
+file written beside the benchmark's inputs) and three of the
+benchmark's runs for both model variants, and records the outcomes of
+the benchmark's ``release`` design (its starts read from the tree's
 ``perfbench/workloads.py``) at each seed of ``RELEASE_SEEDS``.  The two
 trees' files are then compared body by body.  A manifest is compared
 without its ``created`` stamp and its output-directory echo.
@@ -52,6 +54,16 @@ RUNS = {
     "equilibria_large_range": ["equilibria", "--fl-range=-1e306:0:1e305"],
     "trace_fl-5e-15": ["trace", "--fl=-5e-15"],
 }
+# run name -> CLI arguments, each run with p0 = FAR_PAIR_P0 < 2R: its sweeps
+# cross the far pair's birth, so classify writes NonSaddle rows too
+FAR_PAIR_P0 = 6.0
+FAR_PAIR_RUNS = {
+    "far_equilibria": ["equilibria", "--fl-range=-2:0:0.05"],
+    "far_classify": ["classify", "--fl-range=-2:0:0.05"],
+    "far_trace_fl-1": ["trace", "--fl", "-1"],
+    "far_portrait_fl-1": ["phase-portrait", "--fl", "-1"],
+    "far_design-check": ["design-check"],
+}
 VARIANTS = ("printed", "derived")
 
 
@@ -68,6 +80,9 @@ def write_tree_artifacts(tree: Path, out: Path) -> None:
     for argv in workloads.Analysis(BENCH_SEED, False, work).commands:
         if argv[0] in ("region-map", "quiver"):
             runs[f"{argv[0]}_bench"] = argv
+    far = work / "far_pair.cfg"
+    far.write_text(f"p0 = {FAR_PAIR_P0!r}\n", encoding="utf-8")
+    runs.update({name: [*argv, "--config", str(far)] for name, argv in FAR_PAIR_RUNS.items()})
     for name, argv in runs.items():
         for variant in VARIANTS:
             rc = lamsa.cli.main([*argv, "--variant", variant, "--out", str(out / name / variant)])
