@@ -95,9 +95,11 @@ def _raster(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (p, F_L) raster of region-map and quiver.
 
     ``grid`` = n_p x n_f: n_p points inside (0, R), and n_f forces from the
-    sweep's start to its stop, clipped at 0.
+    sweep's start (above 0, ConfigError) to its stop, clipped at 0.
     """
     n_p, n_f = cfg.grid
+    if cfg.F_L_range.start > 0.0:
+        raise ConfigError(f"fl_range must start at or below 0 for a raster, got {cfg.F_L_range.start}")
     fl_stop = min(0.0, cfg.F_L_range.stop)
     return _interior_grid(0.0, cfg.params.R, n_p), np.linspace(cfg.F_L_range.start, fl_stop, n_f)
 
@@ -232,7 +234,8 @@ def phase_portrait(cfg: RunConfig, out: _Artifacts) -> dict | None:
     all is refused, and the overlay is checked, before anything is written.
     """
     n_starts = cfg.grid[0] * cfg.grid[1]
-    if n_starts * (math.ceil(cfg.t_end / cfg.integrator.max_step) + 1) > _MAX_ITEMS:
+    steps = min(cfg.t_end / cfg.integrator.max_step, _MAX_ITEMS)  # capped: ceil(inf) would raise
+    if n_starts * (math.ceil(steps) + 1) > _MAX_ITEMS:
         raise ConfigError(f"a portrait of {n_starts} starts to t_end={cfg.t_end} would take more than {_MAX_ITEMS} samples")
     overlay = [*fixed_points(cfg.params, cfg.F_L), unlatched_fixed_point(cfg.params)]
     overlay_rows = [_fixed_point_row(fp) for fp in overlay]

@@ -191,8 +191,8 @@ def fixed_point_sweep(params: SystemParams, F_L) -> tuple[np.ndarray, np.ndarray
     for each F_L < 0 the near-arc point, then, when p0 < 2R and F_L >
     F_min, the far pair (the single fold point at F_L = F_min).  A force
     F_L >= 0 has no row.  The near arc is one Newton solve over the whole
-    sweep and the far arc another, so every row equals the matching point
-    of ``fixed_points``.
+    sweep and both sides of the far pair another, their rows then sorted
+    by force, so every row equals the matching point of ``fixed_points``.
     """
     F_L = np.asarray(F_L, dtype=float).ravel()
     fl = F_L[~(F_L >= 0.0)]  # a nan force fails the balance check
@@ -202,19 +202,16 @@ def fixed_point_sweep(params: SystemParams, F_L) -> tuple[np.ndarray, np.ndarray
     if fold is None:
         return fl, p, l
     u_fold, f_min = fold
-    pair = fl > f_min
-    # columns: the near-arc point, the far pair's p0-side point (or the
-    # fold) and its 2R-side point
-    have = np.column_stack([np.ones(fl.size, dtype=bool), pair | (fl == f_min), pair])
-    far = have[:, 1:]
     u_p0 = math.sqrt((params.R / (params.p0 - params.R)) ** 2 - 1.0)
-    u = np.column_stack([np.where(pair, u_p0, u_fold), np.zeros(fl.size)])[far]
-    ps, ls = np.zeros(have.shape), np.zeros(have.shape)
-    ps[:, 0], ls[:, 0] = p, l
-    (ps[:, 1:][far], ls[:, 1:][far]), _ = _newton_correct(
-        params, ck, np.repeat(fl, far.sum(axis=1)), -1.0, u, np.full(u.size, u_fold)
-    )
-    return np.repeat(fl, have.sum(axis=1)), ps[have], ls[have]
+    # one solve over the far pair's p0-side points (from u_p0, or the fold
+    # itself at F_min) and its 2R-side points (from 0); both stop at the fold
+    at_p0, at_2r = np.flatnonzero(fl >= f_min), np.flatnonzero(fl > f_min)
+    far = np.concatenate([at_p0, at_2r])
+    u = np.concatenate([np.where(fl[at_p0] > f_min, u_p0, u_fold), np.zeros(at_2r.size)])
+    (pf, lf), _ = _newton_correct(params, ck, fl[far], -1.0, u, np.full(u.size, u_fold))
+    rows = np.concatenate([np.arange(fl.size), far])
+    order = np.argsort(rows, kind="stable")  # each force's rows stay ascending in p
+    return fl[rows[order]], np.concatenate([p, pf])[order], np.concatenate([l, lf])[order]
 
 
 def fixed_points(params: SystemParams, F_L: float) -> list[FixedPoint]:

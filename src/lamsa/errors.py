@@ -31,10 +31,6 @@ class StepSizeUnderflowError(NumericalError):
     """Adaptive step shrank below the minimum without meeting tolerance (only while latched)."""
 
 
-class StructureViolationError(NumericalError):
-    """A Jacobian does not have the expected latched-mode sparsity."""
-
-
 class SingularDenominatorError(NumericalError):
     """Denominator of the saddle-path slope equation is numerically zero."""
 

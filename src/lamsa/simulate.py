@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import StepSizeUnderflowError
+from .errors import ConfigError, StepSizeUnderflowError
 from .model import (
     Mode,
     SystemParams,
@@ -47,6 +47,8 @@ __all__ = [
     "simulate",
 ]
 
+# most sweep values, raster nodes, trajectory or trace samples one run may ask for
+_MAX_ITEMS = 10**6
 # Python 3.11 fetches Enum members through a Python-level descriptor
 _LATCHED, _UNLATCHED = Mode.LATCHED, Mode.UNLATCHED
 # SystemState._make without its Python-level classmethod frame
@@ -415,12 +417,15 @@ def simulate(
     appended in closed form.  ``F_L`` and ``t_end`` are taken as floats,
     so every sample holds plain floats; a non-finite ``x0`` (through
     ``mode_of``), ``F_L`` or ``t_end`` raises ValueError, and a sample
-    that overflows to a non-finite value raises OverflowError.
+    that overflows to a non-finite value raises OverflowError.  A run that
+    could take more than ``_MAX_ITEMS`` samples raises ConfigError first.
     """
     cfg = config or IntegratorConfig()
     F_L, t_end = float(F_L), float(t_end)
     if not (math.isfinite(F_L) and 0.0 <= t_end < math.inf):
         raise ValueError(f"F_L must be finite and t_end finite and non-negative, got {F_L}, {t_end}")
+    if t_end / cfg.max_step > _MAX_ITEMS - 1:  # a trajectory holds up to ceil(t_end / max_step) + 1 samples
+        raise ConfigError(f"t_end / max_step = {t_end / cfg.max_step:.6g} gives more than {_MAX_ITEMS} samples")
 
     traj = Trajectory()
     mode = mode_of(params, x0, F_L)

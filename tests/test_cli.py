@@ -671,6 +671,47 @@ def test_oversized_run_is_refused_before_it_allocates(tmp_path, capsys, argv, me
     assert not out.exists()
 
 
+def test_region_map_takes_any_t_end(tmp_path):
+    # only simulate and phase-portrait take samples, so only they bound t_end
+    assert main(["region-map", "--t-end", "1e9", "--grid", "3x3", "--out", str(tmp_path / "x")]) == 0
+
+
+def test_portrait_bound_holds_where_the_step_count_overflows(tmp_path, capsys):
+    # t_end / max_step = 1e600 overflows to inf, which math.ceil cannot take
+    (tmp_path / "tiny.cfg").write_text("max_step = 1e-300\nevent_time_tol = 1e-301\nt_end = 1e300\n")
+    out = tmp_path / "x"
+    assert main(["phase-portrait", "--config", str(tmp_path / "tiny.cfg"), "--out", str(out)]) == 1
+    message = "a portrait of 400 starts to t_end=1e+300 would take more than 1000000 samples"
+    assert capsys.readouterr().err == f"lamsa: configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["region-map", "quiver"])
+def test_raster_refuses_a_range_that_starts_above_zero(tmp_path, capsys, command):
+    # a range from at or below 0 is clipped at 0; one from above 0 would run backwards
+    out = tmp_path / "x"
+    assert main([command, "--fl-range=1:2:1", "--grid", "3x3", "--out", str(out)]) == 1
+    message = "fl_range must start at or below 0 for a raster, got 1.0"
+    assert capsys.readouterr().err == f"lamsa: configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file: [Errno 2] No such file or directory: '{path}'"),
+        ("fl -5\n", "line 1: expected 'key = value', got 'fl -5'"),
+    ],
+)
+def test_config_file_errors_are_configuration_errors(tmp_path, capsys, text, message):
+    path, out = tmp_path / "run.cfg", tmp_path / "x"
+    if text is not None:
+        path.write_text(text)
+    assert main(["equilibria", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"lamsa: configuration error: {message.format(path=path)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

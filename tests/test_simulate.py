@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from lamsa import (
 )
 from lamsa.cli import _portrait_initial_states
 from lamsa.config import RunConfig
-from lamsa.errors import LamsaError, StepSizeUnderflowError
+from lamsa.errors import ConfigError, LamsaError, StepSizeUnderflowError
 from lamsa.model import _field_arr, mode_of
 from lamsa.simulate import _locate_zero, _step_raw, integrate_step, project_to_constraint
 
@@ -570,6 +572,23 @@ def test_simulate_rejects_non_finite_force_and_horizon(variant, arg, bad):
     for x0 in (SystemState(9.0, 0.5, 2.0, 0.3), _latched_start(params, 1.0)):
         with pytest.raises(ValueError, match="must be finite"):
             simulate(params, x0, args["F_L"], args["t_end"])
+
+
+@pytest.mark.parametrize("t_end, ratio", [(1e4, "1e+06"), (1e9, "1e+11")])
+def test_simulate_refuses_an_oversized_run_before_it_allocates(t_end, ratio):
+    # unlatched and at rest at p0, the flight never ends early and holds
+    # one sample per max_step: 1,001 at t_end = 10, so 10^6 + 1 at 10^4
+    params, x0 = SystemParams(), SystemState(10.0, 0.0, 10.0, 0.0)
+    assert len(simulate(params, x0, 0.0, 10.0)) == 1001
+    tracemalloc.start()
+    try:
+        message = f"t_end / max_step = {ratio} gives more than 1000000 samples"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            simulate(params, x0, 0.0, t_end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- the closed-form unlatched flight ----------------------------------------

@@ -20,8 +20,7 @@ from lamsa import (
     jacobian_fd_at,
     stability_report,
 )
-from lamsa.equilibria import FixedPoint
-from lamsa.errors import StructureViolationError
+from lamsa.equilibria import FixedPoint, unlatched_fixed_point
 from lamsa.model import ModelVariant, SystemParams, _field_arr, latch_from_projectile
 from lamsa.published import closed_form_ABGD
 from lamsa.stability import _FD_BASE, _latched_abgd, _saddle_classes
@@ -86,11 +85,20 @@ def test_fd_kernel_bit_equal_to_numpy_oracle():
                 assert np.array_equal(jacobian_fd_at(params, x, fl), J), (var, p, fl)
 
 
-def test_fd_kernel_rejects_moving_state(params):
-    l = latch_from_projectile(params, 2.0)
-    for x in (SystemState(2.0, 0.5, l, 0.0), SystemState(2.0, 0.0, l, -0.3)):
-        with pytest.raises(StructureViolationError):
-            jacobian_fd_at(params, x, -3.0)
+def test_fd_kernel_returns_measured_velocity_columns_at_a_moving_state():
+    # off rest the velocity differences are kept as measured, not checked
+    # or zeroed: the same matrix as the numpy oracle, bit for bit
+    for var in ModelVariant:
+        params = SystemParams(variant=var)
+        l = latch_from_projectile(params, 2.0)
+        for x, (i, j) in (
+            (SystemState(2.0, 0.5, l, 0.0), (1, 1)),
+            (SystemState(2.0, 0.0, l, -0.3), (3, 3)),
+        ):
+            J = jacobian_fd_at(params, x, -3.0)
+            oracle = jacobian_central_fd(lambda y: _field_arr(params, y, -3.0), np.array(x), _FD_BASE)
+            assert np.array_equal(J, oracle), (var, x)
+            assert J[i, j] != 0.0, (var, x)
 
 
 def test_extract_at_reference_saddle(params):
@@ -326,6 +334,15 @@ def test_closed_form_comparison_report(params, capsys):
         print(f"closed-form {name}: printed={a:.6g} fd={b:.6g} rel-dev={rel:.3g}")
     out = capsys.readouterr().out
     assert "closed-form A" in out
+
+
+@pytest.mark.parametrize("p0", [8.0, 10.0, 12.0])
+def test_stability_report_refuses_the_unlatched_rest_point(p0):
+    # the unlatched rest point has no latch position; read as (p0, 0, 0, 0)
+    # it has h = -16, 0 and 24, and linearizing there reported Marginal
+    params = SystemParams(p0=p0)
+    with pytest.raises(ValueError, match="latched fixed point"):
+        stability_report(params, unlatched_fixed_point(params))
 
 
 def test_stability_report_composition(params):

@@ -53,6 +53,9 @@ RUNS = {
     "equilibria_small_range": ["equilibria", "--fl-range=-1.2e-9:0:5e-10"],
     "equilibria_large_range": ["equilibria", "--fl-range=-1e306:0:1e305"],
     "trace_fl-5e-15": ["trace", "--fl=-5e-15"],
+    # rasters whose range crosses F_L = 0, where the forces are clipped
+    "region-map_cross_zero": ["region-map", "--fl-range=-2:1:0.5", "--grid", "5x4"],
+    "quiver_cross_zero": ["quiver", "--fl-range=-2:1:0.5", "--grid", "5x4"],
 }
 # run name -> CLI arguments, each run with p0 = FAR_PAIR_P0 < 2R: its sweeps
 # cross the far pair's birth, so classify writes NonSaddle rows too
