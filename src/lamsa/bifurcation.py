@@ -16,7 +16,6 @@ which is the bifurcation that releases the projectile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -50,10 +49,7 @@ class PathTerminal(Enum):
 
 
 class PathSample(NamedTuple):
-    """One continuation sample; h2 = A + Delta there (the saddle's eigenvalues are +/- sqrt(h2)).
-
-    The record is an immutable tuple, as ``FixedPoint`` is.
-    """
+    """One continuation sample; h2 = A + Delta there (the saddle's eigenvalues are +/- sqrt(h2))."""
 
     F_L: float
     p_star: float
@@ -61,8 +57,9 @@ class PathSample(NamedTuple):
     h2: float
 
 
-@dataclass(frozen=True)
-class ContinuationPath:
+class ContinuationPath(NamedTuple):
+    """``trace_path``'s samples, in order of F_L, and how the path ended."""
+
     samples: tuple[PathSample, ...]
     terminal: PathTerminal
 
@@ -71,9 +68,8 @@ class ContinuationPath:
         return self.samples[-1]
 
 
-@dataclass(frozen=True)
-class RegionMap:
-    """Saddle-condition raster over a (p, F_L) grid of on-circle rest states."""
+class RegionMap(NamedTuple):
+    """Saddle-condition raster over a (p, F_L) grid of on-circle rest states; h1, h2 and in_S are p-by-F_L arrays."""
 
     p_grid: np.ndarray
     F_L_grid: np.ndarray
@@ -82,8 +78,7 @@ class RegionMap:
     in_S: np.ndarray
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(NamedTuple):
     """Feasibility of hosting the saddle-disappearance at (0, 0).
 
     ``h1_at_origin`` evaluates the published closed form; ``h1_fd_origin``

@@ -13,7 +13,6 @@ infinite number included), 2 on a numerical failure (overflow and division by ze
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import math
@@ -192,7 +191,7 @@ def cmd_quiver(cfg: RunConfig, out: _Artifacts) -> dict | None:
 
 
 def cmd_design_check(cfg: RunConfig, out: _Artifacts) -> dict | None:
-    report = dataclasses.asdict(design_feasibility(cfg.params))
+    report = design_feasibility(cfg.params)._asdict()
     _check_finite(*report.values())  # as from a mass near 1e-320
     out.write("design.json", _write_json, report)
     return {"feasible": report["feasible"]}

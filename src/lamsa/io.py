@@ -21,7 +21,6 @@ __all__ = [
     "fmt",
     "flag",
     "write_csv",
-    "trajectory_rows",
     "write_trajectory",
     "write_events",
     "write_manifest",
@@ -43,7 +42,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) 
     return len(lines) - 2
 
 
-def trajectory_rows(traj: Trajectory) -> list[tuple[str, ...]]:
+def _trajectory_rows(traj: Trajectory) -> list[tuple[str, ...]]:
     """One row of strings per sample, formatted straight from the float columns.
 
     ``float.__repr__`` is ``fmt`` without its call: it gives a float's repr
@@ -60,7 +59,7 @@ def trajectory_rows(traj: Trajectory) -> list[tuple[str, ...]]:
 
 
 def write_trajectory(path: Path, traj: Trajectory) -> int:
-    return write_csv(path, TRAJECTORY_HEADER, trajectory_rows(traj))
+    return write_csv(path, TRAJECTORY_HEADER, _trajectory_rows(traj))
 
 
 def _write_json(path: Path, payload: object) -> int:

@@ -27,7 +27,6 @@ They stay for comparison, for the ``quiver`` direction field and the
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -211,8 +210,7 @@ def _sigma_plus_pi(params: SystemParams, p: float, F_L: float) -> float:
     return sigma + pi
 
 
-@dataclass(frozen=True)
-class UMembership:
+class UMembership(NamedTuple):
     """Printed-denominator sign test plus the implicit-diff diagnostic."""
 
     in_u: bool
@@ -232,11 +230,7 @@ def in_region_U(params: SystemParams, p: float, F_L: float) -> UMembership:
     """
     sig_pi = _sigma_plus_pi(params, p, F_L)
     q = quartic_coefficients(params, F_L)
-    return UMembership(
-        in_u=sig_pi < 0.0,
-        sigma_plus_pi=sig_pi,
-        quartic_dp=eval_quartic_derivative(q, p),
-    )
+    return UMembership(sig_pi < 0.0, sig_pi, eval_quartic_derivative(q, p))
 
 
 def closed_form_ABGD(

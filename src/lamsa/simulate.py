@@ -100,8 +100,9 @@ class EventKind(Enum):
 _UNLATCH, _TAKEOFF = EventKind.UNLATCH_TAU_ZERO, EventKind.TAKEOFF_TANGENCY
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """The release: its time, the state there (projected onto the constraint circle) and its kind."""
+
     t: float
     state: SystemState
     kind: EventKind
@@ -417,7 +418,9 @@ def simulate(
     appended in closed form.  ``F_L`` and ``t_end`` are taken as floats,
     so every sample holds plain floats; a non-finite ``x0`` (through
     ``mode_of``), ``F_L`` or ``t_end`` raises ValueError, and a sample
-    that overflows to a non-finite value raises OverflowError.  A run that
+    that overflows to a non-finite value, or a latched field that
+    overflows in a step, raises OverflowError naming what overflowed (the
+    field's message gives the last accepted t).  A run that
     could take more than ``_MAX_ITEMS`` samples raises ConfigError first.
     """
     cfg = config or IntegratorConfig()
@@ -463,34 +466,37 @@ def simulate(
     if mode is _LATCHED:
         p, p_dot, l, l_dot = y
         tol = max(rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot), abs_tol)
-        while t < t_last:
-            h = t_end - t
-            y_end, f_end, dt_used, err = integrate_step(params, y, f, F_L, h if h < dt else dt, tol, min_step)
-            t_new = t + dt_used
-            y_new = project_to_constraint(params, y_end)
-            f_new = _field_arr(params, y_new, F_L)
+        try:
+            while t < t_last:
+                h = t_end - t
+                y_end, f_end, dt_used, err = integrate_step(params, y, f, F_L, h if h < dt else dt, tol, min_step)
+                t_new = t + dt_used
+                y_new = project_to_constraint(params, y_end)
+                f_new = _field_arr(params, y_new, F_L)
 
-            # the rule fires on the integrated end, bracketed by the step
-            # itself, or else on the projected end, the next step's start
-            armed = y[0] - R < 0.0
-            y_hi, f_hi = y_end, f_end
-            if release(y_end, f_end[4]) is None:
-                y_hi, f_hi = y_new, f_new
-            if release(y_hi, f_hi[4]) is not None:
-                t, y, kind = _locate_zero(t, y, f, t_new, y_hi, f_hi, release, cfg.event_time_tol)
-                y, mode = project_to_constraint(params, y), _UNLATCHED
-                traj.events.append(Event(t, y, kind))
-                traj.append(t, y, mode, 0.0)
-                break
+                # the rule fires on the integrated end, bracketed by the step
+                # itself, or else on the projected end, the next step's start
+                armed = y[0] - R < 0.0
+                y_hi, f_hi = y_end, f_end
+                if release(y_end, f_end[4]) is None:
+                    y_hi, f_hi = y_new, f_new
+                if release(y_hi, f_hi[4]) is not None:
+                    t, y, kind = _locate_zero(t, y, f, t_new, y_hi, f_hi, release, cfg.event_time_tol)
+                    y, mode = project_to_constraint(params, y), _UNLATCHED
+                    traj.events.append(Event(t, y, kind))
+                    traj.append(t, y, mode, 0.0)
+                    break
 
-            t, y, f = t_new, y_new, f_new
-            traj.append(t, y, _LATCHED, f[4])
-            p, p_dot, l, l_dot = y
-            tol = rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
-            tol = abs_tol if abs_tol > tol else tol
-            g = 0.9 * (tol / err) ** 0.2 if err else 5.0
-            dt = dt_used * ((g if g < 5.0 else 5.0) if g > 0.2 else 0.2)
-            dt = dt if dt < max_step else max_step
+                t, y, f = t_new, y_new, f_new
+                traj.append(t, y, _LATCHED, f[4])
+                p, p_dot, l, l_dot = y
+                tol = rel_tol * sqrt(p * p + p_dot * p_dot + l * l + l_dot * l_dot)
+                tol = abs_tol if abs_tol > tol else tol
+                g = 0.9 * (tol / err) ** 0.2 if err else 5.0
+                dt = dt_used * ((g if g < 5.0 else 5.0) if g > 0.2 else 0.2)
+                dt = dt if dt < max_step else max_step
+        except OverflowError as exc:  # as from (R - p) ** 2 in the field, past 1e154
+            raise OverflowError(f"the latched field overflowed after the last accepted t={t!r}") from exc
         if not math.isfinite(f[4]):  # the last latched sample's; a step from it would have failed
             raise OverflowError("the contact force overflowed to a non-finite value")
 

@@ -46,8 +46,8 @@ branch always goes through the h1 ~ 0, h2 > 0 case with a spectrum
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 import numpy as np
 
 from .model import SystemParams, SystemState, _field_arr
@@ -76,8 +76,9 @@ class Classification(Enum):
 _LABELS = np.array([c.value for c in (Classification.NON_SADDLE, Classification.MARGINAL, Classification.SADDLE)])
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
+    """``stability_report``'s record: closed-form entries, invariants, spectrum and class at one fixed point."""
+
     A: float
     B: float
     Gamma: float
@@ -184,14 +185,4 @@ def stability_report(params: SystemParams, fp: FixedPoint) -> StabilityReport:
     if fp.l_star is None:
         raise ValueError("stability_report needs a latched fixed point; the unlatched one has no l_star")
     A, B, G, D, h1, h2, label = _linearize(params, fp.p_star, fp.l_star, fp.F_L_star)
-    eigs = eigenvalues_biquadratic(h1, h2)
-    return StabilityReport(
-        A=A,
-        B=B,
-        Gamma=G,
-        Delta=D,
-        h1=h1,
-        h2=h2,
-        eigenvalues=eigs,
-        classification=Classification(str(label)),
-    )
+    return StabilityReport(A, B, G, D, h1, h2, eigenvalues_biquadratic(h1, h2), Classification(str(label)))

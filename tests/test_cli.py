@@ -47,7 +47,7 @@ from lamsa.cli import (
 )
 from lamsa.config import _KEYS, _MAX_ITEMS, RunConfig, apply_overrides, build_config
 from lamsa.errors import ConfigError, SingularDenominatorError
-from lamsa.io import fmt, trajectory_rows, write_trajectory
+from lamsa.io import _trajectory_rows, fmt, write_trajectory
 from lamsa.model import holonomic_h
 from lamsa.published import _implicit_slope, nominal_rhs
 
@@ -380,7 +380,7 @@ def test_trajectory_rows_format_each_cell_like_fmt():
         for t, x, mode, tau in zip(traj.t, traj.x, traj.mode, traj.tau)
     ]
     assert {mode.value for mode in traj.mode} == {"L", "U"}
-    assert trajectory_rows(traj) == expected
+    assert _trajectory_rows(traj) == expected
 
 
 def test_cmd_classify_schema(tmp_path):
@@ -752,10 +752,27 @@ def test_overflowing_portrait_overlay_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_overflowing_simulation_is_a_numerical_failure(tmp_path, capsys):
-    # the squared contact-force denominator raises OverflowError, not a traceback
-    assert main(["simulate", "--fl=-1e44", "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("lamsa: numerical failure: ")
-    assert not (tmp_path / "x").exists()
+    # the squared contact-force denominator raises OverflowError, not a
+    # traceback, and the message names the latched field, not libm's errno
+    for argv in (["--fl=-1e44"], ["--fl", "-1e300", "--t-end", "1"]):
+        assert main(["simulate", *argv, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "lamsa: numerical failure: the latched field overflowed after the last accepted t=0.0\n"
+        )
+        assert not (tmp_path / "x").exists()
+
+
+def test_portrait_records_a_latched_overflow_in_its_index(tmp_path):
+    # p = 4 is the grid's one latched column; its two starts overflow in
+    # their first step, and each index row keeps one cell per column
+    out = tmp_path / "x"
+    assert main(["phase-portrait", "--grid", "4x2", "--t-end", "1", "--fl=-1e44", "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "index.csv")
+    assert all(len(row) == len(header) for row in rows)
+    failed = [row for row in rows if row[header.index("status")] == "error"]
+    assert [row[header.index("p")] for row in failed] == ["4.0", "4.0"]
+    for row in failed:
+        assert row[header.index("detail")] == "the latched field overflowed after the last accepted t=0.0"
 
 
 _EDGE = ["-15", "-5", "-1", "0", "0.5", "2", "-1e-3", "1e-3", "1e308", "-1e308", "1e-320", "nan", "inf", "1e400", "0x5"]

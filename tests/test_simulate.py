@@ -591,6 +591,32 @@ def test_simulate_refuses_an_oversized_run_before_it_allocates(t_end, ratio):
     assert peak < 1_000_000
 
 
+def test_latched_overflow_names_the_field_and_the_last_accepted_time(monkeypatch):
+    # (R - p) ** 2 raises libm's OverflowError(34, ...) in the first step
+    params, x0 = SystemParams(), SystemState(1.0, 0.0, 3.0, 0.0)
+    with pytest.raises(OverflowError) as info:
+        simulate(params, x0, -1e300, 1.0)
+    assert str(info.value) == "the latched field overflowed after the last accepted t=0.0"
+    assert info.value.__cause__.args == (34, "Numerical result out of range")
+
+    # an overflow in the 40th step names the time of the 40th sample, where that step began
+    sim = importlib.import_module("lamsa.simulate")
+    full = simulate(params, x0, -5.0, 1.0)
+    assert not full.events and len(full) > 40
+    step, calls = sim.integrate_step, []
+
+    def overflowing(*args):
+        calls.append(args)
+        if len(calls) == 40:
+            raise OverflowError(34, "Numerical result out of range")
+        return step(*args)
+
+    monkeypatch.setattr(sim, "integrate_step", overflowing)
+    with pytest.raises(OverflowError, match=re.escape(f"after the last accepted t={full.t[39]!r}")):
+        simulate(params, x0, -5.0, 1.0)
+    assert full.t[39] > 0.0
+
+
 # --- the closed-form unlatched flight ----------------------------------------
 
 
