@@ -1,13 +1,14 @@
 """Tracing the moving saddle and detecting its disappearance at (0, 0).
 
-On the near arc the saddle branch is explicit in the circle's angle
-theta (see ``equilibria``), and it has no fold there: ``trace_path``
-solves that balance at every sample's F_L in one call of the Newton
-iteration of ``fixed_points``.  ``saddle_region_map`` rasters the saddle
-test of ``stability`` over the (p, F_L) plane, and ``design_feasibility``
-sets the published design condition beside the finite-difference h1 at
-the origin.  The paper's printed slope Lambda/(Sigma+Pi), region U and
-the design condition's closed forms are in ``lamsa.published``.
+On the near arc the saddle branch is a graph over the circle's angle
+theta (see ``equilibria``) with no fold: ``trace_path`` samples it in
+closed form at evenly spaced theta, solving only its end force with
+``fixed_points``' Newton iteration.  ``saddle_region_map`` rasters the
+saddle test of ``stability`` over the (p, F_L) plane, and
+``design_feasibility`` sets the published design condition beside the
+finite-difference h1 at the origin.  The paper's printed slope
+Lambda/(Sigma+Pi), region U and the design condition's closed forms are
+in ``lamsa.published``.
 
 As F_L rises to zero the interior saddle slides into the stationary point
 at p = 0 and no equilibrium survives for F_L > 0: the branch terminates,
@@ -16,15 +17,15 @@ which is the bifurcation that releases the projectile.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import _MAX_ITEMS
-from .errors import ConfigError, InvalidStartError
+from .errors import InvalidStartError
 from .model import SystemParams, SystemState, latch_from_projectile
-from .equilibria import _near_arc, _newton_correct, balance_residual
+from .equilibria import _near_arc, _newton_correct, _on_arc, balance_residual
 from .published import design_closed_form
 from .stability import Classification, _linearize, characteristic_invariants, jacobian_fd_at
 
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 _START_BALANCE_TOL = 1e-8
-_FL_STEP = 0.05
+_THETA_STEP = 0.005
 
 
 class PathTerminal(Enum):
@@ -102,23 +103,18 @@ def trace_path(
 ) -> ContinuationPath:
     """Follow the interior equilibrium from ``start = (p*, F_L0)`` to F_L_end.
 
-    Samples go at F_L0 + 0.05, F_L0 + 0.10, ... (the last clipped to
-    F_L_end, so a near-arc path always ends there, even from a start
-    within 1e-14 below it), each the near-arc point that ``fixed_points`` gives at that
-    F_L; one Newton call solves them all.  The start must satisfy the
-    equilibrium balance to 1e-8 max(k p0 R, |F_L0 R|), a tolerance with no
-    absolute floor; the path never extends past F_L = 0, where the branch
-    ceases to exist.  A span from F_L0 to F_L_end of more than
-    ``_MAX_ITEMS`` samples at that spacing raises ConfigError before any
-    sample is computed, wherever the start lies.  Terminates with
-    REACHED_ZERO_FORCE at F_L_end, or LEFT_DOMAIN at once when the
-    start lies on the far arc (p* >= R), which does not reach F_L = 0.
+    On the near arc (p* <= R) the samples are the start, the branch in
+    closed form at evenly spaced theta at most 0.005 rad apart (so at most
+    316 samples, the same in any units) and the point ``fixed_points``
+    gives at F_L_end, where the path ends REACHED_ZERO_FORCE.  A far-arc
+    start (p* > R), which does not reach F_L = 0, is the whole path, with
+    LEFT_DOMAIN.  The start must satisfy the equilibrium balance to
+    1e-8 max(k p0 R, |F_L0 R|), a tolerance with no absolute floor, and
+    F_L0 < F_L_end <= 0: the branch ceases to exist past F_L = 0.
     """
     p_start, fl_start = float(start[0]), float(start[1])
     if not fl_start < F_L_end and not (p_start == 0.0 and fl_start == F_L_end):
-        raise InvalidStartError(
-            f"need F_L0 < F_L_end, got F_L0={fl_start}, F_L_end={F_L_end}"
-        )
+        raise InvalidStartError(f"need F_L0 < F_L_end, got F_L0={fl_start}, F_L_end={F_L_end}")
     if F_L_end > 0.0:
         raise InvalidStartError("the equilibrium branch does not extend past F_L = 0")
     res = balance_residual(params, p_start, fl_start)
@@ -129,24 +125,20 @@ def trace_path(
             f"(residual {res:.3e})"
         )
 
-    if (F_L_end - fl_start) / _FL_STEP > _MAX_ITEMS - 1:  # ceil((F_L_end - F_L0) / step) + 1 samples
-        raise ConfigError(f"a trace from F_L={fl_start} would take more than {_MAX_ITEMS} samples")
-
-    near = p_start < params.R  # the far arc does not reach F_L = 0
-    fls, fl = [fl_start], fl_start
-    while near and fl < F_L_end:
-        fl += min(_FL_STEP, F_L_end - fl)
-        if F_L_end - fl < 1e-14:
-            fl = F_L_end
-        fls.append(fl)
-    F_L = np.array(fls)
-    ck, u, stop = _near_arc(params, F_L[1:])
-    (p, l), _ = _newton_correct(params, ck, F_L[1:], 1.0, u, stop)
-    p = np.concatenate(([p_start], p))
-    l = np.concatenate(([latch_from_projectile(params, p_start)], l))
+    near = p_start <= params.R  # the far arc does not reach F_L = 0
+    p, l, F_L = np.array([p_start]), np.array([latch_from_projectile(params, p_start)]), np.array([fl_start])
+    if near and fl_start < F_L_end:
+        fl_end = np.array([F_L_end])
+        ck, u, stop = _near_arc(params, fl_end)
+        (p_end, l_end), _ = _newton_correct(params, ck, fl_end, 1.0, u, stop)
+        theta0, theta1 = math.atan2(l[0], params.R - p_start), math.atan2(l_end[0], params.R - p_end[0])
+        # theta falls as F_L rises; spaced up from theta1 (0 at F_L = 0), small angles keep their precision
+        theta = np.linspace(theta1, theta0, max(1, math.ceil((theta0 - theta1) / _THETA_STEP)) + 1)[-2:0:-1]
+        p_in, l_in, fl_in = _on_arc(params, ck, 1.0, np.tan(theta))
+        p, l, F_L = np.concatenate((p, p_in, p_end)), np.concatenate((l, l_in, l_end)), np.concatenate((F_L, fl_in, fl_end))
     *_, h2, label = _linearize(params, p, l, F_L)
     in_s = (label == Classification.SADDLE.value).tolist()
-    samples = tuple(map(PathSample, fls, p.tolist(), in_s, h2.tolist()))
+    samples = tuple(map(PathSample, F_L.tolist(), p.tolist(), in_s, h2.tolist()))
     terminal = PathTerminal.REACHED_ZERO_FORCE if near else PathTerminal.LEFT_DOMAIN
     return ContinuationPath(samples, terminal)
 

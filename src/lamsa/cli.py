@@ -156,7 +156,7 @@ def cmd_trace(cfg: RunConfig, out: _Artifacts) -> dict | None:
     # +/- sqrt(h2) is the saddle's real pair at the last sample; as F_L -> 0-
     # it tends to sqrt(k p0/(M R)), not to zero (no eigenvalue vanishes there)
     h2 = path.final.h2
-    _check_finite(h2)  # as from a latch mass near 1e-320
+    _check_finite([s.h2 for s in path.samples])  # in_S reads each; as from a latch mass near 1e-300
     r = float.__repr__  # fmt without its call
     rows = [[r(s.F_L), r(s.p_star), flag(s.in_S)] for s in path.samples]
     out.write("path.csv", write_csv, PATH_HEADER, rows)

@@ -31,9 +31,10 @@ Points with p in (R, min(p0, 2R)) would need F_L > 0.  ``fixed_points``
 reports nothing for F_L > 0 and only the origin for F_L = 0: the branch
 that holds the saddle ends there.
 
-``_newton_correct`` solves the balance in theta, for a whole array of
-forces at once, for ``fixed_point_sweep`` (and so ``fixed_points``, a
-sweep of one force) and ``bifurcation.trace_path`` alike.  Squaring the
+``_newton_correct`` solves the balance in theta for a whole array of
+forces at once, for ``fixed_point_sweep`` (and so ``fixed_points``) and
+the end force of ``bifurcation.trace_path``; ``_on_arc`` reads it the
+other way, from given angles to (p, l, F_L).  Squaring the
 balance gives the paper's quartic D(p), which also has the spurious
 roots of the squared sign; no solver uses it, and it lives with the
 other printed formulas in ``lamsa.published``.
@@ -158,16 +159,22 @@ def _newton_correct(
             u_new = np.minimum(np.maximum(u + (ck * (sa + R / s) * u + F_L) / slope, lo), hi)
             live &= (slope != 0.0) & ~((u_new - u) * (stop - u) <= 0.0)
             np.copyto(u, u_new, where=live)
-    s = np.hypot(1.0, u)
-    residual = ck * (sa + R / s) * u + F_L
-    bad = ~(np.abs(residual) <= _BALANCE_RTOL * np.fmax(np.abs(F_L), ck * u * (abs(sa) + R / s)))
+    p, l, F_u = _on_arc(params, ck, sigma, u)
+    residual = F_L - F_u
+    bad = ~(np.abs(residual) <= _BALANCE_RTOL * np.fmax(np.abs(F_L), ck * u * (abs(sa) + R / np.hypot(1.0, u))))
     if bad.any():
         i = int(np.argmax(bad))
         raise EquilibriumBalanceError(
             f"balance residual {residual[i]:.3e} at tan(theta)={float(u[i])!r}, F_L={float(F_L[i])!r}"
         )
+    return (p, l), max(iterations, 1)
+
+
+def _on_arc(params: SystemParams, ck: float, sigma: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, l, F_L) of the balance's point at u = |tan theta| on the near (sigma = +1) or far (-1) arc."""
+    R, s = params.R, np.hypot(1.0, u)
     l = R * (u / s)
-    return ((l * u / (1.0 + s) if sigma > 0.0 else R + R / s), l), max(iterations, 1)
+    return (l * u / (1.0 + s) if sigma > 0.0 else R + R / s), l, -(ck * (sigma * (params.p0 - R) + R / s) * u)
 
 
 def _far_fold(params: SystemParams, ck: float) -> tuple[float, float] | None:

@@ -274,15 +274,16 @@ def theta_newton_reference(params, ck: float, F_L: float, sigma: float, u: float
 QUARTIC_FOLD = "DenominatorSingular"  # the oracle's terminal where dD/dp is numerically zero
 
 
-def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float = 0.0, step_tol: float = 1e-10):
-    """The saddle continuation on the squared balance, with a fresh quartic at every use.
+def trace_path_three_quartics(params, start: tuple[float, float], forces, step_tol: float = 1e-10):
+    """The saddle continuation on the squared balance at given forces, with a fresh quartic at every use.
 
-    An Euler predictor in F_L and a Newton corrector on the quartic D(p),
-    for a valid near-arc start.  Each accepted step builds the quartic at
-    the same F_L three times: for the predictor slope
-    -(dD/dF_L)/(dD/dp), in the corrector, and for the fold check, which
-    ends the path with terminal ``QUARTIC_FOLD``.  Saddle membership goes
-    through ``classify``, at l = latch_from_projectile(p).
+    From a valid near-arc start, an Euler predictor in F_L and a Newton
+    corrector on the quartic D(p) visit each of ``forces`` (ascending, all
+    above the start's) in turn.  Each step builds the quartic at the same
+    F_L three times: for the predictor slope -(dD/dF_L)/(dD/dp), in the
+    corrector, and for the fold check, which ends the path with terminal
+    ``QUARTIC_FOLD``.  Saddle membership goes through ``classify``, at
+    l = latch_from_projectile(p).
     """
     from lamsa.bifurcation import ContinuationPath, PathSample, PathTerminal
     from lamsa.published import _dD_dFL, _dp_singular, eval_quartic, eval_quartic_derivative, quartic_coefficients
@@ -296,37 +297,25 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
 
     def newton(p, fl):
         q = quartic_coefficients(params, fl)
-        for it in range(1, 13):
+        for _ in range(50):
             df = eval_quartic_derivative(q, p)
             if df == 0.0:
-                return None, it
+                break
             step = eval_quartic(q, p) / df
             p -= step
             if abs(step) <= step_tol * max(1.0, abs(p)):
-                return p, it
-        return None, 12
+                return p
+        raise RuntimeError(f"corrector failed at F_L={fl}")
 
     p, fl = float(start[0]), float(start[1])
     h2, in_s = in_s_at(p, fl)
     samples = [PathSample(fl, p, in_s, h2)]
-    dfl = 0.05
-    while fl < F_L_end:
-        dfl = min(dfl, F_L_end - fl)
+    for fl_new in forces:
         q = quartic_coefficients(params, fl)
         den = eval_quartic_derivative(q, p)
         if _dp_singular(q, p, den):
             return ContinuationPath(tuple(samples), QUARTIC_FOLD)
-        slope = -_dD_dFL(params, p, fl) / den
-        while True:
-            fl_new = fl + dfl
-            if F_L_end - fl_new < 1e-14:
-                fl_new = F_L_end
-            corrected, iters = newton(p + dfl * slope, fl_new)
-            if corrected is not None:
-                break
-            dfl *= 0.5
-            if dfl < 1e-9:
-                raise RuntimeError(f"corrector kept failing near F_L={fl}")
+        corrected = newton(p + (fl_new - fl) * (-_dD_dFL(params, p, fl) / den), fl_new)
         p_new = 0.0 if abs(corrected) < 1e-12 else corrected
         if not 0.0 <= p_new < params.R:
             return ContinuationPath(tuple(samples), PathTerminal.LEFT_DOMAIN)
@@ -336,8 +325,6 @@ def trace_path_three_quartics(params, start: tuple[float, float], F_L_end: float
         if _dp_singular(q, p_new, eval_quartic_derivative(q, p_new)):
             return ContinuationPath(tuple(samples), QUARTIC_FOLD)
         p, fl = p_new, fl_new
-        if iters <= 3:
-            dfl = min(0.05, dfl * 1.5)
     return ContinuationPath(tuple(samples), PathTerminal.REACHED_ZERO_FORCE)
 
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -20,9 +20,8 @@ from lamsa import (
     trace_path,
 )
 from lamsa.bifurcation import PathSample
-from lamsa.equilibria import _far_fold
+from lamsa.equilibria import _far_fold, balance_residual
 from lamsa.errors import (
-    ConfigError,
     ContactWindowError,
     InvalidStartError,
     SingularBoundError,
@@ -123,13 +122,21 @@ def test_trace_path_reaches_bifurcation(params):
     assert all(a < b for a, b in zip(fls, fls[1:]))  # strictly increasing
 
 
+def _assert_on_the_near_arc(params, s):
+    # the point fixed_points gives at the sample's F_L, to round-off, and
+    # the sample's own balance residual at round-off
+    assert abs(s.p_star - _interior_p(params, s.F_L)) <= 1e-14 * max(1.0, s.p_star), s.F_L
+    scale = max(params.k * params.p0 * params.R, abs(s.F_L * params.R))
+    assert abs(balance_residual(params, s.p_star, s.F_L)) <= 1e-14 * scale, s.F_L
+
+
 def test_trace_path_samples_are_equilibria(params):
-    # every sample is the very point fixed_points gives at its F_L; at
-    # F_L = 0 only the origin is left
+    # every sample is the near-arc point at its F_L; at F_L = 0 only the
+    # origin is left
     start_p = _interior_p(params, REF_SADDLE_FL)
     *inner, last = trace_path(params, (start_p, REF_SADDLE_FL), F_L_end=0.0).samples
     for s in inner:
-        assert s.p_star == _interior_p(params, s.F_L)
+        _assert_on_the_near_arc(params, s)
     assert (last.F_L, last.p_star) == (0.0, fixed_points(params, 0.0)[0].p_star)
 
 
@@ -158,15 +165,14 @@ def test_trace_path_single_sample_at_bifurcation(params):
 @pytest.mark.parametrize("var", list(ModelVariant))
 @pytest.mark.parametrize("fl_start", [REF_SADDLE_FL, -3.3])
 def test_trace_path_equals_the_three_quartic_oracle(var, fl_start):
-    # the theta solve and the predictor-corrector on the squared balance
-    # meet the same branch at the same forces
+    # the closed-form theta samples and the predictor-corrector on the
+    # squared balance, run at the path's own forces, meet the same branch
     params = SystemParams(variant=var)
     start = (_interior_p(params, fl_start), fl_start)
     path = trace_path(params, start, F_L_end=0.0)
-    want = trace_path_three_quartics(params, start, F_L_end=0.0)
+    want = trace_path_three_quartics(params, start, [s.F_L for s in path.samples[1:]])
     assert path.terminal is want.terminal is PathTerminal.REACHED_ZERO_FORCE
     assert len(path.samples) == len(want.samples) > 20
-    assert [s.F_L for s in path.samples] == [s.F_L for s in want.samples]
     assert [s.in_S for s in path.samples] == [s.in_S for s in want.samples]
     for got, ref in zip(path.samples, want.samples):
         assert abs(got.p_star - ref.p_star) <= 1e-14 * max(1.0, abs(ref.p_star)), got.F_L
@@ -178,11 +184,11 @@ def test_trace_path_singular_start_at_the_end_is_one_sample():
     params = SystemParams(m=1.0, M=1.0, R=1.0, k=1e-6, p0=2.0)
     path = trace_path(params, (0.0, 0.0), F_L_end=0.0)
     assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
-    assert path.samples == trace_path_three_quartics(params, (0.0, 0.0)).samples
+    assert path.samples == trace_path_three_quartics(params, (0.0, 0.0), []).samples
     assert len(path.samples) == 1
 
 
-@pytest.mark.parametrize("fl_start, n_samples", [(-1e-5, 2), (-1e-7, 2), (-0.5, 11)])
+@pytest.mark.parametrize("fl_start, n_samples", [(-1e-5, 294), (-1e-7, 11), (-0.5, 316)])
 def test_trace_path_soft_spring_reaches_zero_force(fl_start, n_samples):
     # the squared balance's coefficients scale with k^2, where a fold test
     # on it would fire; the near arc has no fold (G' = c k (a + R/s^3) > 0),
@@ -206,8 +212,8 @@ def test_trace_path_soft_spring_reaches_zero_force(fl_start, n_samples):
     var=st.sampled_from(list(ModelVariant)),
 )
 def test_trace_path_follows_the_near_arc_point(R, m, M, k, p0_ratio, fl_start, end_share, var):
-    # criterion 11's parameter space: every sample is fixed_points' near-arc
-    # point, F_L strictly increases and the path ends at F_L_end
+    # criterion 11's parameter space: every sample is the near-arc point at
+    # its F_L, F_L strictly increases and the path ends at F_L_end
     params = SystemParams(m=m, M=M, R=R, k=k, p0=p0_ratio * R, variant=var)
     F_L_end = end_share * fl_start
     path = trace_path(params, (_interior_p(params, fl_start), fl_start), F_L_end=F_L_end)
@@ -215,9 +221,12 @@ def test_trace_path_follows_the_near_arc_point(R, m, M, k, p0_ratio, fl_start, e
     assert path.final.F_L == F_L_end
     fls = [s.F_L for s in path.samples]
     assert all(a < b for a, b in zip(fls, fls[1:]))
+    assert len(path.samples) <= 316
     for s in path.samples:
-        near = [f.p_star for f in fixed_points(params, s.F_L) if f.p_star < R] if s.F_L < 0.0 else [0.0]
-        assert s.p_star == near[-1], s.F_L
+        if s.F_L < 0.0:
+            _assert_on_the_near_arc(params, s)
+        else:
+            assert s.p_star == 0.0
 
 
 @pytest.mark.parametrize("var", list(ModelVariant))
@@ -268,7 +277,7 @@ def test_trace_path_rejects_a_nan_start(params):
 
 @pytest.mark.parametrize("var", list(ModelVariant))
 def test_trace_path_from_just_below_the_end_reaches_it(var):
-    # a start within 1e-14 below F_L_end takes its one step, clipped to the end
+    # a start a few 1e-15 below F_L_end is the start and the end alone
     params = SystemParams(variant=var)
     fl_start = -5e-15
     start = (_interior_p(params, fl_start), fl_start)
@@ -276,7 +285,7 @@ def test_trace_path_from_just_below_the_end_reaches_it(var):
     assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
     assert [s.F_L for s in path.samples] == [fl_start, 0.0]
     assert path.final.p_star == 0.0
-    assert path.samples == trace_path_three_quartics(params, start).samples
+    assert path.samples == trace_path_three_quartics(params, start, [0.0]).samples
 
 
 def test_trace_path_start_tolerance_scales_with_a_small_system():
@@ -294,19 +303,43 @@ def test_trace_path_start_tolerance_scales_with_a_small_system():
 
 @pytest.mark.parametrize("fl_start", [-1.5e7, -1e20])
 @pytest.mark.parametrize("variant", list(ModelVariant))
-def test_trace_path_refuses_an_oversized_path_before_it_allocates(variant, fl_start):
-    # 3e8 and 2e21 samples from balanced starts (the one at -1e20 sits at
-    # p* = R, on the far arc), where a million floats would take 8 MB
+def test_trace_path_from_a_huge_force_takes_at_most_316_samples(variant, fl_start):
+    # the samples are at most 0.005 rad apart in theta, so any span takes
+    # at most ceil((pi/2)/0.005) + 1 = 316 of them; the start at -1e20 sits
+    # at p* = R, the near arc's theta = pi/2 end
     params = SystemParams(variant=variant)
     start = (_interior_p(params, fl_start), fl_start)
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=re.escape(f"a trace from F_L={fl_start} would take more")):
-            trace_path(params, start, F_L_end=0.0)
+        path = trace_path(params, start, F_L_end=0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert path.terminal is PathTerminal.REACHED_ZERO_FORCE
+    assert len(path.samples) <= 316
+    assert path.samples[0][:2] == (fl_start, start[0]) and path.final.F_L == 0.0
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("var", list(ModelVariant))
+@pytest.mark.parametrize("length, stiffness", [(2.0**-10, 1.0), (2.0**7, 2.0**-3), (1e-3, 1.0), (1e-6, 7.0)])
+def test_trace_path_samples_do_not_depend_on_the_units(var, length, stiffness):
+    # f = F_L/(k R) = -3 from the near-arc point: a copy with every length
+    # scaled by `length` and k by `stiffness` (so forces by their product)
+    # takes the same samples, rescaled; bit for bit under powers of two
+    paths = []
+    for lam, kap in ((1.0, 1.0), (length, stiffness)):
+        base = SystemParams(variant=var)
+        params = dataclasses.replace(base, R=base.R * lam, p0=base.p0 * lam, k=base.k * kap)
+        fl_start = -3.0 * params.k * params.R
+        path = trace_path(params, (_interior_p(params, fl_start), fl_start))
+        paths.append([(s.p_star / lam, s.F_L / (lam * kap)) for s in path.samples])
+    want, got = paths
+    assert len(got) == len(want) > 20
+    if math.frexp(length)[0] == math.frexp(stiffness)[0] == 0.5:
+        assert got == want
+    for (p, fl), (p_ref, fl_ref) in zip(got, want):
+        assert abs(p - p_ref) <= 1e-14 * abs(p_ref) and abs(fl - fl_ref) <= 1e-14 * abs(fl_ref), fl_ref
 
 
 def test_no_interior_point_for_positive_force(params):

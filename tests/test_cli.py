@@ -643,8 +643,6 @@ def test_main_non_finite_option_is_configuration_error(tmp_path, capsys, argv, m
         # from an unlatched rest start every max_step of t_end is one sample
         (["simulate", "--t-end", "1e4"], "t_end / max_step = 1e+06 gives more than 1000000 samples"),
         (["simulate", "--t-end", "1e9"], "t_end / max_step = 1e+11 gives more than 1000000 samples"),
-        (["trace", "--fl=-50000"], "a trace from F_L=-50000.0 would take more than 1000000 samples"),
-        (["trace", "--fl=-1e20"], "a trace from F_L=-1e+20 would take more than 1000000 samples"),
         # each start may take ceil(t_end / max_step) + 1 samples: 10^6 * 999,901 and 1,600 * 1,001
         (
             ["phase-portrait", "--grid", "1000x1000", "--t-end", "9999"],
@@ -668,6 +666,36 @@ def test_oversized_run_is_refused_before_it_allocates(tmp_path, capsys, argv, me
     assert rc == 1
     assert capsys.readouterr().err == f"lamsa: configuration error: {message}\n"
     assert peak < 1_000_000
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fl", ["-50000", "-1e20"])
+def test_trace_from_a_huge_force_takes_at_most_316_samples(tmp_path, fl):
+    # the path samples theta at most 0.005 rad apart, so no start force
+    # makes it long: at most ceil((pi/2)/0.005) + 1 = 316 rows
+    out = tmp_path / "x"
+    tracemalloc.start()
+    try:
+        rc = main(["trace", f"--fl={fl}", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    _, rows = _read_csv(out / "path.csv")
+    assert 1 < len(rows) <= 316 and float(rows[-1][0]) == 0.0
+    assert json.loads((out / "manifest.json").read_text())["results"]["terminal"] == "ReachedZeroForce"
+    assert peak < 1_000_000
+
+
+def test_trace_with_an_overflowing_eigenvalue_leaves_no_output_dir(tmp_path, capsys):
+    # at m = 1e-300 the printed start sits at p* = R, where h2 overflows to
+    # inf; in_S is read from every sample's h2, so the run fails at exit 2
+    cfg = tmp_path / "light.cfg"
+    cfg.write_text("m = 1e-300\n")
+    out = tmp_path / "tr"
+    rc = main(["trace", "--config", str(cfg), "--variant", "printed", "--fl", "-15", "--out", str(out)])
+    assert rc == 2
+    assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -864,7 +892,7 @@ _CONFIG_VALUES = {
 }
 _RUN_FLAGS = {
     "--variant": st.sampled_from(["printed", "derived"]),
-    # a trace from below F_L = -50,000 is refused; the forces here trace in milliseconds or are refused
+    # every trace takes at most 316 samples; the forces here trace in milliseconds or are refused
     "--fl": st.sampled_from(["-15", "-5", "-3.3", "-1", "-1e-3", "0", "0.5", "1e-320", "-1e6", "1e308", "-1e308"]),
     "--seed": st.sampled_from(["0", "7"]),
 }
