@@ -107,10 +107,10 @@ def trace_path(
     closed form at evenly spaced theta at most 0.005 rad apart (so at most
     316 samples, the same in any units) and the point ``fixed_points``
     gives at F_L_end, where the path ends REACHED_ZERO_FORCE.  A far-arc
-    start (p* > R), which does not reach F_L = 0, is the whole path, with
-    LEFT_DOMAIN.  The start must satisfy the equilibrium balance to
-    1e-8 max(k p0 R, |F_L0 R|), a tolerance with no absolute floor, and
-    F_L0 < F_L_end <= 0: the branch ceases to exist past F_L = 0.
+    start (p* > R) is the whole path, with LEFT_DOMAIN: the far arc is not
+    followed, though its ends p = 2R and p = p0 reach F_L = 0 too.  The
+    start must satisfy the balance to 1e-8 max(k p0 R, |F_L0 R|), with no
+    absolute floor, and F_L0 < F_L_end <= 0: no branch exists past F_L = 0.
     """
     p_start, fl_start = float(start[0]), float(start[1])
     if not fl_start < F_L_end and not (p_start == 0.0 and fl_start == F_L_end):
@@ -125,7 +125,7 @@ def trace_path(
             f"(residual {res:.3e})"
         )
 
-    near = p_start <= params.R  # the far arc does not reach F_L = 0
+    near = p_start <= params.R  # the far arc, though its ends reach F_L = 0, is not followed
     p, l, F_L = np.array([p_start]), np.array([latch_from_projectile(params, p_start)]), np.array([fl_start])
     if near and fl_start < F_L_end:
         fl_end = np.array([F_L_end])

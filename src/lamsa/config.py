@@ -179,7 +179,6 @@ _KEYS: dict[str, _Key] = {
     "rel_tol": _Key("integrator", "rel_tol", _number),
     "abs_tol": _Key("integrator", "abs_tol", _number),
     "max_step": _Key("integrator", "max_step", _number),
-    "event_time_tol": _Key("integrator", "event_time_tol", _number),
     "fl": _Key("", "F_L", _number),
     "fl_range": _Key("", "F_L_range", lambda raw, key: parse_fl_range(raw), lambda r: f"{r.start}:{r.stop}:{r.step}"),
     "grid": _Key("", "grid", lambda raw, key: parse_grid(raw), lambda g: f"{g[0]}x{g[1]}"),

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _BALANCE_RTOL = 1e-9
+_BALANCE_ULPS = 8  # the floor of the bound, in float spacings of its scale (subnormal forces reach 5)
 _NEWTON_MAX_ITER = 100
 _VANISH_TOL = 1e-8
 
@@ -161,7 +162,8 @@ def _newton_correct(
             np.copyto(u, u_new, where=live)
     p, l, F_u = _on_arc(params, ck, sigma, u)
     residual = F_L - F_u
-    bad = ~(np.abs(residual) <= _BALANCE_RTOL * np.fmax(np.abs(F_L), ck * u * (abs(sa) + R / np.hypot(1.0, u))))
+    scale = np.fmax(np.abs(F_L), ck * u * (abs(sa) + R / np.hypot(1.0, u)))
+    bad = ~(np.abs(residual) <= np.fmax(_BALANCE_RTOL * scale, _BALANCE_ULPS * np.spacing(scale)))
     if bad.any():
         i = int(np.argmax(bad))
         raise EquilibriumBalanceError(
@@ -242,8 +244,6 @@ def fixed_points(params: SystemParams, F_L: float) -> list[FixedPoint]:
     tol = _VANISH_TOL * max(1.0, abs(F_L), params.k * params.p0)
     rows = (0, 1, 2, 3) if abs(F_L / params.M) <= tol else (0, 1, 2)
     origin = FixedPoint(0.0, 0.0, F_L, Mode.LATCHED, True, rows)
-    if F_L == 0.0:
-        return [origin]
     _, p, l = fixed_point_sweep(params, F_L)
     return [origin, *(_make_fp(params, pi, li, F_L, tol) for pi, li in zip(p.tolist(), l.tolist()))]
 

@@ -61,35 +61,34 @@ class IntegratorConfig:
 
     ``simulate`` alone reads these fields, and each helper it calls gets
     only the numbers it uses.  The unlatched flight has a closed form, so
-    ``rel_tol``, ``abs_tol`` and ``event_time_tol`` govern the latched
-    phase and the release alone.  Each accepted step's local error
-    estimate (the norm of the fifth- minus fourth-order update) is at most
-    max(rel_tol * |y|, abs_tol), |y| the norm of the step's start state.
-    ``max_step`` bounds every latched step and spaces the flight's samples.
-    ``event_time_tol`` bounds the bisection bracket of the release on the
-    step's third-order Hermite interpolant, not the error against the
+    ``rel_tol`` and ``abs_tol`` govern the latched phase and the release
+    alone.  Each accepted step's local error estimate (the norm of the
+    fifth- minus fourth-order update) is at most max(rel_tol * |y|,
+    abs_tol), |y| the norm of the step's start state.  ``max_step`` bounds
+    every latched step and spaces the flight's samples.  The release is
+    bisected on the step's Hermite cubic to a bracket of rel_tol *
+    max_step (1e-10 at the defaults, a smaller product narrower, a larger
+    one wider; rel_tol < 1 keeps it below max_step), or to the float
+    resolution of t, where the midpoint equals an end.  That bounds the bisection, not the error against the
     flow: on the benchmark's release design the derived release times are
-    1.86e-9 off a DOP853 reference.  The bisection also ends at the float
-    resolution of t, where its midpoint equals an end of the bracket.  The
-    start, each latched step and the release state are projected onto the
-    constraint circle exactly.  With ``abs_tol`` and every length scaled
-    by a power of two, a run scales bit for bit.  The floors follow the
-    run's times: the error control may not shrink a step below
-    1e-12 ``max_step``, and an end within 1e-14 ``t_end`` takes no
-    further sample.
+    1.86e-9 off a DOP853 reference.  The start, each latched step and the
+    release state are projected onto the constraint circle exactly.  With
+    ``abs_tol`` and every length scaled by a power of two, a run scales
+    bit for bit.  The floors and the bracket follow the run's times: the
+    error control may not shrink a step below 1e-12 ``max_step``, and an
+    end within 1e-14 ``t_end`` takes no further sample.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = 1e-2
-    event_time_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "max_step", "event_time_tol"):
+        for name in ("rel_tol", "abs_tol", "max_step"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not self.event_time_tol < self.max_step:
-            raise ValueError("event_time_tol must be smaller than max_step")
+        if not self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must be smaller than 1, got {self.rel_tol}")
 
 
 class EventKind(Enum):
@@ -288,16 +287,16 @@ def _locate_zero(
     y_hi: SystemState,
     f_hi: Sequence[float],
     guard: Callable[..., EventKind | None],
-    event_time_tol: float,
+    bracket: float,
 ) -> tuple[float, SystemState, EventKind]:
     """(t, state, kind) where the release rule first fires inside one latched step.
 
     The step from (t_lo, y_lo) to (t_hi, y_hi), with fields f_lo and f_hi
     there, is reconstructed with cubic Hermite interpolation.  ``guard(s,
     tau=None)``, the release rule, fires at y_hi (tau f_hi[4]) and not at
-    y_lo.  Bisection narrows the bracket to ``event_time_tol``, or until
-    its midpoint is one of its ends; the state is the interpolant's at the
-    last midpoint, the kind the guard's at the bracket's end.
+    y_lo.  Bisection narrows it to ``bracket`` (rel_tol * max_step), or
+    until its midpoint is one of its ends; the state is the interpolant's
+    at the last midpoint, the kind the guard's at the bracket's end.
     """
     h = t_hi - t_lo
 
@@ -315,7 +314,7 @@ def _locate_zero(
 
     a, b, kind = t_lo, t_hi, guard(y_hi, f_hi[4])
     mid = 0.5 * (a + b)
-    while b - a > event_time_tol and a < mid < b:
+    while b - a > bracket and a < mid < b:
         fired = guard(interp(mid))
         if fired is None:
             a = mid
@@ -481,7 +480,7 @@ def simulate(
                 if release(y_end, f_end[4]) is None:
                     y_hi, f_hi = y_new, f_new
                 if release(y_hi, f_hi[4]) is not None:
-                    t, y, kind = _locate_zero(t, y, f, t_new, y_hi, f_hi, release, cfg.event_time_tol)
+                    t, y, kind = _locate_zero(t, y, f, t_new, y_hi, f_hi, release, rel_tol * max_step)
                     y, mode = project_to_constraint(params, y), _UNLATCHED
                     traj.events.append(Event(t, y, kind))
                     traj.append(t, y, mode, 0.0)

@@ -395,7 +395,7 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
         return min(cfg.max_step, dt_used * factor)
 
     def locate(field, t_lo, y_lo, t_hi, y_hi, g):
-        return locate_zero_reference(field, cfg.event_time_tol, t_lo, y_lo, t_hi, y_hi, g)
+        return locate_zero_reference(field, cfg.rel_tol * cfg.max_step, t_lo, y_lo, t_hi, y_hi, g)
 
     def tau_of(s):
         return contact_force(params, s, F_L)
@@ -410,7 +410,7 @@ def simulate_reference(params, x0, F_L: float, t_end: float, config=None):
             events.append(Event(t_ev, y_ev, EventKind.TAKEOFF_TANGENCY))
         if len(events) == 2:
             tau_ev, take_ev = events
-            return take_ev if take_ev.t <= tau_ev.t + cfg.event_time_tol else tau_ev
+            return take_ev if take_ev.t <= tau_ev.t + cfg.rel_tol * cfg.max_step else tau_ev
         return events[0]
 
     if not x0.is_finite():
@@ -474,13 +474,17 @@ class NoSignChange(Exception):
     """``locate_zero_reference`` got a bracket whose guard values share a sign."""
 
 
-def locate_zero_reference(field, event_time_tol: float, t_lo, y_lo, t_hi, y_hi, g):
+def locate_zero_reference(field, bracket: float, t_lo, y_lo, t_hi, y_hi, g):
     """Bisect a guard zero on the cubic Hermite interpolant of one step of ``field``.
 
     ``field`` maps a state to its time derivative.  The interpolant builds
     each state from a generator over the four components; returns
     (t, state) and raises NoSignChange for a bracket whose guard values
-    share a sign.
+    share a sign.  A guard value of zero counts as the far side, the
+    side of g(y_hi), as the release rule fires on it.  The bisection
+    stops once the bracket is at most ``bracket`` wide, or once the
+    bracket holds no float strictly between its ends, so the midpoint
+    rounds onto one of them.
     """
     from lamsa.model import SystemState
 
@@ -502,19 +506,16 @@ def locate_zero_reference(field, event_time_tol: float, t_lo, y_lo, t_hi, y_hi, 
     g_lo, g_hi = g(y_lo), g(y_hi)
     if g_lo == 0.0:
         return t_lo, y_lo
-    if g_hi == 0.0:
-        return t_hi, y_hi
     if g_lo * g_hi > 0.0:
         raise NoSignChange(f"no sign change: g({t_lo})={g_lo}, g({t_hi})={g_hi}")
     a, b, ga = t_lo, t_hi, g_lo
-    while b - a > event_time_tol:
+    while b - a > bracket:
         mid = 0.5 * (a + b)
-        gm = g(interp(mid))
-        if gm == 0.0:
-            return mid, interp(mid)
-        if ga * gm < 0.0:
+        if mid in (a, b):  # no float lies strictly inside: t is resolved
+            break
+        if ga * g(interp(mid)) <= 0.0:
             b = mid
         else:
-            a, ga = mid, gm
+            a = mid
     t_ev = 0.5 * (a + b)
     return t_ev, interp(t_ev)

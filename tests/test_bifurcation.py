@@ -233,7 +233,8 @@ def test_trace_path_follows_the_near_arc_point(R, m, M, k, p0_ratio, fl_start, e
 @pytest.mark.parametrize("p0", [6.0, 8.0])
 def test_trace_path_far_arc_start_leaves_the_domain(var, p0):
     # the far pair and its fold F_min lie on the far arc (p* > p0 > R),
-    # which never reaches F_L = 0: the path is the start alone
+    # which trace_path does not follow, though its members reach F_L = 0
+    # at p = 2R and p = p0: the path is the start alone
     params = SystemParams(p0=p0, variant=var)
     _, f_min = _far_fold(params, params.k * (params.m / params.M if var is ModelVariant.AS_PRINTED else 1.0))
     starts = [(fp.p_star, fp.F_L_star) for fp in fixed_points(params, 0.5 * f_min) if fp.p_star > p0]

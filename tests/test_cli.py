@@ -95,6 +95,11 @@ def test_config_line_diagnostics(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "old.cfg"), "--out", str(out)]) == 1
     assert "line 2: unknown key 'constraint_projection'" in capsys.readouterr().err
     assert not out.exists()
+    # the release bracket is rel_tol * max_step: no key sets it any more
+    (tmp_path / "bracket.cfg").write_text("event_time_tol = 1e-10\n")
+    assert main(["simulate", "--config", str(tmp_path / "bracket.cfg"), "--out", str(out)]) == 1
+    assert "line 1: unknown key 'event_time_tol'" in capsys.readouterr().err
+    assert not out.exists()
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("m = abc\n")
     with pytest.raises(ConfigError, match="line 3"):
@@ -124,7 +129,7 @@ def test_every_unreadable_value_names_its_line(line):
 def test_every_config_key_round_trips_through_the_manifest_echo():
     off = RunConfig(
         params=SystemParams(m=2.0, M=3.0, R=4.0, k=0.5, p0=9.0, variant=ModelVariant.CONSTRAINT_CONSISTENT),
-        integrator=IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9, max_step=0.02, event_time_tol=1e-11),
+        integrator=IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9, max_step=0.02),
         F_L=-7.5,
         F_L_range=FLRange(-10.0, -1.0, 0.5),
         grid=(8, 4),
@@ -136,7 +141,7 @@ def test_every_config_key_round_trips_through_the_manifest_echo():
         jitter=True,
     )
     echo = off.echo()
-    assert list(echo) == list(_KEYS) and len(echo) == 19
+    assert list(echo) == list(_KEYS) and len(echo) == 18
     assert all(echo[key] != value for key, value in RunConfig().echo().items())
     text = "".join(f"{key} = {','.join(map(str, v)) if key == 'x0' else v}\n" for key, v in echo.items())
     assert parse_config(text) == off
@@ -214,7 +219,7 @@ def test_run_size_bound_admits_a_million_items():
     RunConfig(t_end=9999.99)  # t_end / max_step = 999,999: a million samples
 
 
-_FLOAT_KEYS = ("m", "M", "R", "k", "p0", "rel_tol", "abs_tol", "max_step", "event_time_tol", "fl", "t_end", "v_max")
+_FLOAT_KEYS = ("m", "M", "R", "k", "p0", "rel_tol", "abs_tol", "max_step", "fl", "t_end", "v_max")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -283,6 +288,18 @@ def test_cmd_equilibria_keeps_the_saddle_near_zero_force(tmp_path):
         assert origin == "0" and valid == "1", fl
         assert 0.0 < float(p) < float(l) < 1e-2
     assert rows[-1][3] == "1"
+
+
+@pytest.mark.parametrize("variant", ["printed", "derived"])
+def test_equilibria_and_trace_solve_a_subnormal_force(tmp_path, variant):
+    # the balance bound's floor of a few float spacings holds where 1e-9 of
+    # a subnormal force underflows to 0
+    for command, flag in (("equilibria", "--fl-range=-1e-320:0:1e-320"), ("trace", "--fl=-1e-320")):
+        assert main([command, "--variant", variant, flag, "--out", str(tmp_path / command)]) == 0
+    _, rows = _read_csv(tmp_path / "equilibria" / "fixedpoints.csv")
+    assert [(float(r[0]), r[3], r[4]) for r in rows] == [(-1e-320, "0", "1"), (0.0, "1", "1")]
+    _, rows = _read_csv(tmp_path / "trace" / "path.csv")
+    assert (float(rows[0][0]), float(rows[-1][0])) == (-1e-320, 0.0)
 
 
 def test_cmd_equilibria_deterministic(tmp_path):
@@ -706,7 +723,7 @@ def test_region_map_takes_any_t_end(tmp_path):
 
 def test_portrait_bound_holds_where_the_step_count_overflows(tmp_path, capsys):
     # t_end / max_step = 1e600 overflows to inf, which math.ceil cannot take
-    (tmp_path / "tiny.cfg").write_text("max_step = 1e-300\nevent_time_tol = 1e-301\nt_end = 1e300\n")
+    (tmp_path / "tiny.cfg").write_text("max_step = 1e-300\nt_end = 1e300\n")
     out = tmp_path / "x"
     assert main(["phase-portrait", "--config", str(tmp_path / "tiny.cfg"), "--out", str(out)]) == 1
     message = "a portrait of 400 starts to t_end=1e+300 would take more than 1000000 samples"
@@ -885,7 +902,6 @@ _CONFIG_VALUES = {
     "rel_tol": ["1e-8", "1e-6", "1e-300", "0", "1e308"],
     "abs_tol": ["1e-10", "1e-6", "1e-300", "0", "1e308"],
     "max_step": ["1e-2", "0.1", "0.5", "1e-12", "0", "1e308"],
-    "event_time_tol": ["1e-10", "1e-3", "0.05", "0", "1e308"],
     "x0": ["1, 0, 3, 0", "4.9, 2, 0.99, 0", "9, 0.5, 2, 0.3", "0, 0, 0, 0", "1, 0, 1e308, 0", "1, 0, 3"],
     "v_max": ["10", "1", "1e308", "0", "-1"],
     "jitter": ["true", "false", "maybe"],

@@ -359,6 +359,17 @@ def test_near_arc_point_survives_as_force_vanishes():
         assert tiny.l_star == pytest.approx(1e-12 * params.R / (_ck(params) * params.p0), rel=1e-9)
 
 
+@pytest.mark.parametrize("p0", [10.0, 6.0])
+@pytest.mark.parametrize("var", list(ModelVariant))
+def test_fixed_point_sweep_solves_every_subnormal_force(p0, var):
+    # 1e-9 of a subnormal scale underflows to 0, so the balance bound has a
+    # floor of a few float spacings of its scale; these residuals reach 5
+    params = SystemParams(p0=p0, variant=var)
+    forces = -np.unique(np.concatenate([np.arange(1, 4000) * 5e-324, np.geomspace(5e-324, 2.2e-308, 4000)]))
+    fl, p, _ = fixed_point_sweep(params, forces)
+    assert fl[p < params.R].tolist() == forces.tolist()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     R=st.floats(1.0, 8.0),

@@ -59,6 +59,11 @@ def _floor(cfg=IntegratorConfig()):
     return 1e-12 * cfg.max_step
 
 
+def _bracket(cfg=IntegratorConfig()):
+    """The release bracket ``simulate`` gives ``_locate_zero``: rel_tol max_step."""
+    return cfg.rel_tol * cfg.max_step
+
+
 def _step(params, st, F_L, dt, cfg=IntegratorConfig()):
     """(new_state, dt_used, err) of ``integrate_step`` from ``st``, its field evaluated here."""
     new, _, dt, err = integrate_step(params, st, _field_arr(params, st, F_L), F_L, dt, _tol(st, cfg), _floor(cfg))
@@ -68,12 +73,14 @@ def _step(params, st, F_L, dt, cfg=IntegratorConfig()):
 def test_integrator_config_invariants():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(event_time_tol=1e-2, max_step=1e-2)
+    # rel_tol < 1 keeps the release bracket rel_tol * max_step below max_step
+    with pytest.raises(ValueError, match="^rel_tol must be smaller than 1"):
+        IntegratorConfig(rel_tol=1.0)
+    assert _bracket(IntegratorConfig(rel_tol=0.5)) < 1e-2
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_step", "event_time_tol"])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_step"])
 def test_integrator_config_rejects_non_finite_values(name, bad):
     with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):
         IntegratorConfig(**{name: bad})
@@ -172,11 +179,11 @@ def test_locate_event_tau_crossing(cc_params):
         new, f_new, dt, _ = integrate_step(cc_params, st, f, F_L, 5e-3, _tol(st, cfg), _floor(cfg))
         if _tau_fn(cc_params, F_L)(new) < 0:
             t_ev, y_ev, kind = _locate_zero(
-                t, st, f, t + dt, new, f_new, _unlatch_guard(cc_params, F_L), cfg.event_time_tol
+                t, st, f, t + dt, new, f_new, _unlatch_guard(cc_params, F_L), _bracket(cfg)
             )
             tau_lo = _tau_fn(cc_params, F_L)(st)
             tau_hi = _tau_fn(cc_params, F_L)(new)
-            derived_tol = 4.0 * abs(tau_hi - tau_lo) / dt * cfg.event_time_tol + 1e-12
+            derived_tol = 4.0 * abs(tau_hi - tau_lo) / dt * _bracket(cfg) + 1e-12
             assert kind is EventKind.UNLATCH_TAU_ZERO
             assert t < t_ev <= t + dt
             assert abs(_tau_fn(cc_params, F_L)(y_ev)) <= derived_tol
@@ -188,28 +195,28 @@ def test_locate_event_tau_crossing(cc_params):
 @pytest.mark.parametrize("t0", [0.0, 6e5], ids=["t0", "t_coarser_than_tol"])
 def test_locate_event_position_crossing(params, t0):
     # a latched step through the tangency p = R with monotone p; at t = 6e5
-    # the float spacing of t (1.16e-10) exceeds event_time_tol, and the
+    # the float spacing of t (1.16e-10) exceeds the bracket, and the
     # bisection ends where its midpoint is an end of the bracket
     cfg = IntegratorConfig()
     st = _latched_start(params, 4.99, 2.0)
     f = _field_arr(params, st, -5.0)
     new, f_new, dt, _ = integrate_step(params, st, f, -5.0, 1e-2, _tol(st, cfg), _floor(cfg))
     assert new.p > params.R
-    t_ev, y_ev, kind = _locate_zero(t0, st, f, t0 + dt, new, f_new, _tangency_guard(params), cfg.event_time_tol)
+    t_ev, y_ev, kind = _locate_zero(t0, st, f, t0 + dt, new, f_new, _tangency_guard(params), _bracket(cfg))
     assert kind is EventKind.TAKEOFF_TANGENCY
     assert t0 < t_ev <= t0 + dt
-    assert abs(y_ev.p - params.R) <= 2.0 * abs(new.p_dot) * max(cfg.event_time_tol, math.ulp(t0)) + 1e-12
+    assert abs(y_ev.p - params.R) <= 2.0 * abs(new.p_dot) * max(_bracket(cfg), math.ulp(t0)) + 1e-12
 
 
 @pytest.mark.parametrize("want", list(EventKind))
 def test_locate_zero_in_a_narrow_bracket_returns_the_guards_kind_at_its_end(params, want):
-    # a bracket already within event_time_tol takes no bisection step: the
+    # a bracket already within rel_tol max_step takes no bisection step: the
     # kind is the one the guard gives at the bracket's end, with its tau
     cfg = IntegratorConfig()
     F_L = -5.0
     y_lo = _latched_start(params, 3.0, 1.0)
     f_lo = _field_arr(params, y_lo, F_L)
-    dt = 0.5 * cfg.event_time_tol
+    dt = 0.5 * _bracket(cfg)
     y_hi, f_hi, _, _ = integrate_step(params, y_lo, f_lo, F_L, dt, _tol(y_lo, cfg), _floor(cfg))
     calls = []
 
@@ -217,7 +224,7 @@ def test_locate_zero_in_a_narrow_bracket_returns_the_guards_kind_at_its_end(para
         calls.append((s, tau))
         return want
 
-    t, y, kind = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, guard, cfg.event_time_tol)
+    t, y, kind = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, guard, _bracket(cfg))
     assert kind is want
     assert calls == [(y_hi, f_hi[4])]
     assert t == 0.5 * dt
@@ -500,15 +507,16 @@ def test_simulate_is_exactly_scale_covariant(variant):
 )
 @pytest.mark.parametrize("k", [1.0, 1e26, 1e30])
 def test_simulate_releases_alike_whatever_the_time_unit(variant, kind, t_release, k):
-    # a stiff spring shrinks the time unit T = sqrt(m/k); with t_end and the
-    # step settings in units of T, the end margin (1e-14 t_end) and the step
-    # floor (1e-12 max_step) follow it, so the run releases as at k = 1.
+    # a stiff spring shrinks the time unit T = sqrt(m/k); with t_end and
+    # max_step in units of T, the end margin (1e-14 t_end), the step floor
+    # (1e-12 max_step) and the release bracket (rel_tol max_step) follow it,
+    # so the run releases as at k = 1.
     # The printed times agree less closely: the error norm mixes position
     # and velocity, whose ratio is T
     params = SystemParams(k=k, variant=variant)
     T, F_L = math.sqrt(params.m / k), -5.0 * k
     x0 = _latched_start(params, 1.1 * fixed_points(params, F_L)[1].p_star)
-    traj = simulate(params, x0, F_L, 10.0 * T, IntegratorConfig(max_step=1e-2 * T, event_time_tol=1e-10 * T))
+    traj = simulate(params, x0, F_L, 10.0 * T, IntegratorConfig(max_step=1e-2 * T))
     (event,) = traj.events
     assert event.kind is kind
     assert event.t / T == pytest.approx(t_release, rel=1e-6 if variant is ModelVariant.AS_PRINTED else 1e-10)
@@ -748,7 +756,7 @@ def test_flight_edges(params):
 
 # the defaults, and tighter tolerances, which reach the release on other
 # step boundaries
-_CONFIGS = [IntegratorConfig(), IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, event_time_tol=1e-12)]
+_CONFIGS = [IntegratorConfig(), IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)]
 
 # on the circle up to a 2e-9 radial offset, with the speed at which the
 # contact force vanishes there: tau > 0 at the start, tau <= 0 once projected
@@ -899,9 +907,9 @@ def test_locate_zero_equals_reference(variant):
     def field(y):
         return _field_arr(params, y, F_L)
 
-    t, y, kind = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, _tangency_guard(params), cfg.event_time_tol)
+    t, y, kind = _locate_zero(0.0, y_lo, f_lo, dt, y_hi, f_hi, _tangency_guard(params), _bracket(cfg))
     assert kind is EventKind.TAKEOFF_TANGENCY
-    assert (t, y) == locate_zero_reference(field, cfg.event_time_tol, 0.0, y_lo, dt, y_hi, lambda s: s[0] - params.R)
+    assert (t, y) == locate_zero_reference(field, _bracket(cfg), 0.0, y_lo, dt, y_hi, lambda s: s[0] - params.R)
 
 
 # Latched starts (F_L, p, p_dot) whose release step ends with both guards
@@ -942,12 +950,13 @@ def test_release_where_both_guards_fire_equals_reference(monkeypatch, variant):
 
 
 def test_release_bisection_ends_below_the_float_spacing_of_t(params):
-    # event_time_tol is below ulp(t) at the release, so the bracket never
-    # gets that narrow; the bisection ends where its midpoint is an end
+    # rel_tol 1e-14 derives a 1e-16 bracket, below ulp(t) at the release,
+    # so the bracket never gets that narrow; the bisection ends where its
+    # midpoint is an end
     F_L = -5.0
     p = 1.1 * next(fp.p_star for fp in fixed_points(params, F_L) if not fp.origin_flag)
     x0 = SystemState(p, 0.0, latch_from_projectile(params, p), 0.0)
-    traj = simulate(params, x0, F_L, 10.0, IntegratorConfig(event_time_tol=1e-16))
+    traj = simulate(params, x0, F_L, 10.0, IntegratorConfig(rel_tol=1e-14))
     (event,) = traj.events
     assert event.kind is EventKind.TAKEOFF_TANGENCY
     assert abs(event.t - 0.9116180492679367) <= 1e-15

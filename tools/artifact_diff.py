@@ -15,11 +15,13 @@ without its ``created`` stamp and its output-directory echo.
 
 The tool prints each differing file with the number of its differing
 cells and the largest absolute and relative difference between them,
-then one line per run directory with its differing and total file
-counts and the columns in which cells differ, and last a total line.  A
-cell is one CSV field, whose column is its header's, or one JSON leaf,
-whose column is its key path; a cell that is not a number counts as
-differing when its text differs.  The exit status is 1 when any body
+the columns that exist on one side only and the number of rows that
+exist on one side only, then one line per run directory with its
+differing and total file counts and the columns in which cells differ
+or exist on one side only, and last a total line.  A cell is one CSV
+field, whose column is its header's and whose row is its line, or one
+JSON leaf, whose column is its key path; a cell that is not a number
+counts as differing when its text differs.  The exit status is 1 when any body
 differs or a file exists in one tree only, and 0 otherwise.  The tool
 needs numpy only (through lamsa).
 """
@@ -105,22 +107,27 @@ def write_tree_artifacts(tree: Path, out: Path) -> None:
             csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _cells(path: Path) -> list[tuple[str, str]]:
-    """The file's (column, text) cells in order: CSV fields, or JSON leaves (a manifest without its stamp and output dir)."""
+def _cells(path: Path) -> dict[tuple[int, str], str]:
+    """The file's cells as {(row, column): text}.
+
+    A CSV's rows are its lines, the header row 0, and a field past the
+    header is column ``#j``.  A JSON file is one row of leaves keyed by
+    their path (a manifest without its stamp and output dir).
+    """
     if path.suffix == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         header = rows[0] if rows else []
-        cells: list[tuple[str, str]] = []
-        for row in rows:
-            cells += zip(header + [f"#{j}" for j in range(len(header), len(row))], row)
-            cells.append(("<row end>", "\n"))
-        return cells
+        return {
+            (i, col): text
+            for i, row in enumerate(rows)
+            for col, text in zip(header + [f"#{j}" for j in range(len(header), len(row))], row)
+        }
     data = json.loads(path.read_text(encoding="utf-8"))
     if path.name == "manifest.json":
         data.pop("created", None)
         data.get("config", {}).pop("out_dir", None)
-    leaves: list[tuple[str, str]] = []
+    leaves: dict[tuple[int, str], str] = {}
 
     def walk(node: object, key: str) -> None:
         if isinstance(node, dict):
@@ -130,7 +137,7 @@ def _cells(path: Path) -> list[tuple[str, str]]:
             for i, v in enumerate(node):
                 walk(v, f"{key}[{i}]")
         else:
-            leaves.append((key, json.dumps(node)))
+            leaves[0, key] = json.dumps(node)
 
     walk(data, "")
     return leaves
@@ -144,28 +151,44 @@ def _number(cell: str) -> float | None:
 
 
 def compare(old: Path, new: Path) -> tuple[str | None, set[str]]:
-    """(None when the bodies are equal, else a one-line account of the differing cells; their columns)."""
+    """(None when the bodies are equal, else a one-line account of the differences; their columns).
+
+    Cells at the same (row, column) on both sides are compared.  A cell
+    on one side only is named by its column when its row exists on both
+    sides, and is counted as part of a row on one side only otherwise.
+    """
     a, b = _cells(old), _cells(new)
-    if len(a) != len(b):
-        return f"shape differs: {len(a)} cells against {len(b)}", set()
     n = text = 0
     columns: set[str] = set()
     worst_abs = worst_rel = 0.0
-    for (col, x), (new_col, y) in zip(a, b):
-        if x == y and col == new_col:
+    for key, x in a.items():
+        if key not in b or b[key] == x:
             continue
+        y = b[key]
         n += 1
-        columns.add(col)
+        columns.add(key[1])
         u, v = _number(x), _number(y)
         if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
             text += 1
             continue
         worst_abs = max(worst_abs, abs(u - v))
         worst_rel = max(worst_rel, abs(u - v) / max(abs(u), abs(v)))
-    if not n:
-        return None, columns
-    note = f", {text} not numbers" if text else ""
-    return f"{n} cells differ{note}; max abs {worst_abs:.3g}, max rel {worst_rel:.3g}", columns
+    parts = []
+    if n:
+        note = f", {text} not numbers" if text else ""
+        parts.append(f"{n} cells differ{note} in {', '.join(sorted(columns))}; "
+                     f"max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+    for side, mine, other in (("old", a, b), ("new", b, a)):
+        rows = {i for i, _ in other}
+        alone = [key for key in mine if key not in other]
+        named = sorted({col for i, col in alone if i in rows})
+        extra_rows = len({i for i, _ in alone if i not in rows})
+        if named:
+            columns.update(named)
+            parts.append(f"only in {side}: {', '.join(named)}")
+        if extra_rows:
+            parts.append(f"rows only in {side}: {extra_rows}")
+    return ("; ".join(parts) or None), columns
 
 
 def main(argv: list[str]) -> int:
